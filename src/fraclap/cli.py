@@ -11,9 +11,12 @@ Three commands, selected with ``--command``:
 Exit codes: 0 success, 2 configuration error, 3 input-shape error,
 4 blow-up abort, 5 internal numeric failure.
 
-All numeric output is written with 17 significant digits so files
-round-trip exactly; elapsed times live in their own column and are the
-only nondeterministic field.
+CSV numbers carry 17 significant digits and JSON numbers the shortest
+repr that round-trips, so both formats round-trip exactly; elapsed times
+live in their own column and are the only nondeterministic field.
+Per-node records are formatted from whole columns, a block of rows at a
+time, and streamed to the output file, so writing needs memory
+independent of N.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +67,75 @@ class RunConfig:
     snapshot_every: int = 100
 
 
+# Rows formatted per write: enough that the per-block overhead vanishes,
+# few enough that a block's Python floats and text stay far below the
+# memory of the computation at any N.
+_BLOCK_ROWS = 4096
+
+# Per-node CSV record: index, then four columns at 17 significant digits.
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
+
+# json.dumps(indent=1) puts every key on a line of its own and escapes
+# newlines inside strings, so a whole line matching this can only be the
+# placeholder, never text from a user-supplied string.
+_NODES = "<nodes>"
+_NODES_LINE = re.compile(rf'^( *)"nodes": "{re.escape(_NODES)}"', re.MULTILINE)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _json_floats(column: np.ndarray) -> list:
+    """``column.tolist()`` with NaN and ±inf as the text json.dumps writes."""
+    return [v if math.isfinite(v) else
+            "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+            for v in column.tolist()]
+
+
+def _write_rows(fh, row: str, columns, sep: str = "",
+                json_numbers: bool = False) -> None:
+    """Write ``row % (c[i] for c in columns)`` for every i, ``sep`` between rows.
+
+    ``row`` takes one value per column.  Rows are formatted ``_BLOCK_ROWS``
+    at a time with one ``%`` over a repeated template.  Values arrive as
+    Python ints and floats, so ``%s`` writes a float as its shortest
+    ``repr``; with ``json_numbers`` a block holding NaN or ±inf gets
+    json's ``NaN``/``Infinity``/``-Infinity`` in their place.
+    """
+    n = len(columns[0])
+    for start in range(0, n, _BLOCK_ROWS):
+        block = [c[start:start + _BLOCK_ROWS] for c in columns]
+        values = [_json_floats(b) if json_numbers and not np.isfinite(b).all()
+                  else b.tolist() for b in block]
+        k = len(block[0])
+        text = ((row + sep) * k) % tuple(chain.from_iterable(zip(*values)))
+        fh.write(text if start + k < n else text[:len(text) - len(sep)])
+
+
+def _json_record(keys, depth: int) -> str:
+    """Template of one node dict as json.dumps(indent=1) lays it out at ``depth``."""
+    outer, inner = " " * (depth + 1), " " * (depth + 2)
+    fields = ",\n".join(f'{inner}"{key}": %s' for key in keys)
+    return f"{outer}{{\n{fields}\n{outer}}}"
+
+
+def _write_json(path: Path, doc: dict, keys, node_columns) -> None:
+    """Write ``json.dumps(doc, indent=1)`` and a newline to ``path``.
+
+    The k-th ``"nodes": _NODES`` entry of ``doc``, in document order, is
+    written as the list of node dicts whose ``keys`` take their values from
+    the k-th item of ``node_columns``; all other bytes come from json.dumps.
+    """
+    parts = _NODES_LINE.split(json.dumps(doc, indent=1))
+    with open(path, "w") as fh:
+        fh.write(parts[0])
+        for indent, rest, columns in zip(parts[1::2], parts[2::2], node_columns):
+            fh.write(f'{indent}"nodes": [\n')
+            _write_rows(fh, _json_record(keys, len(indent)), columns,
+                        sep=",\n", json_numbers=True)
+            fh.write(f"\n{indent}]{rest}")
+        fh.write("\n")
 
 
 def _parse_list(text: str, kind, flag: str) -> list:
@@ -210,29 +282,21 @@ def cmd_apply(cfg: RunConfig) -> int:
     if exact_fn is not None:
         report = error_norms(values, exact_fn(alpha, x), r=r, alpha=alpha)
 
+    columns = [np.arange(n), s, x, values.real, values.imag]
     if cfg.fmt == "json":
         doc = {
             "command": "apply",
             "alpha": alpha, "N": n, "r": r, "L": cfg.L, "input": cfg.input,
-            "nodes": [
-                {"j": j, "s": s[j], "x": x[j],
-                 "re": values[j].real, "im": values[j].imag}
-                for j in range(n)
-            ],
+            "nodes": _NODES,
             "error": _error_block(report),
         }
-        cfg.output.write_text(json.dumps(doc, indent=1) + "\n")
+        _write_json(cfg.output, doc, ("j", "s", "x", "re", "im"), [columns])
     else:
-        lines = ["j,s_j,x_j,re,im"]
-        for j in range(n):
-            lines.append(
-                f"{j},{_fmt(s[j])},{_fmt(x[j])},"
-                f"{_fmt(values[j].real)},{_fmt(values[j].imag)}"
-            )
-        if report is not None:
-            lines.append(f"# l2 = {_fmt(report.l2)}")
-            lines.append(f"# linf = {_fmt(report.linf)}")
-        cfg.output.write_text("\n".join(lines) + "\n")
+        with open(cfg.output, "w") as fh:
+            fh.write("j,s_j,x_j,re,im\n")
+            _write_rows(fh, _CSV_ROW, columns)
+            if report is not None:
+                fh.write(f"# l2 = {_fmt(report.l2)}\n# linf = {_fmt(report.linf)}\n")
     return EXIT_OK
 
 
@@ -300,6 +364,11 @@ def cmd_nls(cfg: RunConfig) -> int:
                       snapshot_every=cfg.snapshot_every)
     m0 = result.energies[0]
 
+    j = np.arange(n)
+    # np.hypot, not np.abs: it matches the scalar abs() bit for bit.
+    node_columns = ([j, x, psi.real, psi.imag, np.hypot(psi.real, psi.imag)]
+                    for _, psi, _ in result.snapshots)
+
     if cfg.fmt == "json":
         doc = {
             "command": "nls",
@@ -310,32 +379,20 @@ def cmd_nls(cfg: RunConfig) -> int:
                 for t, m in zip(result.times, result.energies)
             ],
             "snapshots": [
-                {
-                    "t": t,
-                    "nodes": [
-                        {"j": j, "x": x[j], "re": psi[j].real,
-                         "im": psi[j].imag, "abs": abs(psi[j])}
-                        for j in range(n)
-                    ],
-                    "M": m,
-                }
-                for t, psi, m in result.snapshots
+                {"t": t, "nodes": _NODES, "M": m}
+                for t, _, m in result.snapshots
             ],
         }
-        cfg.output.write_text(json.dumps(doc, indent=1) + "\n")
+        _write_json(cfg.output, doc, ("j", "x", "re", "im", "abs"), node_columns)
     else:
         lines = ["t,M,drift"]
         for t, m in zip(result.times, result.energies):
             lines.append(f"{_fmt(t)},{_fmt(m)},{_fmt(abs(m - m0))}")
         cfg.output.write_text("\n".join(lines) + "\n")
-        for idx, (t, psi, m) in enumerate(result.snapshots):
-            body = ["j,x_j,re,im,abs"]
-            body.extend(
-                f"{j},{_fmt(x[j])},{_fmt(psi[j].real)},"
-                f"{_fmt(psi[j].imag)},{_fmt(abs(psi[j]))}"
-                for j in range(n)
-            )
-            _snapshot_path(cfg.output, idx).write_text("\n".join(body) + "\n")
+        for idx, columns in enumerate(node_columns):
+            with open(_snapshot_path(cfg.output, idx), "w") as fh:
+                fh.write("j,x_j,re,im,abs\n")
+                _write_rows(fh, _CSV_ROW, columns)
     return EXIT_OK
 
 

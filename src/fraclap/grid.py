@@ -42,7 +42,8 @@ class GridSpec:
     Parameters
     ----------
     N : int
-        Number of output nodes, ≥ 1.
+        Number of output nodes, ≥ 1.  A Python or numpy integer (not
+        ``bool``), stored as ``int``; the same holds for ``r``.
     r : int
         Refinement factor, ≥ 1; the quadrature uses 2rN midpoints.
     L : float
@@ -54,10 +55,13 @@ class GridSpec:
     L: float
 
     def __post_init__(self):
-        if not (isinstance(self.N, int) and self.N >= 1):
-            raise ParameterError(f"N must be a positive integer, got {self.N!r}")
-        if not (isinstance(self.r, int) and self.r >= 1):
-            raise ParameterError(f"r must be a positive integer, got {self.r!r}")
+        for name in ("N", "r"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or value < 1:
+                raise ParameterError(
+                    f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ParameterError(f"L must be positive and finite, got {self.L!r}")
 

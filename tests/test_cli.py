@@ -6,8 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+from fraclap import cli
 from fraclap.cli import main
 from fraclap.grid import GridSpec, map_to_real, output_nodes
+from fraclap.nls import simulate
+from fraclap.operator import FracLapParams, FractionalLaplacian
+from fraclap.profiles import builtin_profile
+from fraclap.reference import error_norms
 
 
 def _read_csv_rows(path):
@@ -104,12 +109,181 @@ class TestApply:
         assert code == 3
 
     def test_determinism(self, tmp_path):
-        args = ["--command", "apply", "--alpha", "1.3", "--N", "32", "--r", "1",
-                "--input", "builtin:rational"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--output", str(a)]) == 0
-        assert main(args + ["--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for profile in ("rational", "erf"):
+            for fmt in ("csv", "json"):
+                args = ["--command", "apply", "--alpha", "1.3", "--N", "32",
+                        "--r", "1", "--input", f"builtin:{profile}",
+                        "--format", fmt]
+                a, b = tmp_path / "a.out", tmp_path / "b.out"
+                assert main(args + ["--output", str(a)]) == 0
+                assert main(args + ["--output", str(b)]) == 0
+                assert a.read_bytes() == b.read_bytes(), (profile, fmt)
+
+
+# Reference writers: the per-node f-string loops and json.dumps over node
+# dicts that the block writer replaced.  Its output must equal theirs byte
+# for byte.
+
+def _ref_fmt(x):
+    return f"{x:.17g}"
+
+
+def _reference_apply(argv):
+    cfg = cli._validate(cli.build_parser().parse_args(argv))
+    alpha, n, r = cfg.alphas[0], cfg.Ns[0], cfg.rs[0]
+    params = FracLapParams(alpha=alpha, grid=GridSpec(N=n, r=r, L=cfg.L))
+    F, exact_fn = cli._resolve_operator_input(cfg, params)
+    values = FractionalLaplacian(params, cache_kernels=False).apply(F)
+    s = output_nodes(params.grid)
+    x = map_to_real(s, cfg.L)
+    report = error_norms(values, exact_fn(alpha, x), r=r, alpha=alpha)
+    if cfg.fmt == "json":
+        doc = {
+            "command": "apply",
+            "alpha": alpha, "N": n, "r": r, "L": cfg.L, "input": cfg.input,
+            "nodes": [
+                {"j": j, "s": s[j], "x": x[j],
+                 "re": values[j].real, "im": values[j].imag}
+                for j in range(n)
+            ],
+            "error": {"l2": report.l2, "linf": report.linf, "N": report.N,
+                      "r": report.r, "alpha": report.alpha},
+        }
+        return (json.dumps(doc, indent=1) + "\n").encode()
+    lines = ["j,s_j,x_j,re,im"]
+    for j in range(n):
+        lines.append(
+            f"{j},{_ref_fmt(s[j])},{_ref_fmt(x[j])},"
+            f"{_ref_fmt(values[j].real)},{_ref_fmt(values[j].imag)}"
+        )
+    lines.append(f"# l2 = {_ref_fmt(report.l2)}")
+    lines.append(f"# linf = {_ref_fmt(report.linf)}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _reference_nls(argv):
+    """Expected bytes: the main file, then each CSV snapshot file in order."""
+    cfg = cli._validate(cli.build_parser().parse_args(argv))
+    alpha, n, r = cfg.alphas[0], cfg.Ns[0], cfg.rs[0]
+    params = FracLapParams(alpha=alpha, grid=GridSpec(N=n, r=r, L=cfg.L))
+    x = map_to_real(output_nodes(params.grid), cfg.L)
+    psi0 = np.asarray(builtin_profile("gaussian").u(x), dtype=complex)
+    result = simulate(psi0, params, dt=cfg.dt, t_end=cfg.t_end,
+                      snapshot_every=cfg.snapshot_every)
+    m0 = result.energies[0]
+    if cfg.fmt == "json":
+        doc = {
+            "command": "nls",
+            "alpha": alpha, "N": n, "r": r, "L": cfg.L,
+            "dt": cfg.dt, "t_end": cfg.t_end,
+            "energy": [
+                {"t": t, "M": m, "drift": abs(m - m0)}
+                for t, m in zip(result.times, result.energies)
+            ],
+            "snapshots": [
+                {
+                    "t": t,
+                    "nodes": [
+                        {"j": j, "x": x[j], "re": psi[j].real,
+                         "im": psi[j].imag, "abs": abs(psi[j])}
+                        for j in range(n)
+                    ],
+                    "M": m,
+                }
+                for t, psi, m in result.snapshots
+            ],
+        }
+        return [(json.dumps(doc, indent=1) + "\n").encode()]
+    lines = ["t,M,drift"]
+    for t, m in zip(result.times, result.energies):
+        lines.append(f"{_ref_fmt(t)},{_ref_fmt(m)},{_ref_fmt(abs(m - m0))}")
+    files = [("\n".join(lines) + "\n").encode()]
+    for t, psi, m in result.snapshots:
+        body = ["j,x_j,re,im,abs"]
+        body.extend(
+            f"{j},{_ref_fmt(x[j])},{_ref_fmt(psi[j].real)},"
+            f"{_ref_fmt(psi[j].imag)},{_ref_fmt(abs(psi[j]))}"
+            for j in range(n)
+        )
+        files.append(("\n".join(body) + "\n").encode())
+    return files
+
+
+class TestGoldenWriters:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("profile,alpha,L", [("erf", "0.7", "2.1"),
+                                                 ("rational", "1.3", "1.0")])
+    @pytest.mark.parametrize("n", [1, 37, cli._BLOCK_ROWS + 1])
+    def test_apply_bytes_match_reference(self, tmp_path, n, profile, alpha, L,
+                                         fmt):
+        out = tmp_path / f"out.{fmt}"
+        argv = ["--command", "apply", "--alpha", alpha, "--N", str(n),
+                "--r", "2", "--L", L, "--input", f"builtin:{profile}",
+                "--format", fmt, "--output", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == _reference_apply(argv)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_nls_bytes_match_reference(self, tmp_path, monkeypatch, fmt):
+        # 37 nodes in blocks of 16: two full blocks and a partial one.
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 16)
+        out = tmp_path / f"run.{fmt}"
+        argv = ["--command", "nls", "--alpha", "1.3", "--N", "37", "--r", "2",
+                "--L", "5.0", "--dt", "0.01", "--t-end", "0.03",
+                "--snapshot-every", "2", "--format", fmt, "--output", str(out)]
+        assert main(argv) == 0
+        written = [out] + sorted(tmp_path.glob("run_snapshot_*"))
+        assert [p.read_bytes() for p in written] == _reference_nls(argv)
+
+    def test_special_values_match_json_and_fstrings(self, tmp_path,
+                                                    monkeypatch):
+        # Blocks of two rows: some blocks hold only finite values, others
+        # hold NaN or an infinity.
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+        special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300,
+                            0.1, -2.5])
+        columns = [np.arange(8), special, special[::-1], -special,
+                   np.roll(special, 3)]
+        keys = ("j", "a", "b", "c", "d")
+
+        csv_path = tmp_path / "rows.csv"
+        with open(csv_path, "w") as fh:
+            cli._write_rows(fh, cli._CSV_ROW, columns)
+        expected = "".join(
+            f"{j}," + ",".join(_ref_fmt(c[j]) for c in columns[1:]) + "\n"
+            for j in range(8))
+        assert csv_path.read_text() == expected
+
+        nodes = [{k: c[j] for k, c in zip(keys, columns)} for j in range(8)]
+        nodes = [{**node, "j": int(node["j"])} for node in nodes]
+        for doc, placed in [({"head": 1, "nodes": cli._NODES, "tail": None},
+                             {"head": 1, "nodes": nodes, "tail": None}),
+                            ({"list": [{"t": 0.5, "nodes": cli._NODES}] * 2},
+                             {"list": [{"t": 0.5, "nodes": nodes}] * 2})]:
+            json_path = tmp_path / "rows.json"
+            cli._write_json(json_path, doc, keys, [columns] * 2)
+            assert json_path.read_text() == json.dumps(placed, indent=1) + "\n"
+
+    def test_writer_memory_does_not_grow_with_n(self, tmp_path):
+        import tracemalloc
+
+        # Four blocks of rows peak at about 2.3 MiB, as one block does; node
+        # dicts and json.dumps over them peak at 22 MiB here, and a single
+        # % over all rows at 9.3 MiB.
+        n = 4 * cli._BLOCK_ROWS
+        columns = [np.arange(n)] + [np.linspace(-1.0, 1.0, n) * k
+                                    for k in (1.0, np.pi, np.e, 1e-300)]
+        keys = ("j", "s", "x", "re", "im")
+        tracemalloc.start()
+        try:
+            cli._write_json(tmp_path / "big.json", {"nodes": cli._NODES},
+                            keys, [columns])
+            with open(tmp_path / "big.csv", "w") as fh:
+                cli._write_rows(fh, cli._CSV_ROW, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestConfigErrors:

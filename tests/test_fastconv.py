@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fraclap.errors import SampleShapeError
 from fraclap.fastconv import (FastConvolver, build_kernels,
@@ -97,6 +99,21 @@ class TestFastAgainstDirect:
         g = GridSpec(N=1, r=3, L=1.0)
         p = SingularParams(beta=0.3, gamma=0.7)
         F = _random_samples(g, 5)
+        assert _rel(
+            fast_singular_integral(F, p), singular_integral_direct(F, p)
+        ) < 1e-11
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(n=st.integers(1, 300), r=st.integers(1, 7),
+           beta=st.floats(0.001, 4.0), gamma=st.floats(-0.999, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=293, r=7, beta=1.99, gamma=-0.99, seed=0)  # criterion 1's pair
+    @example(n=1, r=1, beta=1.99, gamma=-0.99, seed=1)
+    @example(n=101, r=3, beta=1.99, gamma=-0.99, seed=2)
+    def test_property_fast_equals_direct(self, n, r, beta, gamma, seed):
+        g = GridSpec(N=n, r=r, L=1.0)
+        p = SingularParams(beta=beta, gamma=gamma)
+        F = _random_samples(g, seed)
         assert _rel(
             fast_singular_integral(F, p), singular_integral_direct(F, p)
         ) < 1e-11

@@ -20,10 +20,19 @@ class TestGridSpec:
         dict(N=4, r=1, L=0.0),
         dict(N=4, r=1, L=-3.0),
         dict(N=4.0, r=1, L=1.0),
+        dict(N=True, r=1, L=1.0),
+        dict(N=4, r=True, L=1.0),
+        dict(N=np.bool_(True), r=1, L=1.0),
+        dict(N=np.int64(0), r=1, L=1.0),
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             GridSpec(**kwargs)
+
+    def test_numpy_integers_accepted_and_stored_as_int(self):
+        g = GridSpec(N=np.int64(8), r=np.int32(3), L=1.0)
+        assert type(g.N) is int and type(g.r) is int
+        assert g == GridSpec(N=8, r=3, L=1.0)
 
 
 class TestOutputNodes:
