@@ -3,11 +3,11 @@
 The real line is mapped onto (0, π) through x = L·cot(s), the resulting
 singular integral is discretized with a midpoint rule that integrates the
 singular kernel factors exactly, and the quadrature is evaluated either
-directly (O(rN²), the permanent correctness oracle) or as 2r zero-padded
-FFT convolutions (O(rN log N)).  A pseudospectral route builds the
-integrand when u is known only through node samples, closed-form reference
-solutions support validation, and a Runge-Kutta driver evolves the
-focusing fractional cubic Schrödinger equation.
+directly (O(rN²), the permanent correctness oracle) or as one FFT
+convolution read at every 2r-th shift (O(rN log N)).  A pseudospectral
+route builds the integrand when u is known only through node samples,
+closed-form reference solutions support validation, and a Runge-Kutta
+driver evolves the focusing fractional cubic Schrödinger equation.
 
 Typical use::
 

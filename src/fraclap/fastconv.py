@@ -1,84 +1,57 @@
 """O(rN log N) evaluation of the two-sided singular quadrature.
 
-The direct evaluation of
+In integer index units (the factor h^{β+γ+1}/((β+1)(γ+1)) is applied once
+at the end) the quadrature value at output node j is
 
-    I(s_j) ≈ A_j = Σ_n  w_n(s_j) f(h(n+1/2)),   j = 0..N-1,
+    A_j = Σ_n  a_n · M(n − (2j+1)r),   n = 0..2rN−1,
 
-costs O(rN²) because every output node needs its own weight row.  Writing
-the running midpoint index as n = 2rl + q turns, for each fixed residue
-q ∈ {0..2r-1}, the inner sum over l into a discrete convolution between a
-sample-weighted column K(·,q) and a shift-only column L(·,q).  Each of the
-2r convolutions is evaluated through zero-padded FFTs of power-of-two
-length, and the inverse transform is applied once to the accumulated
-frequency-domain sum, for a total of 8r forward transforms and a single
-inverse transform.
+where a_n is f at midpoint n times its fixed sin^β weight (regularized at
+η = 0 on the lower half, at η = π on the upper half), and
 
-Column contents, in integer index units (the common factor
-h^{β+γ+1}/((β+1)(γ+1)) is applied once at the end):
+    M(a) = sinc^γ(h(a+½)) · (sgn(a+1)|a+1|^{γ+1} − sgn(a)|a|^{γ+1})
 
-* ``k1(m,q)``: lower-half sample weight — sin^β regularized at η = 0 times
-  the exact (β+1)-power increment times f at midpoint index 2rm+q.
-* ``k2(m,q)``: the mirrored upper-half weight, regularized at η = π, with
-  f at midpoint index rN+2rm+q.
-* ``l1(m,q)``/``l2(m,q)``: the moving-singularity weights, i.e. the
-  sinc^γ factor and the signed (γ+1)-power increment at the shifted index
-  q+1/2−r−2rm (plus rN for ``l2``); all signs are decided on exact
-  integers.
+is the moving-singularity weight.  M(a) = M(−a−1) exactly, so it is
+evaluated for a ≥ 0 only, where no sign needs deciding.
 
-K columns are zero-padded beyond their natural length N_a(q); L columns
-use the wrap-around layout that realizes negative shifts m = −N_a+1..−1 at
-the top rows of the padded column.
+With κ[t] = M(t+r−1), A_j = c[2rj] for the convolution c = a ⊛ κ.  The
+shifts t span [−(2rN−1), 2r(N−1)], so a cyclic convolution of length
+P = 2r·m, m ≥ 2N−1, does not alias; m is the smallest 5-smooth such
+integer, which keeps the FFTs fast.  Reading c at every 2r-th index is a
+decimation in frequency: the spectrum folded 2r times and inverted at
+length m gives 2r·c[2rj].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import dft
 from .errors import SampleShapeError
 from .grid import GridSpec
 from .quadrature import MidpointSamples, SingularParams, _sinc
 
-__all__ = [
-    "KernelColumns",
-    "FastConvolver",
-    "build_kernels",
-    "fast_singular_integral",
-    "padded_rows",
-]
+__all__ = ["FastConvolver", "fast_singular_integral"]
 
 
-def padded_rows(N: int) -> int:
-    """Padded column length: the power of two ≥ max(⌈N/2⌉ + N − 1, 2).
-
-    A power of two keeps every FFT on its fastest path (prime lengths can
-    be several times slower), and the clamp to 2 keeps the cyclic
-    convolution well defined when N = 1.
-    """
-    need = max((N + 1) // 2 + N - 1, 2)
-    return 1 << (need - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class KernelColumns:
-    """The four kernel matrices, one column per residue q ∈ {0..2r−1}."""
-
-    k1: np.ndarray
-    k2: np.ndarray
-    l1: np.ndarray
-    l2: np.ndarray
-    nrows: int
+def _smooth5_at_least(n: int) -> int:
+    """The smallest integer 2^a·3^b·5^c that is ≥ n (n ≥ 1)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 class FastConvolver:
-    """Reusable fast-convolution plan for fixed (grid, β, γ).
+    """Fast-convolution plan for fixed (grid, β, γ).
 
-    The L columns (and the F-independent parts of the K columns) depend
-    only on the grid and the exponents, so with ``cache_kernels=True`` their
-    transforms are computed once and reused across every :meth:`apply`
-    call; this is what makes repeated application inside a time stepper
+    The plan is the pair (kernel spectrum, sample weights); it depends only
+    on the grid and the exponents and is built on the first :meth:`apply`.
+    With ``cache_kernels=True`` it is kept and reused by every later call,
+    which is what makes repeated application inside a time stepper
     affordable.  With ``cache_kernels=False`` nothing is retained, which
     keeps the memory footprint flat for very large one-shot evaluations.
     """
@@ -87,72 +60,33 @@ class FastConvolver:
                  cache_kernels: bool = True):
         self.grid = grid
         self.params = params
-        self.nrows = padded_rows(grid.N)
         self.cache_kernels = cache_kernels
-        self._cache = None  # per-q (k1w, k2w, l1hat, l2hat) when enabled
-        rn = grid.r * grid.N
-        # Integer-unit power tables shared by every column.
-        self._powb = np.arange(rn + 1, dtype=float) ** (params.beta + 1.0)
-        self._powg = np.arange(2 * rn + 1, dtype=float) ** (params.gamma + 1.0)
+        self.fft_length = 2 * grid.r * _smooth5_at_least(2 * grid.N - 1)
+        self._plan = None
 
-    # -- column construction -------------------------------------------
+    def _kernel_spectrum(self) -> np.ndarray:
+        """FFT of κ[t] = M(t+r−1), t laid out cyclically in length P."""
+        g, gamma, P = self.grid, self.params.gamma, self.fft_length
+        two_rn, r = g.num_midpoints, g.r
+        moving = np.diff(np.arange(two_rn - r + 1, dtype=float) ** (gamma + 1.0))
+        moving *= _sinc(g.h * (np.arange(two_rn - r) + 0.5)) ** gamma  # M(a ≥ 0)
+        kappa = np.zeros(P, dtype=complex)
+        kappa[: two_rn - 2 * r + 1] = moving[r - 1:]  # t ≥ 0
+        kappa[P - two_rn + 1: P - r + 1] = moving[::-1]  # t ≤ −r, by symmetry
+        kappa[P - r + 1:] = moving[: r - 1]  # −r < t < 0
+        return np.fft.fft(kappa, out=kappa)
 
-    def _active_len(self, q: int) -> int:
-        """Number of populated K rows for residue q: ⌈N/2⌉ or ⌊N/2⌋."""
-        N = self.grid.N
-        return (N + 1) // 2 if q < self.grid.r else N // 2
-
-    def _k_weights(self, q: int):
-        """F-independent K factors for residue q (lower, upper)."""
-        g, p = self.grid, self.params
+    def _weights(self) -> np.ndarray:
+        """The sin^β weight of every midpoint, lower half then upper half."""
+        g, beta = self.grid, self.params.beta
         h, rn = g.h, g.r * g.N
-        na = self._active_len(q)
-        m = np.arange(na, dtype=np.int64)
-        nidx = 2 * g.r * m + q
-        w1 = _sinc(h * (nidx + 0.5)) ** p.beta * (
-            self._powb[nidx + 1] - self._powb[nidx]
-        )
-        w2 = (np.sin(h * (rn + nidx + 0.5)) / (h * (rn - nidx - 0.5))) ** p.beta * (
-            self._powb[rn - nidx] - self._powb[rn - nidx - 1]
-        )
-        return nidx, w1, w2
-
-    def _l_columns(self, q: int):
-        """Padded L columns for residue q, wrap-around layout included."""
-        g, p = self.grid, self.params
-        h, rn, N = g.h, g.r * g.N, g.N
-        na = self._active_len(q)
-        m = np.concatenate([np.arange(N), np.arange(-(na - 1), 0)]) if na > 1 \
-            else np.arange(N)
-        shift = q - g.r - 2 * g.r * m  # integer index difference, exact
-
-        def column(base: int) -> np.ndarray:
-            a = base + shift
-            vals = _sinc(h * (a + 0.5)) ** p.gamma * (
-                np.sign(a + 1) * self._powg[np.abs(a + 1)]
-                - np.sign(a) * self._powg[np.abs(a)]
-            )
-            col = np.zeros(self.nrows, dtype=complex)
-            col[:N] = vals[:N]
-            if na > 1:
-                col[self.nrows - (na - 1):] = vals[N:]
-            return col
-
-        return column(0), column(rn)
-
-    # -- application ----------------------------------------------------
-
-    def _ensure_cache(self):
-        if self._cache is None:
-            cache = []
-            for q in range(2 * self.grid.r):
-                if self._active_len(q) == 0:
-                    cache.append(None)
-                    continue
-                nidx, w1, w2 = self._k_weights(q)
-                l1, l2 = self._l_columns(q)
-                cache.append((nidx, w1, w2, dft.forward(l1), dft.forward(l2)))
-            self._cache = cache
+        m = np.arange(rn)
+        dpow = np.diff(np.arange(rn + 1, dtype=float) ** (beta + 1.0))
+        w = np.empty(2 * rn)
+        w[:rn] = _sinc(h * (m + 0.5)) ** beta * dpow
+        w[rn:] = (np.sin(h * (rn + m + 0.5)) / (h * (rn - m - 0.5))) ** beta \
+            * dpow[::-1]
+        return w
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Evaluate the singular quadrature for midpoint samples ``values``.
@@ -162,59 +96,29 @@ class FastConvolver:
         to near machine precision.
         """
         g, p = self.grid, self.params
-        values = np.asarray(values, dtype=complex)
+        values = np.asarray(values)
         if values.shape != (g.num_midpoints,):
             raise SampleShapeError(
                 f"expected {g.num_midpoints} midpoint samples, got {values.shape}"
             )
-        rn = g.r * g.N
-        acc = np.zeros(self.nrows, dtype=complex)
+        # The spectrum goes first: its temporaries peak while little else
+        # is held.  Without a cache, every array is dropped once used.
+        khat, weights = self._plan or (self._kernel_spectrum(), self._weights())
         if self.cache_kernels:
-            self._ensure_cache()
-        for q in range(2 * g.r):
-            na = self._active_len(q)
-            if na == 0:
-                continue
-            if self.cache_kernels:
-                nidx, w1, w2, l1hat, l2hat = self._cache[q]
-            else:
-                nidx, w1, w2 = self._k_weights(q)
-                l1, l2 = self._l_columns(q)
-                l1hat, l2hat = dft.forward(l1), dft.forward(l2)
-            kcol = np.zeros(self.nrows, dtype=complex)
-            kcol[:na] = w1 * values[nidx]
-            acc += dft.forward(kcol) * l1hat
-            kcol[:na] = w2 * values[rn + nidx]
-            acc += dft.forward(kcol) * l2hat
-        out = dft.inverse(acc)[: g.N]
-        scale = g.h ** (p.beta + p.gamma + 1.0) / ((p.beta + 1.0) * (p.gamma + 1.0))
-        return out * scale
-
-
-def build_kernels(F: MidpointSamples, p: SingularParams) -> KernelColumns:
-    """Materialize the four kernel matrices for the given samples.
-
-    The returned layout is exactly what :class:`FastConvolver` streams:
-    K columns populated on rows 0..N_a(q)−1 and zero elsewhere, L columns
-    holding shifts m = 0..N−1 at the bottom and m = −N_a+1..−1 wrapped to
-    the top rows.
-    """
-    g = F.grid
-    conv = FastConvolver(g, p, cache_kernels=False)
-    nrows, r, rn = conv.nrows, g.r, g.r * g.N
-    k1 = np.zeros((nrows, 2 * r), dtype=complex)
-    k2 = np.zeros((nrows, 2 * r), dtype=complex)
-    l1 = np.zeros((nrows, 2 * r), dtype=complex)
-    l2 = np.zeros((nrows, 2 * r), dtype=complex)
-    for q in range(2 * r):
-        na = conv._active_len(q)
-        if na == 0:
-            continue
-        nidx, w1, w2 = conv._k_weights(q)
-        k1[:na, q] = w1 * F.values[nidx]
-        k2[:na, q] = w2 * F.values[rn + nidx]
-        l1[:, q], l2[:, q] = conv._l_columns(q)
-    return KernelColumns(k1=k1, k2=k2, l1=l1, l2=l2, nrows=nrows)
+            self._plan = khat, weights
+        buf = np.zeros(self.fft_length, dtype=complex)
+        np.multiply(weights, values, out=buf[: g.num_midpoints])
+        del weights
+        np.fft.fft(buf, out=buf)
+        buf *= khat
+        del khat
+        m = self.fft_length // (2 * g.r)
+        for i in range(1, 2 * g.r):  # fold the spectrum 2r times, in place
+            buf[:m] += buf[i * m:(i + 1) * m]
+        np.fft.ifft(buf[:m], out=buf[:m])
+        scale = g.h ** (p.beta + p.gamma + 1.0) / (
+            (p.beta + 1.0) * (p.gamma + 1.0) * 2 * g.r)
+        return buf[: g.N] * scale
 
 
 def fast_singular_integral(F: MidpointSamples, p: SingularParams) -> np.ndarray:

@@ -6,8 +6,8 @@ discretized in space on the mapped grid and advanced with the classical
 fourth-order Runge-Kutta scheme.  The nonlocal term is rebuilt
 pseudospectrally from the current node samples at every stage — the only
 possible route, since evolving data has no analytic derivatives — while
-the sample-independent convolution kernels are transformed once per
-(α, grid) and reused across all stages and steps.
+the state carries one operator, whose sample-independent plan is built by
+the first stage and reused by every later stage and step of the run.
 
 The quantity M(t) = ∫|ψ|²dx is preserved by the flow; its discrete drift
 measures the quality of a run.  On the mapped grid M is approximated by
@@ -19,8 +19,8 @@ errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,12 +41,19 @@ __all__ = [
 
 @dataclass
 class EvolutionState:
-    """Wavefunction samples ψ(x_j, t) plus the stepping context."""
+    """Wavefunction samples ψ(x_j, t) plus the stepping context.
+
+    ``operator`` is built from ``params`` when none (or one for other
+    parameters) is given; :func:`dataclasses.replace` passes it on, so every
+    state derived from this one shares its kernel-caching plan.
+    """
 
     psi: np.ndarray
     t: float
     params: FracLapParams
     dt: float
+    operator: FractionalLaplacian | None = field(default=None, repr=False,
+                                                 compare=False)
 
     def __post_init__(self):
         self.psi = np.asarray(self.psi, dtype=complex)
@@ -58,18 +65,13 @@ class EvolutionState:
         # simulate() itself requires dt > 0.
         if not self.dt >= 0:
             raise ParameterError(f"dt must be nonnegative, got {self.dt}")
-
-
-@lru_cache(maxsize=8)
-def _operator_for(params: FracLapParams) -> FractionalLaplacian:
-    """Kernel-caching operator instance shared across steps and stages."""
-    return FractionalLaplacian(params, cache_kernels=True)
+        if self.operator is None or self.operator.params != self.params:
+            self.operator = FractionalLaplacian(self.params)
 
 
 def rhs(state: EvolutionState) -> np.ndarray:
     """ψ_t = −i·(½·(−Δ)^{α/2}ψ − |ψ|²ψ) at the state's samples."""
-    op = _operator_for(state.params)
-    flap = op.apply_to_samples(state.psi)
+    flap = state.operator.apply_to_samples(state.psi)
     return -1j * (0.5 * flap - np.abs(state.psi) ** 2 * state.psi)
 
 
@@ -120,12 +122,15 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
     :class:`fraclap.errors.BlowUpError` carrying the first bad index and
     the time it appeared.
     """
-    if not dt > 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    if t_end < 0:
-        raise ParameterError(f"t_end must be nonnegative, got {t_end}")
-    if not (isinstance(snapshot_every, int) and snapshot_every >= 1):
-        raise ParameterError("snapshot_every must be a positive integer")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
+    if not (t_end >= 0 and math.isfinite(t_end)):
+        raise ParameterError(f"t_end must be nonnegative and finite, got {t_end!r}")
+    if isinstance(snapshot_every, bool) \
+            or not isinstance(snapshot_every, (int, np.integer)) \
+            or snapshot_every < 1:
+        raise ParameterError(
+            f"snapshot_every must be a positive integer, got {snapshot_every!r}")
     n_steps = int(round(t_end / dt))
 
     state = EvolutionState(psi=np.asarray(psi0, dtype=complex), t=0.0,

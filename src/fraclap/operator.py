@@ -97,7 +97,7 @@ class FractionalLaplacian:
 
     Holds the fast-convolution plan, so repeated applications (e.g. the
     four stage evaluations of every time step) reuse the transformed
-    sample-independent kernel columns.
+    sample-independent kernel.
     """
 
     def __init__(self, params: FracLapParams, cache_kernels: bool = True):

@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import dft
 from .errors import ParameterError, SampleShapeError
 from .grid import GridSpec, midpoint_nodes
 from .quadrature import MidpointSamples
@@ -106,7 +105,7 @@ def coefficients_from_samples(u_vals, threshold: float | None = None
     n = len(u_vals) // 2
     p = np.arange(2 * n)
     k = np.where(p < n, p, p - 2 * n)
-    coeffs = np.exp(-1j * k * np.pi / (2 * n)) / (2 * n) * dft.forward(u_vals)
+    coeffs = np.exp(-1j * k * np.pi / (2 * n)) / (2 * n) * np.fft.fft(u_vals)
     c = SpectralCoefficients(coeffs=coeffs, n_modes=n)
     if threshold is None:
         threshold = float(np.finfo(float).eps * np.max(np.abs(coeffs)))
@@ -149,8 +148,8 @@ def derivatives_at_midpoints(c: SpectralCoefficients, g: GridSpec):
     p = np.arange(n_big)
     k = np.where(p < n_big // 2, p, p - n_big)
     phased = pad * np.exp(1j * k * np.pi / n_big)
-    us_full = dft.inverse(1j * k * phased) * n_big
-    uss_full = dft.inverse(-(k.astype(float) ** 2) * phased) * n_big
+    us_full = np.fft.ifft(1j * k * phased) * n_big
+    uss_full = np.fft.ifft(-(k.astype(float) ** 2) * phased) * n_big
     half = 2 * g.r * g.N
     return us_full[:half], uss_full[:half]
 

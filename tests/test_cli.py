@@ -297,6 +297,14 @@ class TestConfigErrors:
                      "--r", "1", "--output", str(tmp_path / "o.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("dt,t_end", [("0.01", "nan"), ("nan", "0.02"),
+                                          ("0.01", "inf")])
+    def test_nls_non_finite_time_exits_2(self, tmp_path, dt, t_end):
+        code = main(["--command", "nls", "--alpha", "1.3", "--N", "8",
+                     "--r", "1", "--dt", dt, "--t-end", t_end,
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+
     def test_unknown_builtin(self, tmp_path):
         code = main(["--command", "apply", "--alpha", "1.3", "--N", "8",
                      "--r", "1", "--input", "builtin:nope",

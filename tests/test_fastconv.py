@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraclap.errors import SampleShapeError
-from fraclap.fastconv import (FastConvolver, build_kernels,
-                              fast_singular_integral, padded_rows)
+from fraclap.fastconv import FastConvolver, fast_singular_integral
 from fraclap.grid import GridSpec
 from fraclap.quadrature import (MidpointSamples, SingularParams,
                                 singular_integral_direct)
@@ -23,59 +22,29 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
-class TestPaddedRows:
-    @pytest.mark.parametrize("n,expected", [
-        (1, 2), (2, 2), (4, 8), (5, 8), (16, 32), (101, 256), (128, 256),
-    ])
-    def test_power_of_two_clamp(self, n, expected):
-        need = max((n + 1) // 2 + n - 1, 2)
-        assert padded_rows(n) == expected
-        assert padded_rows(n) >= need
-        assert padded_rows(n) & (padded_rows(n) - 1) == 0
+def _smooth5_oracle(n: int) -> int:
+    """Smallest 2^a·3^b·5^c ≥ n, by enumerating all small exponents."""
+    e = range(n.bit_length() + 1)  # the answer is < 2n: no exponent is larger
+    return min(x for x in (2**a * 3**b * 5**c for a in e for b in e for c in e)
+               if x >= n)
 
 
-class TestKernelLayout:
-    def test_zero_samples_zero_k_columns(self):
-        g = GridSpec(N=6, r=2, L=1.0)
-        p = SingularParams(beta=0.7, gamma=0.2)
-        zero = build_kernels(
-            MidpointSamples(values=np.zeros(g.num_midpoints), grid=g), p
-        )
-        assert np.all(zero.k1 == 0) and np.all(zero.k2 == 0)
-        # L columns carry no dependence on the samples.
-        other = build_kernels(_random_samples(g, 1), p)
-        assert np.array_equal(zero.l1, other.l1)
-        assert np.array_equal(zero.l2, other.l2)
-
-    def test_gamma_zero_l1_is_unit_interval_lengths(self):
-        # With gamma = 0 the moving factor integrates to the plain interval
-        # length, i.e. exactly 1 in index units, for every populated row.
-        g = GridSpec(N=4, r=1, L=1.0)
-        cols = build_kernels(_random_samples(g, 2),
-                             SingularParams(beta=1.0, gamma=0.0))
-        n_active = (g.N + 1) // 2
-        for q in range(2 * g.r):
-            populated = list(cols.l1[: g.N, q])
-            if n_active > 1:
-                populated += list(cols.l1[cols.nrows - (n_active - 1):, q])
-            assert populated == pytest.approx(np.ones(len(populated)))
-
-    def test_odd_n_high_residue_columns_stop_early(self):
-        g = GridSpec(N=5, r=3, L=1.0)
-        cols = build_kernels(_random_samples(g, 3),
-                             SingularParams(beta=0.5, gamma=0.5))
-        for q in range(g.r, 2 * g.r):
-            assert np.all(cols.k1[g.N // 2:, q] == 0)
-            assert np.any(cols.k1[: g.N // 2, q] != 0)
-        for q in range(g.r):
-            assert np.any(cols.k1[(g.N + 1) // 2 - 1, q] != 0)
-
-    def test_k_columns_zero_padded_beyond_active_rows(self):
-        g = GridSpec(N=7, r=2, L=1.0)
-        cols = build_kernels(_random_samples(g, 4),
-                             SingularParams(beta=1.2, gamma=-0.4))
-        assert np.all(cols.k1[(g.N + 1) // 2:, :] == 0)
-        assert np.all(cols.k2[(g.N + 1) // 2:, :] == 0)
+class TestFftLength:
+    @pytest.mark.parametrize("n", [1, 2, 3, 97, 2**20, 10000019])
+    @pytest.mark.parametrize("r", [1, 2, 3, 7, 32])
+    def test_smallest_5_smooth_multiple_of_2r(self, n, r):
+        # Integer arithmetic only: building the plan is lazy, so even the
+        # ten-million-node grid allocates nothing here.
+        length = FastConvolver(GridSpec(N=n, r=r, L=1.0),
+                               SingularParams(beta=1.0, gamma=0.0)).fft_length
+        m, rem = divmod(length, 2 * r)
+        assert rem == 0
+        assert length >= 4 * r * n - 2 * r
+        for prime in (2, 3, 5):
+            while m % prime == 0:
+                m //= prime
+        assert m == 1
+        assert length == 2 * r * _smooth5_oracle(2 * n - 1)
 
 
 class TestFastAgainstDirect:
@@ -141,6 +110,24 @@ class TestConvolverReuse:
                                   plan.apply(F.values))
             assert _rel(plan.apply(F.values),
                         fast_singular_integral(F, p)) < 1e-14
+
+    def test_one_shot_memory_is_a_few_sample_arrays(self):
+        # Without a cache, one call holds at most the kernel spectrum, the
+        # weights and one transform buffer; the spectrum and the buffer
+        # are 2x the samples each at this size (P = 4rN).
+        import tracemalloc
+
+        g = GridSpec(N=2**16, r=1, L=1.0)
+        F = _random_samples(g, 30)
+        p = SingularParams(beta=1.3, gamma=-0.3)
+        fast_singular_integral(F, p)  # warm-up
+        tracemalloc.start()
+        try:
+            fast_singular_integral(F, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * F.values.nbytes
 
     def test_wrong_length_rejected(self):
         g = GridSpec(N=4, r=1, L=1.0)

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +33,23 @@ class TestState:
         p = FracLapParams(alpha=1.3, grid=GridSpec(N=8, r=1, L=1.0))
         with pytest.raises(ParameterError):
             EvolutionState(psi=np.zeros(8), t=0.0, params=p, dt=-0.1)
+
+    def test_replace_shares_the_operator(self):
+        state = _gaussian_state(n=16, r=2, L=5.0, alpha=1.3)
+        stepped = rk4_step(state)
+        assert stepped.operator is state.operator
+        other = FracLapParams(alpha=0.7, grid=state.params.grid)
+        moved = dataclasses.replace(state, params=other)
+        assert moved.operator.params == other
+
+    def test_operator_dies_with_the_state(self):
+        # No module-level cache keeps an operator (and its plan) alive.
+        state = _gaussian_state(n=16, r=2, L=5.0, alpha=1.3)
+        rhs(state)
+        ref = weakref.ref(state.operator)
+        del state
+        gc.collect()
+        assert ref() is None
 
 
 class TestRhs:
@@ -155,6 +175,29 @@ class TestSimulate:
                  snapshot_every=2, sink=lambda t, psi, m: seen.append(t))
         # Steps 0, 2, 4 plus the final step 5.
         assert seen == pytest.approx([0.0, 0.02, 0.04, 0.05])
+
+    @pytest.mark.parametrize("dt,t_end", [
+        (0.01, math.nan), (0.01, math.inf), (math.nan, 0.05),
+        (math.inf, 0.05), (0.0, 0.05), (0.01, -0.01),
+    ])
+    def test_non_finite_or_negative_times_rejected(self, dt, t_end):
+        state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)
+        with pytest.raises(ParameterError):
+            simulate(state.psi, state.params, dt=dt, t_end=t_end,
+                     snapshot_every=1)
+
+    @pytest.mark.parametrize("every", [True, np.bool_(True), 0, 2.0])
+    def test_snapshot_every_must_be_a_positive_integer(self, every):
+        state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)
+        with pytest.raises(ParameterError):
+            simulate(state.psi, state.params, dt=0.01, t_end=0.02,
+                     snapshot_every=every)
+
+    def test_numpy_integer_snapshot_every_accepted(self):
+        state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)
+        res = simulate(state.psi, state.params, dt=0.01, t_end=0.03,
+                       snapshot_every=np.int64(2))
+        assert [t for t, _, _ in res.snapshots] == pytest.approx([0.0, 0.02, 0.03])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_detection(self):
