@@ -47,6 +47,81 @@ class TestFftLength:
         assert length == 2 * r * _smooth5_oracle(2 * n - 1)
 
 
+def _kernel(conv: FastConvolver) -> np.ndarray:
+    """κ as laid out in the plan's FFT buffer, recovered from its spectrum."""
+    return np.fft.ifft(conv._kernel_spectrum())
+
+
+def _read_shifts(g: GridSpec, length: int) -> np.ndarray:
+    """Mask of the cyclic shifts t ∈ [−(2rN−1), 2r(N−1)] some A_j reads."""
+    t = np.arange(length)
+    return (t <= 2 * g.r * (g.N - 1)) | (t >= length - (g.num_midpoints - 1))
+
+
+def _moving_weight(g: GridSpec, gamma: float, t: np.ndarray) -> np.ndarray:
+    """M(t+r−1) from its two-sided definition, without the symmetry."""
+    a = t + g.r - 1.0
+    z = g.h * (a + 0.5)
+    return (np.sin(z) / z) ** gamma * (
+        np.sign(a + 1) * np.abs(a + 1) ** (gamma + 1.0)
+        - np.sign(a) * np.abs(a) ** (gamma + 1.0))
+
+
+class TestKernelLayout:
+    def test_zero_samples_zero_k_columns(self):
+        # The samples enter only through a_n = weight·f_n: zero samples give
+        # exactly zero, and the plan (kernel spectrum, weights) is the same
+        # whatever samples built it.
+        g = GridSpec(N=6, r=2, L=1.0)
+        p = SingularParams(beta=0.7, gamma=0.2)
+        zero = FastConvolver(g, p)
+        assert np.all(zero.apply(np.zeros(g.num_midpoints)) == 0)
+        other = FastConvolver(g, p)
+        other.apply(_random_samples(g, 1).values)
+        for a, b in zip(zero._plan, other._plan):
+            assert np.array_equal(a, b)
+
+    def test_gamma_zero_l1_is_unit_interval_lengths(self):
+        # With gamma = 0 the moving factor integrates to the plain interval
+        # length, i.e. exactly 1 in index units, on every shift that is read;
+        # so every output node sums the same weighted samples.
+        g = GridSpec(N=4, r=1, L=1.0)
+        p = SingularParams(beta=1.0, gamma=0.0)
+        conv = FastConvolver(g, p)
+        kappa = _kernel(conv)
+        read = _read_shifts(g, conv.fft_length)
+        assert not np.all(read)
+        assert kappa[read] == pytest.approx(np.ones(read.sum()), abs=1e-13)
+        assert np.max(np.abs(kappa[~read])) < 1e-13
+        out = conv.apply(_random_samples(g, 2).values)
+        assert _rel(out, np.full(g.N, out[0])) < 1e-13
+
+    def test_odd_n_high_residue_columns_stop_early(self):
+        # N = 5, r = 3: 2N−1 = 9 is 5-smooth, so the shifts read fill the
+        # buffer exactly; κ ends at t = 2r(N−1) and wraps to t = −(2rN−1).
+        g = GridSpec(N=5, r=3, L=1.0)
+        conv = FastConvolver(g, SingularParams(beta=0.5, gamma=0.5))
+        assert conv.fft_length == 4 * g.r * g.N - 2 * g.r
+        t = np.arange(conv.fft_length)
+        t = np.where(_read_shifts(g, conv.fft_length) & (t > 2 * g.r * (g.N - 1)),
+                     t - conv.fft_length, t)
+        expected = _moving_weight(g, 0.5, t)
+        assert np.all(expected != 0)
+        assert _rel(_kernel(conv), expected) < 1e-13
+
+    def test_k_columns_zero_padded_beyond_active_rows(self):
+        g = GridSpec(N=7, r=2, L=1.0)
+        conv = FastConvolver(g, SingularParams(beta=1.2, gamma=-0.4))
+        kappa = _kernel(conv)
+        read = _read_shifts(g, conv.fft_length)
+        t = np.arange(conv.fft_length)
+        t = np.where(t > 2 * g.r * (g.N - 1), t - conv.fft_length, t)
+        expected = _moving_weight(g, -0.4, t[read])
+        assert _rel(kappa[read], expected) < 1e-13
+        assert not np.all(read)
+        assert np.max(np.abs(kappa[~read])) < 1e-13 * np.max(np.abs(expected))
+
+
 class TestFastAgainstDirect:
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     @pytest.mark.parametrize("r", [1, 2, 5])
