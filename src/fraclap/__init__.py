@@ -22,35 +22,13 @@ Typical use::
 """
 
 from .errors import BlowUpError, ParameterError, SampleShapeError
-from .fastconv import FastConvolver, fast_singular_integral
-from .grid import GridSpec, index_sign, map_from_real, map_to_real, \
-    midpoint_nodes, output_nodes
-from .nls import EvolutionState, energy, rhs, rk4_step, simulate
-from .operator import FracLapParams, FractionalLaplacian, apply, c_alpha, \
-    prefactor, prefactors
-from .quadrature import MidpointSamples, SingularParams, modified_midpoint, \
-    signed_power_difference, singular_integral_direct
-from .reference import ErrorReport, error_norms, exact_erf, exact_rational, \
-    kummer_1f1
-from .spectral import SpectralCoefficients, coefficients_from_samples, \
-    derivatives_at_midpoints, even_extension, f_from_analytic, \
-    f_from_samples, krasny_filter
+from .grid import GridSpec
+from .operator import FracLapParams, FractionalLaplacian
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlowUpError", "ParameterError", "SampleShapeError",
-    "GridSpec", "output_nodes", "midpoint_nodes", "map_to_real",
-    "map_from_real", "index_sign",
-    "SingularParams", "MidpointSamples", "modified_midpoint",
-    "signed_power_difference", "singular_integral_direct",
-    "FastConvolver", "fast_singular_integral",
-    "SpectralCoefficients", "even_extension", "coefficients_from_samples",
-    "krasny_filter", "derivatives_at_midpoints", "f_from_analytic",
-    "f_from_samples",
-    "FracLapParams", "FractionalLaplacian", "apply", "c_alpha",
-    "prefactor", "prefactors",
-    "ErrorReport", "exact_rational", "exact_erf", "kummer_1f1", "error_norms",
-    "EvolutionState", "rhs", "rk4_step", "energy", "simulate",
+    "GridSpec", "FracLapParams", "FractionalLaplacian",
     "__version__",
 ]

@@ -10,8 +10,8 @@ This compact form follows from the defining constant
 
     c_α = α · 2^{α−1} Γ(1/2 + α/2) / (√π · Γ(1 − α/2))
 
-through the reflection and duplication identities of Γ; both forms are
-kept (the long one for cross-checking) and agree to machine precision.
+through the reflection and duplication identities of Γ; the tests keep the
+long form and check that both agree to machine precision.
 
 α = 1 is excluded: there the operator degenerates to a Hilbert transform
 of u_x with a different kernel entirely, and both prefactor forms become
@@ -33,8 +33,6 @@ from .spectral import f_from_samples
 
 __all__ = [
     "FracLapParams",
-    "c_alpha",
-    "prefactor",
     "prefactors",
     "FractionalLaplacian",
     "apply",
@@ -64,23 +62,6 @@ class FracLapParams:
     def singular_params(self) -> SingularParams:
         """The kernel exponents the operator uses: β = α, γ = 1 − α."""
         return SingularParams(beta=self.alpha, gamma=1.0 - self.alpha)
-
-
-def c_alpha(alpha: float) -> float:
-    """The defining constant of the operator's singular-integral form."""
-    return (
-        alpha
-        * 2.0 ** (alpha - 1.0)
-        * math.gamma(0.5 + alpha / 2.0)
-        / (math.sqrt(math.pi) * math.gamma(1.0 - alpha / 2.0))
-    )
-
-
-def prefactor(p: FracLapParams, j: int) -> float:
-    """sin^{α−1}(s_j) / (L^α · 2Γ(2−α) · cos(πα/2)) at output node j."""
-    if not 0 <= j < p.grid.N:
-        raise ParameterError(f"node index {j} outside 0..{p.grid.N - 1}")
-    return float(prefactors(p)[j])
 
 
 def prefactors(p: FracLapParams) -> np.ndarray:

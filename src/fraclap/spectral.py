@@ -6,19 +6,27 @@ f(s) = sin(s)·u_ss(s) + 2cos(s)·u_s(s).  This module produces f at the
 2rN quadrature midpoints by either of two routes:
 
 * :func:`f_from_analytic` — evaluate caller-supplied u_s, u_ss directly;
-* :func:`f_from_samples` — given only u at the N output nodes, extend u
-  evenly across s = π (making it continuous and 2π-periodic), expand it in
-  a trigonometric series sampled at the shifted nodes, drop round-off
-  noise with a Krasny filter, and differentiate the series exactly on a
-  zero-padded mode set so the derivatives land on all 2rN midpoints.
+* :func:`f_from_samples` — given only u at the N output nodes, expand u in
+  a cosine series and sum f, a sine series, at the midpoints.
 
-The shifted node set s_j = (2j+1)π/(2N) never contains 0 or π, so the
-series machinery stays clear of the map's poles.
+On the shifted nodes s_j = (2j+1)π/(2N) the even extension of u across
+s = π has no Nyquist part, so the N samples fix a cosine series
+u = Σ_{k<N} a_k cos(ks) exactly (a DCT-II of the samples).  A Krasny filter
+zeroes the round-off-level a_k.  The product rules for sin(s)·cos(ks) and
+cos(s)·sin(ks) then make f a sine series on the modes 1..N,
+
+    f = Σ_{m=1}^{N} b_m sin(ms),   b_m = −½(m²−1)(a_{m−1} − a_{m+1}),
+
+with a_N = a_{N+1} = 0, and one inverse FFT of length 4rN sums it at every
+midpoint s_n = (2n+1)π/(4rN) (Makhoul, IEEE Trans. ASSP 28, 1980, for the
+cosine/sine transform identities).  u_s and u_ss are never formed.
+
+The shifted node set never contains 0 or π, so the series machinery stays
+clear of the map's poles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,130 +36,72 @@ from .grid import GridSpec, midpoint_nodes
 from .quadrature import MidpointSamples
 
 __all__ = [
-    "SpectralCoefficients",
-    "even_extension",
     "coefficients_from_samples",
-    "krasny_filter",
     "derivatives_at_midpoints",
     "f_from_analytic",
     "f_from_samples",
 ]
 
 
-@dataclass(frozen=True)
-class SpectralCoefficients:
-    """Trigonometric coefficients û(k), k ∈ {−N..N−1}, of a 2π-periodic u.
+def coefficients_from_samples(u_nodes, threshold: float | None = None
+                              ) -> np.ndarray:
+    """Cosine coefficients a_k, k = 0..N−1, of u from its N node samples.
 
-    ``coeffs`` is stored in transform order: index p holds wavenumber
-    k = p for p < N and k = p − 2N for p ≥ N, so ``coeffs[k % (2N)]`` is
-    û(k) for any k in range.
-    """
+    ``u_nodes`` holds u at s_j = (2j+1)π/(2N).  With X the FFT of the
+    mirrored samples [u, u reversed] (u's even extension across s = π),
+    a_k = e^{−ikπ/(2N)}·X_k/N with a_0 halved, and Σ_k a_k cos(k s_j) = u_j.
 
-    coeffs: np.ndarray
-    n_modes: int
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 1 or len(coeffs) != 2 * self.n_modes:
-            raise SampleShapeError(
-                f"expected {2 * self.n_modes} coefficients, got {coeffs.shape}"
-            )
-
-    def wavenumbers(self) -> np.ndarray:
-        """The wavenumber of each stored coefficient, in storage order."""
-        p = np.arange(2 * self.n_modes)
-        return np.where(p < self.n_modes, p, p - 2 * self.n_modes)
-
-    def coefficient(self, k: int) -> complex:
-        """û(k) for k ∈ {−N..N−1}."""
-        if not -self.n_modes <= k < self.n_modes:
-            raise ParameterError(f"wavenumber {k} outside [-N, N-1]")
-        return complex(self.coeffs[k % (2 * self.n_modes)])
-
-
-def even_extension(u_nodes) -> np.ndarray:
-    """Mirror N samples on (0, π) across s = π to the full circle.
-
-    Input: u at s_j = (2j+1)π/(2N), j = 0..N−1.  Output: 2N samples at the
-    same formula for j = 0..2N−1, satisfying u(π+t) = u(π−t).  On the
-    shifted nodes the mirror is simply the reversed input, so the extension
-    is exact (no interpolation).
+    The coefficients are Krasny-filtered: every a_k with |a_k| < threshold
+    is zeroed, because f weights a_k by up to k², which would lift
+    round-off-level coefficients at high k into visible noise.
+    ``threshold`` defaults to machine epsilon times max|a_k|.
     """
     u_nodes = np.asarray(u_nodes, dtype=complex)
     if u_nodes.ndim != 1 or len(u_nodes) == 0:
         raise SampleShapeError("u_nodes must be a nonempty vector")
-    return np.concatenate([u_nodes, u_nodes[::-1]])
-
-
-def coefficients_from_samples(u_vals, threshold: float | None = None
-                              ) -> SpectralCoefficients:
-    """Coefficients û(k) of the series matching u at the 2N shifted nodes.
-
-    ``u_vals`` must hold u at s_j = (2j+1)π/(2N) for j = 0..2N−1 (use
-    :func:`even_extension` to produce them from samples on (0, π)).  The
-    half-node shift shows up as the phase e^{−ikπ/(2N)} on the plain
-    transform.  Coefficients are Krasny-filtered before being returned;
-    ``threshold`` defaults to machine epsilon relative to the largest
-    coefficient magnitude.
-    """
-    u_vals = np.asarray(u_vals, dtype=complex)
-    if u_vals.ndim != 1 or len(u_vals) == 0:
-        raise SampleShapeError("u_vals must be a nonempty vector")
-    if len(u_vals) % 2:
-        raise SampleShapeError(
-            f"need an even number of samples (2N), got {len(u_vals)}"
-        )
-    n = len(u_vals) // 2
-    p = np.arange(2 * n)
-    k = np.where(p < n, p, p - 2 * n)
-    coeffs = np.exp(-1j * k * np.pi / (2 * n)) / (2 * n) * np.fft.fft(u_vals)
-    c = SpectralCoefficients(coeffs=coeffs, n_modes=n)
-    if threshold is None:
-        threshold = float(np.finfo(float).eps * np.max(np.abs(coeffs)))
-    return krasny_filter(c, threshold)
-
-
-def krasny_filter(c: SpectralCoefficients, threshold: float
-                  ) -> SpectralCoefficients:
-    """Zero every coefficient with |û(k)| < threshold.
-
-    Spectral differentiation multiplies û(k) by ik and (ik)², which turns
-    round-off-level coefficients at high k into O(1) noise; clipping them
-    at the round-off floor keeps the derivatives clean.
-    """
-    if threshold < 0:
+    if threshold is not None and threshold < 0:
         raise ParameterError("threshold must be nonnegative")
-    filtered = np.where(np.abs(c.coeffs) < threshold, 0.0, c.coeffs)
-    return SpectralCoefficients(coeffs=filtered, n_modes=c.n_modes)
+    n = len(u_nodes)
+    mirrored = np.concatenate([u_nodes, u_nodes[::-1]])
+    np.fft.fft(mirrored, out=mirrored)
+    a = mirrored[:n] * (np.exp(-0.5j * np.pi / n * np.arange(n)) / n)
+    a[0] *= 0.5
+    magnitude = np.abs(a)
+    if threshold is None:
+        threshold = np.finfo(float).eps * magnitude.max()
+    a[magnitude < threshold] = 0.0
+    return a
 
 
-def derivatives_at_midpoints(c: SpectralCoefficients, g: GridSpec):
-    """Evaluate u_s and u_ss of the series at all 2rN midpoints in (0, π).
+def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
+    """f = sin(s)·u_ss + 2cos(s)·u_s at all 2rN midpoints in (0, π).
 
-    The mode set is zero-padded from {−N..N−1} to {−2rN..2rN−1} so the
-    inverse transform of length 4rN lands exactly on the midpoints
-    h(n+1/2) of the full circle; the phase e^{ikπ/(4rN)} accounts for the
-    half-step offset.  Only the first 2rN values (those in (0, π)) are
-    returned.
+    ``a`` holds the N cosine coefficients of u.  With M = 2rN, f is the
+    sine series Σ_{m=1}^{N} b_m sin(m s_n) at s_n = (2n+1)π/(2M), summed by
+    one inverse FFT of length 2M: b_m·e^{iπm/(2M)}/(2i) goes to bin m,
+    −b_m·e^{−iπm/(2M)}/(2i) to bin 2M − m, and the first M outputs, times
+    2M, are f.  The function keeps its name, though it returns f and not
+    the derivatives, because the benchmark's tracer wraps it by that name.
     """
-    if c.n_modes != g.N:
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (g.N,):
         raise SampleShapeError(
-            f"coefficients carry N={c.n_modes} modes but the grid has N={g.N}"
+            f"expected {g.N} cosine coefficients, got {a.shape}"
         )
-    n_big = 4 * g.r * g.N
-    if n_big > 2**52:
+    n_mid = g.num_midpoints
+    if 2 * n_mid > 2**52:
         raise ParameterError("r*N too large for exact index arithmetic")
-    pad = np.zeros(n_big, dtype=complex)
-    pad[: g.N] = c.coeffs[: g.N]
-    pad[n_big - g.N:] = c.coeffs[g.N:]
-    p = np.arange(n_big)
-    k = np.where(p < n_big // 2, p, p - n_big)
-    phased = pad * np.exp(1j * k * np.pi / n_big)
-    us_full = np.fft.ifft(1j * k * phased) * n_big
-    uss_full = np.fft.ifft(-(k.astype(float) ** 2) * phased) * n_big
-    half = 2 * g.r * g.N
-    return us_full[:half], uss_full[:half]
+    m = np.arange(1, g.N + 1)
+    diff = a.copy()
+    diff[:-2] -= a[2:]  # a_{m−1} − a_{m+1}
+    # The bins carry 2M·b_m/(2i) = ½iM(m²−1)(a_{m−1} − a_{m+1}).
+    bins = 0.5j * n_mid * (m * m - 1.0) * diff
+    phase = np.exp(0.5j * np.pi / n_mid * m)
+    c = np.zeros(2 * n_mid, dtype=complex)
+    c[1: g.N + 1] = bins * phase
+    c[:-g.N - 1:-1] = -bins * phase.conj()
+    np.fft.ifft(c, out=c)
+    return c[:n_mid].copy()  # a view would keep all 2M values alive
 
 
 def f_from_analytic(us: Callable, uss: Callable, g: GridSpec) -> MidpointSamples:
@@ -170,8 +120,7 @@ def f_from_samples(u_nodes, g: GridSpec,
                    threshold: float | None = None) -> MidpointSamples:
     """Build f at the midpoints from u sampled at the N output nodes only.
 
-    Composition of :func:`even_extension`,
-    :func:`coefficients_from_samples` and
+    Composition of :func:`coefficients_from_samples` and
     :func:`derivatives_at_midpoints`; this is the route used when no
     analytic derivatives are available (e.g. inside a time stepper).
     """
@@ -180,8 +129,5 @@ def f_from_samples(u_nodes, g: GridSpec,
         raise SampleShapeError(
             f"expected {g.N} node samples, got {u_nodes.shape}"
         )
-    c = coefficients_from_samples(even_extension(u_nodes), threshold=threshold)
-    us_mid, uss_mid = derivatives_at_midpoints(c, g)
-    s = midpoint_nodes(g)
-    values = np.sin(s) * uss_mid + 2.0 * np.cos(s) * us_mid
-    return MidpointSamples(values=values, grid=g)
+    a = coefficients_from_samples(u_nodes, threshold=threshold)
+    return MidpointSamples(values=derivatives_at_midpoints(a, g), grid=g)

@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity through a route that shares no code with
 the implementation it checks: transforms by direct O(M²) summation,
-convolutions by direct O(N²) summation, and the fractional Laplacian by
+convolutions by direct O(N²) summation, the pseudospectral integrand by
+direct summation of its cosine series, and the fractional Laplacian by
 adaptive quadrature of its derivative-kernel form
 
     (c_α/α) ∫_0^∞ (u_x(x−y) − u_x(x+y)) / y^α dy,
@@ -13,10 +14,20 @@ used here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 
-from fraclap.operator import c_alpha
+
+def c_alpha(alpha: float) -> float:
+    """The defining constant of the operator's singular-integral form."""
+    return (
+        alpha
+        * 2.0 ** (alpha - 1.0)
+        * math.gamma(0.5 + alpha / 2.0)
+        / (math.sqrt(math.pi) * math.gamma(1.0 - alpha / 2.0))
+    )
 
 
 def dft_direct(v) -> np.ndarray:
@@ -35,6 +46,45 @@ def cyclic_convolution_direct(u, v) -> np.ndarray:
     return np.array(
         [sum(u[k] * v[(m - k) % n] for k in range(n)) for m in range(n)]
     )
+
+
+def _angles(k, m: int) -> np.ndarray:
+    """k·s_n at s_n = (2n+1)π/(2m), n < m, as a (len(k), m) table.
+
+    The product is reduced modulo 2π in exact integer arithmetic before
+    scaling, so the angle is accurate to round-off in [0, 2π) even where
+    k·s_n is large; forming k·s_n in floating point would err by
+    eps·k·s_n.
+    """
+    return np.pi * (np.outer(k, 2 * np.arange(m) + 1) % (4 * m)) / (2 * m)
+
+
+def cosine_coefficients_direct(u) -> np.ndarray:
+    """a_k, k < N, with Σ_k a_k cos(k s_j) = u_j at s_j = (2j+1)π/(2N).
+
+    O(N²) summation of the discrete cosine orthogonality:
+    a_k = (2/N) Σ_j u_j cos(k s_j), and half that for k = 0.
+    """
+    u = np.asarray(u, dtype=complex)
+    n = len(u)
+    a = 2.0 / n * (np.cos(_angles(np.arange(n), n)) @ u)
+    a[0] /= 2
+    return a
+
+
+def integrand_direct(a, num_midpoints: int) -> np.ndarray:
+    """f = sin(s)·u_ss + 2cos(s)·u_s for u = Σ_k a_k cos(ks), by O(N·M) sums.
+
+    Evaluated at the M midpoints s_n = (2n+1)π/(2M); u_s and u_ss are
+    summed term by term from the cosine series.
+    """
+    a = np.asarray(a, dtype=complex)
+    k = np.arange(len(a))
+    ks = _angles(k, num_midpoints).T
+    us = -(np.sin(ks) * k) @ a
+    uss = -(np.cos(ks) * k**2.0) @ a
+    s = (2 * np.arange(num_midpoints) + 1) * np.pi / (2 * num_midpoints)
+    return np.sin(s) * uss + 2.0 * np.cos(s) * us
 
 
 def fraclap_quad(ux, alpha: float, x: float) -> float | complex:

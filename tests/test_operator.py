@@ -6,11 +6,13 @@ import pytest
 from fraclap.errors import ParameterError
 from fraclap.grid import GridSpec, midpoint_nodes, output_nodes
 from fraclap.operator import (FracLapParams, FractionalLaplacian, apply,
-                              c_alpha, prefactor, prefactors)
+                              prefactors)
 from fraclap.profiles import ERF, RATIONAL, mapped_derivatives
 from fraclap.quadrature import MidpointSamples
 from fraclap.reference import exact_rational
 from fraclap.spectral import f_from_analytic
+
+from .oracles import c_alpha
 
 
 def _long_form_prefactor(alpha, L, s):
@@ -53,13 +55,13 @@ class TestPrefactor:
         # At s = pi/2 the sine factor is exactly 1.
         p = FracLapParams(alpha=1.3, grid=GridSpec(N=1, r=1, L=1.0))
         expected = 1.0 / (2.0 * math.gamma(0.7) * math.cos(0.65 * math.pi))
-        assert prefactor(p, 0) == pytest.approx(expected, rel=1e-15)
+        assert prefactors(p)[0] == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.3, 1.99])
     def test_sine_factor_unity_at_center(self, alpha):
         p = FracLapParams(alpha=alpha, grid=GridSpec(N=1, r=1, L=1.0))
         flat = 1.0 / (2.0 * math.gamma(2 - alpha) * math.cos(math.pi * alpha / 2))
-        assert prefactor(p, 0) == pytest.approx(flat, rel=1e-14)
+        assert prefactors(p)[0] == pytest.approx(flat, rel=1e-14)
 
     @pytest.mark.parametrize("alpha,L", [(0.5, 2.0), (1.3, 1.0), (1.7, 0.4)])
     def test_simplified_equals_long_form(self, alpha, L):
@@ -73,9 +75,11 @@ class TestPrefactor:
         )
 
     def test_index_range_checked(self):
+        # One prefactor per output node: indices 0..N-1 and no more.
         p = FracLapParams(alpha=0.5, grid=GridSpec(N=4, r=1, L=1.0))
-        with pytest.raises(ParameterError):
-            prefactor(p, 4)
+        assert prefactors(p).shape == (4,)
+        with pytest.raises(IndexError):
+            prefactors(p)[4]
 
 
 class TestApply:

@@ -2,141 +2,189 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fraclap.errors import ParameterError, SampleShapeError
 from fraclap.grid import GridSpec, midpoint_nodes, output_nodes
 from fraclap.profiles import ERF, mapped_derivatives
-from fraclap.spectral import (SpectralCoefficients, coefficients_from_samples,
-                              derivatives_at_midpoints, even_extension,
-                              f_from_analytic, f_from_samples, krasny_filter)
+from fraclap.spectral import (coefficients_from_samples,
+                              derivatives_at_midpoints, f_from_analytic,
+                              f_from_samples)
+
+from .oracles import cosine_coefficients_direct, integrand_direct
 
 
-def _circle_nodes(n_modes: int) -> np.ndarray:
-    j = np.arange(2 * n_modes)
-    return (2 * j + 1) * math.pi / (2 * n_modes)
+def _nodes(n: int) -> np.ndarray:
+    """The shifted nodes s_j = (2j+1)π/(2n), j = 0..n−1."""
+    return (2 * np.arange(n) + 1) * math.pi / (2 * n)
+
+
+def _cosine_series(a, s) -> np.ndarray:
+    """Σ_k a_k cos(k s) at every point of s."""
+    return np.cos(np.outer(s, np.arange(len(a)))) @ np.asarray(a)
 
 
 class TestEvenExtension:
     def test_mirrors_reversed(self):
+        # The cosine series is u's even extension across pi: on the 2N
+        # shifted nodes of the full circle it gives the samples, then the
+        # samples reversed.
         u = np.array([1.0, 2.0, 3.0])
-        assert list(even_extension(u)) == [1, 2, 3, 3, 2, 1]
+        a = coefficients_from_samples(u)
+        full = _cosine_series(a, (2 * np.arange(6) + 1) * math.pi / 6)
+        assert full == pytest.approx([1, 2, 3, 3, 2, 1], rel=1e-14)
 
     def test_cosine_already_even(self):
-        # cos is even about pi, so extension equals direct sampling on the
-        # full circle.
-        n = 8
-        s = _circle_nodes(n)
-        ext = even_extension(np.cos(s[:n]))
-        assert ext == pytest.approx(np.cos(s))
+        # cos is even about pi, so its series is cos itself on the full
+        # circle, not only on (0, pi).
+        a = coefficients_from_samples(np.cos(_nodes(8)))
+        s = np.linspace(0.0, 2 * math.pi, 41)
+        assert _cosine_series(a, s) == pytest.approx(np.cos(s), abs=1e-14)
 
 
 class TestCoefficients:
     def test_single_mode_on_circle(self):
         n = 8
-        c = coefficients_from_samples(np.exp(2j * _circle_nodes(n)))
-        assert c.coefficient(2) == pytest.approx(1.0)
+        a = coefficients_from_samples(np.cos(2 * _nodes(n)))
+        assert a[2] == pytest.approx(1.0)
         # Everything else is zeroed by the filter, except that transform
         # round-off occasionally leaves a coefficient a hair above the
         # machine-epsilon threshold; those stay at round-off level.
-        others = np.abs([c.coefficient(k) for k in range(-n, n) if k != 2])
+        others = np.abs(np.delete(a, 2))
         assert np.max(others) < 1e-15
         assert np.count_nonzero(others) <= 2
 
     def test_constant(self):
-        n = 4
-        c = coefficients_from_samples(np.ones(2 * n))
-        assert c.coefficient(0) == pytest.approx(1.0)
-        assert np.max(np.abs(c.coeffs[1:])) == 0.0
+        a = coefficients_from_samples(np.ones(4))
+        assert a[0] == pytest.approx(1.0)
+        assert np.max(np.abs(a[1:])) == 0.0
 
     def test_cosine_splits_into_conjugate_pair(self):
-        n = 8
-        c = coefficients_from_samples(np.cos(_circle_nodes(n)))
-        assert c.coefficient(1) == pytest.approx(0.5)
-        assert c.coefficient(-1) == pytest.approx(0.5)
+        # On the circle cos s = (e^{is} + e^{-is})/2; the cosine coefficient
+        # a_1 is the sum of that conjugate pair, 1/2 + 1/2.
+        a = coefficients_from_samples(np.cos(_nodes(8)))
+        assert a[1] == pytest.approx(1.0)
+        assert np.max(np.abs(np.delete(a, 1))) < 1e-15
 
-    def test_odd_length_rejected(self):
+    def test_non_vector_rejected(self):
         with pytest.raises(SampleShapeError):
-            coefficients_from_samples(np.ones(7))
+            coefficients_from_samples(np.ones((2, 3)))
+        with pytest.raises(SampleShapeError):
+            coefficients_from_samples(np.ones(0))
 
     def test_even_extended_real_input_has_conjugate_symmetry(self):
+        # For real u the pair û(k), û(−k) of the even extension are equal
+        # and conjugate, so every a_k = 2û(k) is real.
         rng = np.random.default_rng(0)
-        n = 16
-        c = coefficients_from_samples(even_extension(rng.standard_normal(n)))
-        for k in range(1, n):
-            assert c.coefficient(-k) == pytest.approx(
-                np.conj(c.coefficient(k)), abs=1e-13
-            )
+        a = coefficients_from_samples(rng.standard_normal(16))
+        assert np.max(np.abs(a.imag)) < 1e-13 * np.max(np.abs(a))
 
     def test_round_trip_reproduces_band_limited_samples(self):
         # Evaluating the filtered series back at the nodes recovers the
         # samples when u is band-limited.
-        n = 8
-        s = _circle_nodes(n)
-        u = 0.3 + np.cos(s) - 2.0 * np.sin(3 * s) + 0.1 * np.cos(6 * s)
-        c = coefficients_from_samples(u)
-        k = c.wavenumbers()
-        recon = np.array([np.sum(c.coeffs * np.exp(1j * k * sj)) for sj in s])
-        assert recon == pytest.approx(u, rel=1e-12, abs=1e-12)
+        s = _nodes(8)
+        u = 0.3 + np.cos(s) - 2.0 * np.cos(3 * s) + 0.1 * np.cos(6 * s)
+        a = coefficients_from_samples(u)
+        assert _cosine_series(a, s) == pytest.approx(u, rel=1e-12, abs=1e-12)
 
 
 class TestKrasnyFilter:
+    @staticmethod
+    def _samples(a):
+        return _cosine_series(np.asarray(a), _nodes(len(a)))
+
     def test_all_above_identity(self):
-        c = SpectralCoefficients(coeffs=np.array([1.0, 2.0, 3.0, 4.0]), n_modes=2)
-        assert np.array_equal(krasny_filter(c, 0.5).coeffs, c.coeffs)
+        u = self._samples([1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(coefficients_from_samples(u, 0.5),
+                              coefficients_from_samples(u, 0.0))
 
     def test_all_below_zeroed(self):
-        c = SpectralCoefficients(coeffs=np.full(4, 1e-18 + 0j), n_modes=2)
-        assert np.all(krasny_filter(c, 1e-12).coeffs == 0)
+        u = self._samples(np.full(4, 1e-18))
+        assert np.all(coefficients_from_samples(u, 1e-12) == 0)
 
     def test_mixed(self):
-        c = SpectralCoefficients(
-            coeffs=np.array([1.0, 1e-17, 2.0, 3e-18]), n_modes=2
-        )
-        out = krasny_filter(c, 1e-12).coeffs
-        assert list(out) == [1.0, 0.0, 2.0, 0.0]
+        out = coefficients_from_samples(
+            self._samples([1.0, 1e-17, 2.0, 3e-18]), 1e-12)
+        assert out[1] == 0 and out[3] == 0
+        assert out[[0, 2]] == pytest.approx([1.0, 2.0], rel=1e-14)
 
     def test_negative_threshold_rejected(self):
-        c = SpectralCoefficients(coeffs=np.ones(2, dtype=complex), n_modes=1)
         with pytest.raises(ParameterError):
-            krasny_filter(c, -1.0)
+            coefficients_from_samples(np.ones(2), -1.0)
 
 
 class TestDerivativesAtMidpoints:
     @pytest.mark.parametrize("r", [1, 2, 4])
     def test_single_mode_exact(self, r):
+        # u = cos 2s: f = −4 sin s cos 2s − 4 cos s sin 2s = −4 sin 3s.
         n = 8
         g = GridSpec(N=n, r=r, L=1.0)
-        c = coefficients_from_samples(np.exp(2j * _circle_nodes(n)))
-        us, uss = derivatives_at_midpoints(c, g)
+        a = coefficients_from_samples(np.cos(2 * _nodes(n)))
+        f = derivatives_at_midpoints(a, g)
         s = midpoint_nodes(g)
-        assert np.max(np.abs(us - 2j * np.exp(2j * s))) < 1e-12 * 2
-        assert np.max(np.abs(uss + 4 * np.exp(2j * s))) < 1e-12 * 4
+        assert np.max(np.abs(f + 4 * np.sin(3 * s))) < 1e-12 * 4
 
     def test_constant_has_zero_derivatives(self):
         g = GridSpec(N=4, r=3, L=1.0)
-        c = coefficients_from_samples(np.ones(8))
-        us, uss = derivatives_at_midpoints(c, g)
-        assert np.max(np.abs(us)) == 0.0 and np.max(np.abs(uss)) == 0.0
+        f = derivatives_at_midpoints(coefficients_from_samples(np.ones(4)), g)
+        assert np.max(np.abs(f)) == 0.0
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_trig_polynomial_exact_independent_of_r(self, r):
         n = 8
         g = GridSpec(N=n, r=r, L=1.0)
-        s_nodes = _circle_nodes(n)
-        u = (1.1 + 0.5j) * np.exp(3j * s_nodes) + 0.7 * np.exp(-5j * s_nodes)
-        c = coefficients_from_samples(u)
-        us, uss = derivatives_at_midpoints(c, g)
+        c3, c5 = 1.1 + 0.5j, 0.7 - 0.2j
+        s_nodes = _nodes(n)
+        u = c3 * np.cos(3 * s_nodes) + c5 * np.cos(5 * s_nodes)
+        f = derivatives_at_midpoints(coefficients_from_samples(u), g)
         s = midpoint_nodes(g)
-        us_exact = 3j * (1.1 + 0.5j) * np.exp(3j * s) - 3.5j * np.exp(-5j * s)
-        uss_exact = -9 * (1.1 + 0.5j) * np.exp(3j * s) - 17.5 * np.exp(-5j * s)
-        scale = np.max(np.abs(uss_exact))
-        assert np.max(np.abs(us - us_exact)) < 1e-12 * scale
-        assert np.max(np.abs(uss - uss_exact)) < 1e-12 * scale
+        us = -3 * c3 * np.sin(3 * s) - 5 * c5 * np.sin(5 * s)
+        uss = -9 * c3 * np.cos(3 * s) - 25 * c5 * np.cos(5 * s)
+        exact = np.sin(s) * uss + 2 * np.cos(s) * us
+        assert np.max(np.abs(f - exact)) < 1e-12 * np.max(np.abs(exact))
 
     def test_grid_mismatch_rejected(self):
-        c = coefficients_from_samples(np.ones(8))
+        a = coefficients_from_samples(np.ones(4))
         with pytest.raises(SampleShapeError):
-            derivatives_at_midpoints(c, GridSpec(N=8, r=1, L=1.0))
+            derivatives_at_midpoints(a, GridSpec(N=8, r=1, L=1.0))
+
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_single_node_gives_exactly_zero(self, r):
+        # N = 1 leaves only a_0, and b_1 carries the factor 1² − 1 = 0.
+        F = f_from_samples(np.array([0.3 - 1.7j]), GridSpec(N=1, r=r, L=1.0))
+        assert np.all(F.values == 0)
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_complex_exponential_matches_direct_sum(self, r):
+        # e^{3is} is not a finite cosine series on (0, pi): the sine part
+        # has a kink in the even extension.  So the check is against the
+        # direct sums over the same N coefficients.
+        n = 16
+        g = GridSpec(N=n, r=r, L=1.0)
+        u = np.exp(3j * _nodes(n))
+        fast = f_from_samples(u, g, threshold=0.0).values
+        direct = integrand_direct(cosine_coefficients_direct(u),
+                                  g.num_midpoints)
+        assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+class TestDirectSumOracle:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(n=st.integers(1, 300), r=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, r=1, seed=0)
+    @example(n=293, r=7, seed=0)
+    def test_fast_route_equals_direct_sums(self, n, r, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g = GridSpec(N=n, r=r, L=1.0)
+        a = coefficients_from_samples(u, threshold=0.0)
+        a_direct = cosine_coefficients_direct(u)
+        assert np.max(np.abs(a - a_direct)) <= 1e-13 * np.max(np.abs(a_direct))
+        fast = derivatives_at_midpoints(a, g)
+        direct = integrand_direct(a_direct, g.num_midpoints)
+        assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 class TestIntegrandConstruction:
