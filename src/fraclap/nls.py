@@ -103,7 +103,7 @@ def energy(state: EvolutionState) -> float:
 
 @dataclass
 class SimulationResult:
-    """Snapshots at the requested cadence plus the per-step energy trace."""
+    """Snapshots (none if streamed to a sink) plus the per-step energy trace."""
 
     snapshots: list  # (t, psi copy, M) triples
     times: np.ndarray
@@ -117,10 +117,11 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
     """Advance ψ from t = 0 to t_end, logging energy every step.
 
     Snapshots (t, ψ, M) are recorded at t = 0, after every
-    ``snapshot_every``-th step, and at the final step; each is also pushed
-    to ``sink`` when one is given.  A non-finite sample aborts the run with
-    :class:`fraclap.errors.BlowUpError` carrying the first bad index and
-    the time it appeared.
+    ``snapshot_every``-th step, and at the final step.  Each goes to
+    ``sink`` when one is given and into the result otherwise, so a streamed
+    run does not hold them.  A non-finite sample aborts the run with
+    :class:`fraclap.errors.BlowUpError` carrying the first bad index and the
+    time it appeared.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ParameterError(f"dt must be positive and finite, got {dt!r}")
@@ -145,8 +146,9 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
         energies[step] = m
         if step % snapshot_every == 0 or step == n_steps:
             snap = (state.t, state.psi.copy(), m)
-            snapshots.append(snap)
-            if sink is not None:
+            if sink is None:
+                snapshots.append(snap)
+            else:
                 sink(*snap)
 
     record(0)

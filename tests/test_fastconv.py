@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -48,8 +53,17 @@ class TestFftLength:
 
 
 def _kernel(conv: FastConvolver) -> np.ndarray:
-    """κ as laid out in the plan's FFT buffer, recovered from its spectrum."""
-    return np.fft.ifft(conv._kernel_spectrum())
+    """κ on its cyclic length-P layout, rebuilt from the plan's row table.
+
+    Row ρ of the table is the FFT of κ_ρ[q] = κ[(2rq − ρ) mod P], so its
+    inverse FFT puts κ back at those indices.
+    """
+    rows = np.fft.ifft(conv._kernel_table(), axis=1)
+    two_r, m = rows.shape
+    q, rho = np.meshgrid(np.arange(m), np.arange(two_r))
+    kappa = np.empty(conv.fft_length, dtype=complex)
+    kappa[(two_r * q - rho) % conv.fft_length] = rows
+    return kappa
 
 
 def _read_shifts(g: GridSpec, length: int) -> np.ndarray:
@@ -70,7 +84,7 @@ def _moving_weight(g: GridSpec, gamma: float, t: np.ndarray) -> np.ndarray:
 class TestKernelLayout:
     def test_zero_samples_zero_k_columns(self):
         # The samples enter only through a_n = weight·f_n: zero samples give
-        # exactly zero, and the plan (kernel spectrum, weights) is the same
+        # exactly zero, and the plan (kernel table, weights) is the same
         # whatever samples built it.
         g = GridSpec(N=6, r=2, L=1.0)
         p = SingularParams(beta=0.7, gamma=0.2)
@@ -154,6 +168,9 @@ class TestFastAgainstDirect:
     @example(n=293, r=7, beta=1.99, gamma=-0.99, seed=0)  # criterion 1's pair
     @example(n=1, r=1, beta=1.99, gamma=-0.99, seed=1)
     @example(n=101, r=3, beta=1.99, gamma=-0.99, seed=2)
+    @example(n=1, r=32, beta=1.99, gamma=-0.99, seed=3)  # the NLS runs' r
+    @example(n=31, r=32, beta=1.99, gamma=-0.99, seed=4)
+    @example(n=300, r=110, beta=1.99, gamma=-0.99, seed=5)  # rows: 218 + 2
     def test_property_fast_equals_direct(self, n, r, beta, gamma, seed):
         g = GridSpec(N=n, r=r, L=1.0)
         p = SingularParams(beta=beta, gamma=gamma)
@@ -187,9 +204,9 @@ class TestConvolverReuse:
                         fast_singular_integral(F, p)) < 1e-14
 
     def test_one_shot_memory_is_a_few_sample_arrays(self):
-        # Without a cache, one call holds at most the kernel spectrum, the
-        # weights and one transform buffer; the spectrum and the buffer
-        # are 2x the samples each at this size (P = 4rN).
+        # Without a cache, one call holds at most the kernel table, the
+        # weights and one transform buffer; the table and the buffer are
+        # 2x the samples each at this size (P = 4rN).
         import tracemalloc
 
         g = GridSpec(N=2**16, r=1, L=1.0)
@@ -203,6 +220,41 @@ class TestConvolverReuse:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * F.values.nbytes
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak RSS from /proc/self/status")
+    def test_one_shot_peak_rss_is_a_few_sample_arrays(self):
+        # pocketfft's scratch (2 copies of the points of one call) is
+        # invisible to tracemalloc, so this reads the peak RSS of a fresh
+        # interpreter around one apply.  VmHWM, unlike ru_maxrss, does not
+        # inherit the launching process's peak across exec.  At r = 1 the
+        # kernel table and the buffer are 2x the samples each, and so is
+        # the scratch of one row's FFT: about 6x.  One FFT over all P
+        # points needed 4x for its scratch alone, about 9x in all.
+        code = textwrap.dedent("""
+            import numpy as np
+            from fraclap.fastconv import fast_singular_integral
+            from fraclap.grid import GridSpec
+            from fraclap.quadrature import MidpointSamples, SingularParams
+
+            def peak():
+                with open("/proc/self/status") as f:
+                    return next(int(line.split()[1]) * 1024 for line in f
+                                if line.startswith("VmHWM:"))
+
+            g = GridSpec(N=2**18, r=1, L=1.0)
+            rng = np.random.default_rng(31)
+            v = np.empty(g.num_midpoints, dtype=complex)
+            v.real = rng.standard_normal(g.num_midpoints)
+            v.imag = rng.standard_normal(g.num_midpoints)
+            F = MidpointSamples(values=v, grid=g)
+            before = peak()
+            fast_singular_integral(F, SingularParams(beta=1.3, gamma=-0.3))
+            print((peak() - before) / v.nbytes)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert float(proc.stdout) <= 7.0
 
     def test_wrong_length_rejected(self):
         g = GridSpec(N=4, r=1, L=1.0)

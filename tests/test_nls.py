@@ -176,6 +176,22 @@ class TestSimulate:
         # Steps 0, 2, 4 plus the final step 5.
         assert seen == pytest.approx([0.0, 0.02, 0.04, 0.05])
 
+    def test_sink_run_keeps_no_snapshots(self):
+        # A streamed run holds no snapshots, and its sink sees exactly the
+        # triples a run without a sink returns.
+        state = _gaussian_state(n=64, r=1, L=10.0, alpha=1.3)
+        seen = []
+        streamed = simulate(state.psi, state.params, dt=0.01, t_end=0.05,
+                            snapshot_every=2,
+                            sink=lambda t, psi, m: seen.append((t, psi, m)))
+        kept = simulate(state.psi, state.params, dt=0.01, t_end=0.05,
+                        snapshot_every=2)
+        assert streamed.snapshots == []
+        assert len(seen) == len(kept.snapshots) == 4
+        for (t, psi, m), (t_ref, psi_ref, m_ref) in zip(seen, kept.snapshots):
+            assert (t, m) == (t_ref, m_ref)
+            assert np.array_equal(psi, psi_ref)
+
     @pytest.mark.parametrize("dt,t_end", [
         (0.01, math.nan), (0.01, math.inf), (math.nan, 0.05),
         (math.inf, 0.05), (0.0, 0.05), (0.01, -0.01),
