@@ -82,15 +82,12 @@ class FastConvolver:
         two_rn, r = g.num_midpoints, g.r
         moving = np.diff(np.arange(two_rn - r + 1, dtype=float) ** (gamma + 1.0))
         moving *= _sinc(g.h * (np.arange(two_rn - r) + 0.5)) ** gamma  # M(a ≥ 0)
-        kappa = np.zeros(P)
-        kappa[: two_rn - 2 * r + 1] = moving[r - 1:]  # t ≥ 0
-        kappa[P - two_rn + 1: P - r + 1] = moving[::-1]  # t ≤ −r, by symmetry
-        kappa[P - r + 1:] = moving[: r - 1]  # −r < t < 0
-        K = kappa.reshape(-1, 2 * r)  # K[q, c] = κ[2rq + c]
-        table = np.empty((2 * r, len(K)), dtype=complex)
-        table[0] = K[:, 0]
-        table[1:, 1:] = K[:-1, :0:-1].T  # κ_ρ[q] = K[q − 1, 2r − ρ]
-        table[1:, 0] = K[-1, :0:-1]
+        x = np.zeros(P)  # x[k] = M(k − r), k taken mod P
+        x[:r] = moving[r - 1::-1]  # −r ≤ k − r < 0, by symmetry
+        x[r:two_rn] = moving
+        x[P - two_rn + 2 * r:] = moving[:r - 1:-1]  # k − r < −r, by symmetry
+        # x[2rq + c] = κ_{2r−1−c}[q]: reversing the columns gives the table.
+        table = x.reshape(-1, 2 * r)[:, ::-1].T.astype(complex, order="C")
         return _fft_rows(table)
 
     def _weights(self) -> np.ndarray:

@@ -103,25 +103,24 @@ def energy(state: EvolutionState) -> float:
 
 @dataclass
 class SimulationResult:
-    """Snapshots (none if streamed to a sink) plus the per-step energy trace."""
+    """The per-step energy trace; snapshots go to the sink as they arise."""
 
-    snapshots: list  # (t, psi copy, M) triples
     times: np.ndarray
     energies: np.ndarray
 
 
 def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
              snapshot_every: int,
-             sink: Callable[[float, np.ndarray, float], None] | None = None
+             sink: Callable[[float, np.ndarray, float], None]
              ) -> SimulationResult:
     """Advance ψ from t = 0 to t_end, logging energy every step.
 
-    Snapshots (t, ψ, M) are recorded at t = 0, after every
-    ``snapshot_every``-th step, and at the final step.  Each goes to
-    ``sink`` when one is given and into the result otherwise, so a streamed
-    run does not hold them.  A non-finite sample aborts the run with
+    Snapshots (t, ψ, M) are taken at t = 0, after every
+    ``snapshot_every``-th step, and at the final step, and each is passed
+    to ``sink`` at once, with a copy of ψ the sink may keep; the run holds
+    none of them.  A non-finite sample aborts the run with
     :class:`fraclap.errors.BlowUpError` carrying the first bad index and the
-    time it appeared.
+    time it appeared, after the sink has seen every earlier snapshot.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ParameterError(f"dt must be positive and finite, got {dt!r}")
@@ -136,7 +135,6 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
 
     state = EvolutionState(psi=np.asarray(psi0, dtype=complex), t=0.0,
                            params=p, dt=dt)
-    snapshots: list = []
     times = np.empty(n_steps + 1)
     energies = np.empty(n_steps + 1)
 
@@ -145,11 +143,7 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
         times[step] = state.t
         energies[step] = m
         if step % snapshot_every == 0 or step == n_steps:
-            snap = (state.t, state.psi.copy(), m)
-            if sink is None:
-                snapshots.append(snap)
-            else:
-                sink(*snap)
+            sink(state.t, state.psi.copy(), m)
 
     record(0)
     for step in range(1, n_steps + 1):
@@ -158,4 +152,4 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
         if not finite.all():
             raise BlowUpError(time=state.t, index=int(np.argmin(finite)))
         record(step)
-    return SimulationResult(snapshots=snapshots, times=times, energies=energies)
+    return SimulationResult(times=times, energies=energies)

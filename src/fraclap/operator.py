@@ -35,7 +35,6 @@ __all__ = [
     "FracLapParams",
     "prefactors",
     "FractionalLaplacian",
-    "apply",
 ]
 
 # α this close to 1 is rejected: cos(πα/2) → 0 makes the prefactor blow up
@@ -108,8 +107,3 @@ class FractionalLaplacian:
         """
         F = f_from_samples(u_nodes, self.params.grid)
         return self.apply(F)
-
-
-def apply(F: MidpointSamples, p: FracLapParams) -> np.ndarray:
-    """One-shot (−Δ)^{α/2}u at all x_j from integrand samples F."""
-    return FractionalLaplacian(p, cache_kernels=False).apply(F)

@@ -151,9 +151,10 @@ def singular_integral_direct(F: MidpointSamples, p: SingularParams) -> np.ndarra
 
     n = np.arange(two_rn, dtype=np.int64)
     mid = (2 * n + 1) * (0.5 * h)
-    # Node powers for the fixed singular factor; (pi - node) reuses the same
-    # table reversed because pi = h * 2rN in node arithmetic.
-    node_pow = (h * np.arange(two_rn + 1)) ** (p.beta + 1.0)
+    # Both power weights are taken in integer index units, where node
+    # differences are exact, and scaled once at the end: h^{β+1}·h^{γ+1}/h.
+    # (pi - node) reuses the node-power table reversed because pi = h * 2rN.
+    node_pow = np.arange(two_rn + 1, dtype=float) ** (p.beta + 1.0)
     w_lower = (node_pow[1 : rn + 1] - node_pow[:rn]) / (p.beta + 1.0)
     k = np.arange(rn, two_rn, dtype=np.int64)
     w_upper = (node_pow[two_rn - k] - node_pow[two_rn - k - 1]) / (p.beta + 1.0)
@@ -161,13 +162,14 @@ def singular_integral_direct(F: MidpointSamples, p: SingularParams) -> np.ndarra
     sinc_lower = _sinc(mid[:rn]) ** p.beta
     sinc_upper = (np.sin(mid[rn:]) / (h * (two_rn - k - 0.5))) ** p.beta
 
+    scale = h ** (p.beta + p.gamma + 1.0)
     out = np.empty(N, dtype=complex)
     for j in range(N):
         ridx = (2 * j + 1) * r
         moving = _sinc(h * (n + 0.5 - ridx)) ** p.gamma
         w_moving = signed_power_difference(
-            h * (n + 1 - ridx),
-            h * (n - ridx),
+            n + 1 - ridx,
+            n - ridx,
             p.gamma,
             index_sign(n + 1, j, r),
             index_sign(n, j, r),
@@ -178,5 +180,5 @@ def singular_integral_direct(F: MidpointSamples, p: SingularParams) -> np.ndarra
         upper = np.sum(
             sinc_upper * moving[rn:] * w_upper * w_moving[rn:] * F.values[rn:]
         )
-        out[j] = (lower + upper) / h
+        out[j] = (lower + upper) * scale
     return out

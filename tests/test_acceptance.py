@@ -181,7 +181,8 @@ def test_criterion_7_nls_desk_run():
         p = FracLapParams(alpha=1.99, grid=g)
         x = map_to_real(output_nodes(g), g.L)
         res = simulate(np.exp(-(x**2)).astype(complex), p, dt=0.01,
-                       t_end=5.0, snapshot_every=100)
+                       t_end=5.0, snapshot_every=100,
+                       sink=lambda t, psi, m: None)
         drifts[r] = float(np.max(np.abs(res.energies - res.energies[0])))
     elapsed = time.perf_counter() - t0
     r1 = drifts[8] / drifts[16]

@@ -168,8 +168,10 @@ def _reference_nls(argv):
     params = FracLapParams(alpha=alpha, grid=GridSpec(N=n, r=r, L=cfg.L))
     x = map_to_real(output_nodes(params.grid), cfg.L)
     psi0 = np.asarray(builtin_profile("gaussian").u(x), dtype=complex)
+    snapshots = []
     result = simulate(psi0, params, dt=cfg.dt, t_end=cfg.t_end,
-                      snapshot_every=cfg.snapshot_every)
+                      snapshot_every=cfg.snapshot_every,
+                      sink=lambda *snap: snapshots.append(snap))
     m0 = result.energies[0]
     if cfg.fmt == "json":
         doc = {
@@ -190,7 +192,7 @@ def _reference_nls(argv):
                     ],
                     "M": m,
                 }
-                for t, psi, m in result.snapshots
+                for t, psi, m in snapshots
             ],
         }
         return [(json.dumps(doc, indent=1) + "\n").encode()]
@@ -198,7 +200,7 @@ def _reference_nls(argv):
     for t, m in zip(result.times, result.energies):
         lines.append(f"{_ref_fmt(t)},{_ref_fmt(m)},{_ref_fmt(abs(m - m0))}")
     files = [("\n".join(lines) + "\n").encode()]
-    for t, psi, m in result.snapshots:
+    for t, psi, m in snapshots:
         body = ["j,x_j,re,im,abs"]
         body.extend(
             f"{j},{_ref_fmt(x[j])},{_ref_fmt(psi[j].real)},"
@@ -389,8 +391,8 @@ class TestNls:
         assert float(rows[0][1]) == pytest.approx(math.sqrt(math.pi / 2),
                                                   abs=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_blow_up_exit_code(self, tmp_path):
+    @staticmethod
+    def _blow_up_argv(tmp_path):
         # Scaled-up focusing data overflows within a few steps; the
         # overflow itself is the behavior under test.
         g = GridSpec(N=32, r=1, L=10.0)
@@ -398,11 +400,46 @@ class TestNls:
         samples = tmp_path / "psi0.txt"
         samples.write_text("\n".join(
             f"{1e200 * math.exp(-t * t):.17g} 0" for t in x) + "\n")
-        code = main(["--command", "nls", "--alpha", "1.3", "--N", "32",
-                     "--r", "1", "--L", "10.0", "--dt", "0.1",
-                     "--t-end", "1.0", "--input", str(samples),
-                     "--output", str(tmp_path / "o.csv")])
-        assert code == 4
+        return ["--command", "nls", "--alpha", "1.3", "--N", "32",
+                "--r", "1", "--L", "10.0", "--dt", "0.1",
+                "--t-end", "1.0", "--input", str(samples),
+                "--output", str(tmp_path / "o.csv")]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_exit_code(self, tmp_path):
+        assert main(self._blow_up_argv(tmp_path)) == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_keeps_earlier_csv_snapshots(self, tmp_path):
+        # CSV snapshots are written as they arrive, so an abort keeps them.
+        argv = self._blow_up_argv(tmp_path) + ["--snapshot-every", "1"]
+        assert main(argv) == 4
+        snaps = sorted(tmp_path.glob("o_snapshot_*.csv"))
+        assert snaps[0].name == "o_snapshot_000000.csv"
+        header, rows, _ = _read_csv_rows(snaps[0])
+        assert header == ["j", "x_j", "re", "im", "abs"] and len(rows) == 32
+
+    def test_csv_memory_does_not_grow_with_snapshot_count(self, tmp_path):
+        import tracemalloc
+
+        # 200 steps at N = 4096: 201 snapshots or two (t = 0 and the end).
+        # Holding every snapshot until the run ended peaked at 14.2 MiB
+        # against 1.97 MiB; streamed, both runs peak at about 2 MiB.
+        peaks = {}
+        for every in (1, 1000):
+            out = tmp_path / f"every{every}.csv"
+            tracemalloc.start()
+            try:
+                assert main(["--command", "nls", "--alpha", "1.3",
+                             "--N", "4096", "--r", "1", "--L", "10.0",
+                             "--dt", "2e-4", "--t-end", "0.04",
+                             "--snapshot-every", str(every),
+                             "--output", str(out)]) == 0
+                peaks[every] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(list(tmp_path.glob("every1_snapshot_*.csv"))) == 201
+        assert peaks[1] <= 1.25 * peaks[1000], peaks
 
     def test_json_document(self, tmp_path):
         out = tmp_path / "run.json"

@@ -171,6 +171,7 @@ class TestFastAgainstDirect:
     @example(n=1, r=32, beta=1.99, gamma=-0.99, seed=3)  # the NLS runs' r
     @example(n=31, r=32, beta=1.99, gamma=-0.99, seed=4)
     @example(n=300, r=110, beta=1.99, gamma=-0.99, seed=5)  # rows: 218 + 2
+    @example(n=300, r=110, beta=0.8, gamma=0.4, seed=6)  # oracle at large 2rN
     def test_property_fast_equals_direct(self, n, r, beta, gamma, seed):
         g = GridSpec(N=n, r=r, L=1.0)
         p = SingularParams(beta=beta, gamma=gamma)

@@ -148,24 +148,31 @@ class TestEnergy:
         assert abs(vals[0] - vals[1]) < 1e-12
 
 
+def _simulate(psi0, p, **kwargs):
+    """simulate() with the sink collecting its (t, ψ, M) snapshots."""
+    snapshots = []
+    res = simulate(psi0, p, sink=lambda *snap: snapshots.append(snap), **kwargs)
+    return res, snapshots
+
+
 class TestSimulate:
     def test_single_step_two_snapshots(self):
         state = _gaussian_state(n=64, r=1, L=10.0, alpha=1.3)
-        res = simulate(state.psi, state.params, dt=0.01, t_end=0.01,
-                       snapshot_every=1)
-        assert len(res.snapshots) == 2
-        assert res.snapshots[0][0] == 0.0
-        assert res.snapshots[1][0] == pytest.approx(0.01)
+        res, snapshots = _simulate(state.psi, state.params, dt=0.01,
+                                   t_end=0.01, snapshot_every=1)
+        assert len(snapshots) == 2
+        assert snapshots[0][0] == 0.0
+        assert snapshots[1][0] == pytest.approx(0.01)
         assert len(res.times) == 2
         # The flow genuinely rotates real data into the complex plane; no
         # realness constraint is imposed anywhere.
-        assert np.max(np.abs(res.snapshots[1][1].imag)) > 1e-4
+        assert np.max(np.abs(snapshots[1][1].imag)) > 1e-4
 
     def test_zero_horizon_initial_snapshot_only(self):
         state = _gaussian_state(n=64, r=1, L=10.0, alpha=1.3)
-        res = simulate(state.psi, state.params, dt=0.01, t_end=0.0,
-                       snapshot_every=5)
-        assert len(res.snapshots) == 1
+        res, snapshots = _simulate(state.psi, state.params, dt=0.01,
+                                   t_end=0.0, snapshot_every=5)
+        assert len(snapshots) == 1
         assert res.energies[0] == pytest.approx(energy(state))
 
     def test_sink_receives_snapshots(self):
@@ -176,22 +183,6 @@ class TestSimulate:
         # Steps 0, 2, 4 plus the final step 5.
         assert seen == pytest.approx([0.0, 0.02, 0.04, 0.05])
 
-    def test_sink_run_keeps_no_snapshots(self):
-        # A streamed run holds no snapshots, and its sink sees exactly the
-        # triples a run without a sink returns.
-        state = _gaussian_state(n=64, r=1, L=10.0, alpha=1.3)
-        seen = []
-        streamed = simulate(state.psi, state.params, dt=0.01, t_end=0.05,
-                            snapshot_every=2,
-                            sink=lambda t, psi, m: seen.append((t, psi, m)))
-        kept = simulate(state.psi, state.params, dt=0.01, t_end=0.05,
-                        snapshot_every=2)
-        assert streamed.snapshots == []
-        assert len(seen) == len(kept.snapshots) == 4
-        for (t, psi, m), (t_ref, psi_ref, m_ref) in zip(seen, kept.snapshots):
-            assert (t, m) == (t_ref, m_ref)
-            assert np.array_equal(psi, psi_ref)
-
     @pytest.mark.parametrize("dt,t_end", [
         (0.01, math.nan), (0.01, math.inf), (math.nan, 0.05),
         (math.inf, 0.05), (0.0, 0.05), (0.01, -0.01),
@@ -199,30 +190,35 @@ class TestSimulate:
     def test_non_finite_or_negative_times_rejected(self, dt, t_end):
         state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)
         with pytest.raises(ParameterError):
-            simulate(state.psi, state.params, dt=dt, t_end=t_end,
-                     snapshot_every=1)
+            _simulate(state.psi, state.params, dt=dt, t_end=t_end,
+                      snapshot_every=1)
 
     @pytest.mark.parametrize("every", [True, np.bool_(True), 0, 2.0])
     def test_snapshot_every_must_be_a_positive_integer(self, every):
         state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)
         with pytest.raises(ParameterError):
-            simulate(state.psi, state.params, dt=0.01, t_end=0.02,
-                     snapshot_every=every)
+            _simulate(state.psi, state.params, dt=0.01, t_end=0.02,
+                      snapshot_every=every)
 
     def test_numpy_integer_snapshot_every_accepted(self):
         state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)
-        res = simulate(state.psi, state.params, dt=0.01, t_end=0.03,
-                       snapshot_every=np.int64(2))
-        assert [t for t, _, _ in res.snapshots] == pytest.approx([0.0, 0.02, 0.03])
+        _, snapshots = _simulate(state.psi, state.params, dt=0.01, t_end=0.03,
+                                 snapshot_every=np.int64(2))
+        assert [t for t, _, _ in snapshots] == pytest.approx([0.0, 0.02, 0.03])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_detection(self):
         state = _gaussian_state(n=32, r=1, L=10.0, alpha=1.3)
         huge = state.psi * 1e200
+        seen = []
         with pytest.raises(BlowUpError) as info:
-            simulate(huge, state.params, dt=0.1, t_end=1.0, snapshot_every=1)
+            simulate(huge, state.params, dt=0.1, t_end=1.0, snapshot_every=1,
+                     sink=lambda t, psi, m: seen.append(t))
         assert info.value.time > 0
         assert 0 <= info.value.index < 32
+        # Every snapshot before the abort reached the sink.
+        assert seen == pytest.approx([0.1 * k for k in range(len(seen))])
+        assert seen[-1] == pytest.approx(info.value.time - 0.1)
 
     @pytest.mark.slow
     def test_energy_drift_quarters_per_refinement_doubling(self):
@@ -231,7 +227,7 @@ class TestSimulate:
         drifts = []
         for r in (8, 16):
             state = _gaussian_state(n=1024, r=r, L=200.0)
-            res = simulate(state.psi, state.params, dt=0.01, t_end=1.0,
-                           snapshot_every=100)
+            res, _ = _simulate(state.psi, state.params, dt=0.01, t_end=1.0,
+                               snapshot_every=100)
             drifts.append(np.max(np.abs(res.energies - res.energies[0])))
         assert 3.0 <= drifts[0] / drifts[1] <= 5.0

@@ -5,8 +5,7 @@ import pytest
 
 from fraclap.errors import ParameterError
 from fraclap.grid import GridSpec, midpoint_nodes, output_nodes
-from fraclap.operator import (FracLapParams, FractionalLaplacian, apply,
-                              prefactors)
+from fraclap.operator import FracLapParams, FractionalLaplacian, prefactors
 from fraclap.profiles import ERF, RATIONAL, mapped_derivatives
 from fraclap.quadrature import MidpointSamples
 from fraclap.reference import exact_rational
@@ -87,7 +86,7 @@ class TestApply:
         g = GridSpec(N=8, r=2, L=1.0)
         p = FracLapParams(alpha=0.7, grid=g)
         F = MidpointSamples(values=np.zeros(g.num_midpoints), grid=g)
-        assert np.all(apply(F, p) == 0)
+        assert np.all(FractionalLaplacian(p).apply(F) == 0)
 
     def test_linearity(self):
         g = GridSpec(N=8, r=2, L=1.0)
@@ -100,9 +99,10 @@ class TestApply:
             g.num_midpoints
         )
         a, b = 2.0 - 1j, -0.7j
-        combined = apply(MidpointSamples(values=a * v1 + b * v2, grid=g), p)
-        separate = a * apply(MidpointSamples(values=v1, grid=g), p) \
-            + b * apply(MidpointSamples(values=v2, grid=g), p)
+        op = FractionalLaplacian(p)
+        combined = op.apply(MidpointSamples(values=a * v1 + b * v2, grid=g))
+        separate = a * op.apply(MidpointSamples(values=v1, grid=g)) \
+            + b * op.apply(MidpointSamples(values=v2, grid=g))
         scale = np.max(np.abs(separate))
         assert np.max(np.abs(combined - separate)) < 1e-12 * scale
 
@@ -110,14 +110,14 @@ class TestApply:
         g = GridSpec(N=64, r=2, L=2.1)
         p = FracLapParams(alpha=0.9, grid=g)
         us, uss = mapped_derivatives(ERF, g.L)
-        out = apply(f_from_analytic(us, uss, g), p)
+        out = FractionalLaplacian(p).apply(f_from_analytic(us, uss, g))
         assert np.max(np.abs(out.imag)) < 1e-12 * np.max(np.abs(out))
 
     def test_rational_profile_matches_exact(self):
         g = GridSpec(N=64, r=8, L=1.0)
         p = FracLapParams(alpha=1.3, grid=g)
         us, uss = mapped_derivatives(RATIONAL, g.L)
-        out = apply(f_from_analytic(us, uss, g), p)
+        out = FractionalLaplacian(p).apply(f_from_analytic(us, uss, g))
         exact = exact_rational(1.3, output_nodes(g))
         assert np.max(np.abs(out - exact)) < 1e-4
 
@@ -130,7 +130,7 @@ class TestApply:
             g = GridSpec(N=n, r=r, L=1.0)
             p = FracLapParams(alpha=alpha, grid=g)
             us, uss = mapped_derivatives(RATIONAL, g.L)
-            results[r] = apply(f_from_analytic(us, uss, g), p)
+            results[r] = FractionalLaplacian(p).apply(f_from_analytic(us, uss, g))
         e2 = np.max(np.abs(results[2] - results[32]))
         e4 = np.max(np.abs(results[4] - results[32]))
         assert e2 / e4 == pytest.approx(4.0, rel=0.2)
