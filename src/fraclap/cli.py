@@ -7,7 +7,8 @@ Three commands, selected with ``--command``:
   the measured doubling order in r;
 * ``nls`` — evolve the focusing fractional cubic Schrödinger equation and
   write the energy log plus wavefunction snapshots (in CSV, each snapshot
-  file as soon as the snapshot is taken).
+  file as soon as the snapshot is taken, and on a blow-up the energy log
+  of the steps before it).
 
 Exit codes: 0 success, 2 configuration error, 3 input-shape error,
 4 blow-up abort, 5 internal numeric failure.
@@ -370,11 +371,23 @@ def cmd_nls(cfg: RunConfig) -> int:
                 fh.write("j,x_j,re,im,abs\n")
                 _write_rows(fh, _CSV_ROW, node_columns(psi))
 
-    result = simulate(psi0, params, dt=cfg.dt, t_end=cfg.t_end,
-                      snapshot_every=cfg.snapshot_every, sink=sink)
-    m0 = result.energies[0]
+    def write_csv_log(times, energies):
+        with open(cfg.output, "w") as fh:
+            fh.write("t,M,drift\n")
+            _write_rows(fh, "%.17g,%.17g,%.17g\n",
+                        [times, energies, np.abs(energies - energies[0])])
+
+    try:
+        result = simulate(psi0, params, dt=cfg.dt, t_end=cfg.t_end,
+                          snapshot_every=cfg.snapshot_every, sink=sink)
+    except BlowUpError as exc:
+        # CSV keeps the steps logged before the abort, like its snapshots.
+        if cfg.fmt == "csv":
+            write_csv_log(exc.times, exc.energies)
+        raise
 
     if cfg.fmt == "json":
+        m0 = result.energies[0]
         doc = {
             "command": "nls",
             "alpha": alpha, "N": n, "r": r, "L": cfg.L,
@@ -390,10 +403,7 @@ def cmd_nls(cfg: RunConfig) -> int:
         _write_json(cfg.output, doc, ("j", "x", "re", "im", "abs"),
                     (node_columns(psi) for _, psi, _ in snapshots))
     else:
-        lines = ["t,M,drift"]
-        for t, m in zip(result.times, result.energies):
-            lines.append(f"{_fmt(t)},{_fmt(m)},{_fmt(abs(m - m0))}")
-        cfg.output.write_text("\n".join(lines) + "\n")
+        write_csv_log(result.times, result.energies)
     return EXIT_OK
 
 

@@ -119,8 +119,9 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
     ``snapshot_every``-th step, and at the final step, and each is passed
     to ``sink`` at once, with a copy of ψ the sink may keep; the run holds
     none of them.  A non-finite sample aborts the run with
-    :class:`fraclap.errors.BlowUpError` carrying the first bad index and the
-    time it appeared, after the sink has seen every earlier snapshot.
+    :class:`fraclap.errors.BlowUpError` carrying the first bad index, the
+    time it appeared and the energy log of the steps before it, after the
+    sink has seen every earlier snapshot.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ParameterError(f"dt must be positive and finite, got {dt!r}")
@@ -150,6 +151,7 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
         state = rk4_step(state)
         finite = np.isfinite(state.psi.real) & np.isfinite(state.psi.imag)
         if not finite.all():
-            raise BlowUpError(time=state.t, index=int(np.argmin(finite)))
+            raise BlowUpError(time=state.t, index=int(np.argmin(finite)),
+                              times=times[:step], energies=energies[:step])
         record(step)
     return SimulationResult(times=times, energies=energies)

@@ -17,9 +17,9 @@ cos(s)·sin(ks) then make f a sine series on the modes 1..N,
 
     f = Σ_{m=1}^{N} b_m sin(ms),   b_m = −½(m²−1)(a_{m−1} − a_{m+1}),
 
-with a_N = a_{N+1} = 0, and one inverse FFT of length 4rN sums it at every
-midpoint s_n = (2n+1)π/(4rN) (Makhoul, IEEE Trans. ASSP 28, 1980, for the
-cosine/sine transform identities).  u_s and u_ss are never formed.
+with a_N = a_{N+1} = 0, and one FFT of length 2rN (a DST-III, Makhoul,
+IEEE Trans. ASSP 28, 1980; mode m in bins m and 2rN − m) sums it at every
+midpoint s_n = (2n+1)π/(4rN).  u_s and u_ss are never formed.
 
 The shifted node set never contains 0 or π, so the series machinery stays
 clear of the map's poles.
@@ -78,10 +78,11 @@ def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
 
     ``a`` holds the N cosine coefficients of u.  With M = 2rN, f is the
     sine series Σ_{m=1}^{N} b_m sin(m s_n) at s_n = (2n+1)π/(2M), summed by
-    one inverse FFT of length 2M: b_m·e^{iπm/(2M)}/(2i) goes to bin m,
-    −b_m·e^{−iπm/(2M)}/(2i) to bin 2M − m, and the first M outputs, times
-    2M, are f.  The function keeps its name, though it returns f and not
-    the derivatives, because the benchmark's tracer wraps it by that name.
+    one FFT of length 2rN (a DST-III, Makhoul 1980): bin m gets
+    −i·b_m·e^{iπm/(2M)} and bin M − m adds i·b_m·e^{−iπm/(2M)} (at r = 1
+    both are bin N for m = N); with w = (M/2)·IFFT_M, f_{2n} = w_n and
+    f_{2n+1} = −w_{M−1−n}.  The name stays, though f is returned, because
+    the benchmark's tracer wraps the function by it.
     """
     a = np.asarray(a, dtype=complex)
     if a.shape != (g.N,):
@@ -94,14 +95,17 @@ def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
     m = np.arange(1, g.N + 1)
     diff = a.copy()
     diff[:-2] -= a[2:]  # a_{m−1} − a_{m+1}
-    # The bins carry 2M·b_m/(2i) = ½iM(m²−1)(a_{m−1} − a_{m+1}).
-    bins = 0.5j * n_mid * (m * m - 1.0) * diff
+    # bins = −i·(M/2)·b_m = ¼iM(m²−1)(a_{m−1} − a_{m+1}).
+    bins = 0.25j * n_mid * (m * m - 1.0) * diff
     phase = np.exp(0.5j * np.pi / n_mid * m)
-    c = np.zeros(2 * n_mid, dtype=complex)
-    c[1: g.N + 1] = bins * phase
-    c[:-g.N - 1:-1] = -bins * phase.conj()
-    np.fft.ifft(c, out=c)
-    return c[:n_mid].copy()  # a view would keep all 2M values alive
+    w = np.zeros(n_mid, dtype=complex)
+    w[1: g.N + 1] = bins * phase
+    w[:-g.N - 1:-1] -= bins * phase.conj()  # adds: bin N is shared at r = 1
+    np.fft.ifft(w, out=w)
+    f = np.empty(n_mid, dtype=complex)
+    f[0::2] = w[: n_mid // 2]
+    np.negative(w[: n_mid // 2 - 1: -1], out=f[1::2])
+    return f
 
 
 def f_from_analytic(us: Callable, uss: Callable, g: GridSpec) -> MidpointSamples:

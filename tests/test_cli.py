@@ -392,14 +392,14 @@ class TestNls:
                                                   abs=1e-9)
 
     @staticmethod
-    def _blow_up_argv(tmp_path):
+    def _blow_up_argv(tmp_path, scale=1e200):
         # Scaled-up focusing data overflows within a few steps; the
         # overflow itself is the behavior under test.
         g = GridSpec(N=32, r=1, L=10.0)
         x = map_to_real(output_nodes(g), 10.0)
         samples = tmp_path / "psi0.txt"
         samples.write_text("\n".join(
-            f"{1e200 * math.exp(-t * t):.17g} 0" for t in x) + "\n")
+            f"{scale * math.exp(-t * t):.17g} 0" for t in x) + "\n")
         return ["--command", "nls", "--alpha", "1.3", "--N", "32",
                 "--r", "1", "--L", "10.0", "--dt", "0.1",
                 "--t-end", "1.0", "--input", str(samples),
@@ -418,6 +418,23 @@ class TestNls:
         assert snaps[0].name == "o_snapshot_000000.csv"
         header, rows, _ = _read_csv_rows(snaps[0])
         assert header == ["j", "x_j", "re", "im", "abs"] and len(rows) == 32
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_keeps_energy_log(self, tmp_path):
+        # The CSV energy log keeps one line per step logged before the
+        # abort: with a snapshot at every step, one line per snapshot file.
+        # At amplitude 10 the first step completes and the second overflows.
+        argv = self._blow_up_argv(tmp_path, scale=10.0) \
+            + ["--snapshot-every", "1"]
+        assert main(argv) == 4
+        log = tmp_path / "o.csv"
+        assert log.exists()
+        lines = log.read_text().splitlines()
+        assert lines[0] == "t,M,drift"
+        n_snaps = len(list(tmp_path.glob("o_snapshot_*.csv")))
+        assert n_snaps >= 2 and len(lines) == 1 + n_snaps
+        times = [float(line.split(",")[0]) for line in lines[1:]]
+        assert times == pytest.approx(0.1 * np.arange(n_snaps), abs=1e-12)
 
     def test_csv_memory_does_not_grow_with_snapshot_count(self, tmp_path):
         import tracemalloc

@@ -219,6 +219,9 @@ class TestSimulate:
         # Every snapshot before the abort reached the sink.
         assert seen == pytest.approx([0.1 * k for k in range(len(seen))])
         assert seen[-1] == pytest.approx(info.value.time - 0.1)
+        # The error carries the energy log of those same steps.
+        assert np.array_equal(info.value.times, seen)
+        assert len(info.value.energies) == len(seen)
 
     @pytest.mark.slow
     def test_energy_drift_quarters_per_refinement_doubling(self):

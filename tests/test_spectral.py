@@ -168,6 +168,23 @@ class TestDerivativesAtMidpoints:
                                   g.num_midpoints)
         assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
 
+    def test_peak_memory_near_two_output_arrays(self):
+        import tracemalloc
+
+        # One work array of length 2rN plus the interleaved output; a
+        # buffer of length 4rN would reach 3.2 times the output's bytes.
+        g = GridSpec(N=2**14, r=8, L=1.0)
+        a = coefficients_from_samples(
+            np.random.default_rng(0).standard_normal(g.N))
+        derivatives_at_midpoints(a, g)
+        tracemalloc.start()
+        try:
+            f = derivatives_at_midpoints(a, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * f.nbytes
+
 
 class TestDirectSumOracle:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -175,6 +192,11 @@ class TestDirectSumOracle:
            seed=st.integers(0, 2**32 - 1))
     @example(n=1, r=1, seed=0)
     @example(n=293, r=7, seed=0)
+    # At r = 1 the DST-III's bins m = N and M − m = N coincide; r = 32 lies
+    # beyond the drawn r ≤ 7.
+    @example(n=2, r=1, seed=0)
+    @example(n=1024, r=1, seed=0)
+    @example(n=31, r=32, seed=0)
     def test_fast_route_equals_direct_sums(self, n, r, seed):
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
