@@ -213,7 +213,11 @@ def _validate(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_samples(path: str, expected: int) -> np.ndarray:
-    """Read 're im' per line; the line count must equal the node count."""
+    """Read 're im' per line; the line count must equal the node count.
+
+    A file whose imaginary column is exactly zero loads as float, so real
+    data takes the real-arithmetic path, as a real builtin profile does.
+    """
     rows = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -234,7 +238,8 @@ def _load_samples(path: str, expected: int) -> np.ndarray:
         raise SampleShapeError(
             f"{path}: {len(rows)} samples for a grid of N={expected} nodes"
         )
-    return np.asarray(rows, dtype=complex)
+    samples = np.asarray(rows, dtype=complex)
+    return samples if samples.imag.any() else samples.real.copy()
 
 
 def _resolve_operator_input(cfg: RunConfig, params: FracLapParams):

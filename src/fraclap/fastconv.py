@@ -22,6 +22,15 @@ and κ_ρ[q] = κ[(2rq − ρ) mod P], A_j = Σ_ρ (a^ρ ⊛_m κ_ρ)[j], ρ = 0
 The plan is the table of the length-m FFTs of the κ_ρ, one row each.  The
 row FFTs run batched, at most 2^17 points per call: pocketfft's scratch
 grows with the points of a call, and batching keeps many short rows fast.
+
+M is real, so every κ_ρ is real and its spectrum Hermitian: the table keeps
+the m//2+1 ``rfft`` bins of each row, half the bytes of the full spectra
+(the real-input FFT of Sorensen, Jones, Heideman & Burrus, IEEE Trans. ASSP
+35, 1987).  Real samples stay real: their rows go through ``rfft``, the
+products with the half table are summed into one row, and one ``irfft`` of
+length m gives A.  Complex samples keep complex row FFTs against full rows,
+mirrored once from the half table; a real/imaginary split through the real
+path measured slower.
 """
 
 from __future__ import annotations
@@ -30,7 +39,8 @@ import numpy as np
 
 from .errors import SampleShapeError
 from .grid import GridSpec
-from .quadrature import MidpointSamples, SingularParams, _sinc
+from .quadrature import (MidpointSamples, SingularParams, _float_or_complex,
+                         _sinc)
 
 __all__ = ["FastConvolver", "fast_singular_integral"]
 
@@ -48,22 +58,37 @@ def _smooth5_at_least(n: int) -> int:
     return best
 
 
-def _fft_rows(a: np.ndarray) -> np.ndarray:
-    """FFT every row of ``a`` in place, at most 2^17 points per call."""
+def _transform_rows(transform, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``transform`` every row of ``a`` into ``out``, at most 2^17 points per call."""
     rows = max(1, (1 << 17) // a.shape[1])
     for i in range(0, a.shape[0], rows):
-        np.fft.fft(a[i:i + rows], axis=1, out=a[i:i + rows])
-    return a
+        transform(a[i:i + rows], axis=1, out=out[i:i + rows])
+    return out
+
+
+def _full_table(half: np.ndarray, m: int) -> np.ndarray:
+    """Length-m spectra of real rows from their first m//2+1 bins.
+
+    A real row's spectrum is Hermitian, T[m − k] = conj(T[k]).
+    """
+    full = np.empty((half.shape[0], m), dtype=complex)
+    full[:, :half.shape[1]] = half
+    np.conjugate(half[:, (m - 1) // 2:0:-1], out=full[:, half.shape[1]:])
+    return full
 
 
 class FastConvolver:
     """Fast-convolution plan for fixed (grid, β, γ).
 
-    The plan is the pair (kernel table, sample weights), row ρ of the (2r, m)
-    table the FFT of κ_ρ; it depends only on the grid and the exponents and
-    is built on the first :meth:`apply`.
-    With ``cache_kernels=True`` it is kept and reused by every later call,
-    which is what makes repeated application inside a time stepper
+    The plan is the pair (kernel table, sample weights); it depends only on
+    the grid and the exponents and is built on the first :meth:`apply`.
+    Row ρ of the table is the spectrum of the real κ_ρ, kept as its m//2+1
+    ``rfft`` bins, which is all real samples need.  Complex samples need
+    the full length-m rows; the first complex call mirrors them from the
+    half (T[m − k] = conj T[k]), and a kept plan then holds the full table,
+    whose first m//2+1 columns serve real samples.
+    With ``cache_kernels=True`` the plan is kept and reused by every later
+    call, which is what makes repeated application inside a time stepper
     affordable.  With ``cache_kernels=False`` nothing is retained, which
     keeps the memory footprint flat for very large one-shot evaluations.
     """
@@ -77,7 +102,7 @@ class FastConvolver:
         self._plan = None
 
     def _kernel_table(self) -> np.ndarray:
-        """Row ρ is the FFT of κ_ρ[q] = κ[(2rq − ρ) mod P], κ[t] = M(t+r−1)."""
+        """Row ρ is the rfft of κ_ρ[q] = κ[(2rq − ρ) mod P], κ[t] = M(t+r−1)."""
         g, gamma, P = self.grid, self.params.gamma, self.fft_length
         two_rn, r = g.num_midpoints, g.r
         moving = np.diff(np.arange(two_rn - r + 1, dtype=float) ** (gamma + 1.0))
@@ -86,9 +111,10 @@ class FastConvolver:
         x[:r] = moving[r - 1::-1]  # −r ≤ k − r < 0, by symmetry
         x[r:two_rn] = moving
         x[P - two_rn + 2 * r:] = moving[:r - 1:-1]  # k − r < −r, by symmetry
-        # x[2rq + c] = κ_{2r−1−c}[q]: reversing the columns gives the table.
-        table = x.reshape(-1, 2 * r)[:, ::-1].T.astype(complex, order="C")
-        return _fft_rows(table)
+        # x[2rq + c] = κ_{2r−1−c}[q]: reversing the columns gives the rows.
+        rows = x.reshape(-1, 2 * r)[:, ::-1].T
+        table = np.empty((2 * r, rows.shape[1] // 2 + 1), dtype=complex)
+        return _transform_rows(np.fft.rfft, rows, table)
 
     def _weights(self) -> np.ndarray:
         """The sin^β weight of every midpoint, lower half then upper half."""
@@ -107,10 +133,11 @@ class FastConvolver:
 
         ``values`` must hold f at all 2rN midpoints.  Returns the length-N
         vector of quadrature values, equal to the direct double summation
-        to near machine precision.
+        to near machine precision: float64 for real samples, complex128 for
+        complex ones.
         """
         g, p = self.grid, self.params
-        values = np.asarray(values)
+        values = _float_or_complex(values)
         if values.shape != (g.num_midpoints,):
             raise SampleShapeError(
                 f"expected {g.num_midpoints} midpoint samples, got {values.shape}"
@@ -118,21 +145,32 @@ class FastConvolver:
         # The table goes first: its temporaries peak while little else is
         # held.  Without a cache, every array is dropped once used.
         table, weights = self._plan or (self._kernel_table(), self._weights())
+        n, two_r = g.N, 2 * g.r
+        m = self.fft_length // two_r
+        real = not np.iscomplexobj(values)
+        if not real and table.shape[1] < m:
+            table = _full_table(table, m)
         if self.cache_kernels:
             self._plan = table, weights
-        n, two_r = g.N, 2 * g.r
-        buf = np.zeros(table.shape, dtype=complex)  # row ρ holds a^ρ
+        # Row ρ holds a^ρ.  Real rows sit in the first m floats of their
+        # half-spectrum row and are transformed in place (numpy copies an
+        # input that overlaps its output, here one batch of rows).
+        buf = np.zeros((two_r, m // 2 + 1 if real else m), dtype=complex)
+        rows = buf.view(float)[:, :m] if real else buf
         np.multiply(weights.reshape(n, two_r).T, values.reshape(n, two_r).T,
-                    out=buf[:, :n])
+                    out=rows[:, :n])
         del weights
-        _fft_rows(buf)
-        buf *= table
+        _transform_rows(np.fft.rfft if real else np.fft.fft, rows, buf)
+        buf *= table[:, :buf.shape[1]]
         del table
         for row in buf[1:]:  # sum the 2r products in place
             buf[0] += row
-        np.fft.ifft(buf[0], out=buf[0])
+        if real:  # into row 1, which has room for m floats
+            out = np.fft.irfft(buf[0], n=m, out=buf[1].view(float)[:m])
+        else:
+            out = np.fft.ifft(buf[0], out=buf[0])
         scale = g.h ** (p.beta + p.gamma + 1.0) / ((p.beta + 1) * (p.gamma + 1))
-        return buf[0, :n] * scale
+        return out[:n] * scale
 
 
 def fast_singular_integral(F: MidpointSamples, p: SingularParams) -> np.ndarray:

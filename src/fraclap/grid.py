@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+def _reject_bool(name: str, value) -> None:
+    """Raise ParameterError when a real parameter is a ``bool``/``np.bool_``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ParameterError(f"{name} must be a number, not a bool, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Discretization record: N output nodes, refinement r, map scale L.
@@ -47,7 +53,7 @@ class GridSpec:
     r : int
         Refinement factor, ≥ 1; the quadrature uses 2rN midpoints.
     L : float
-        Map scale of x = L·cot(s), > 0.
+        Map scale of x = L·cot(s), > 0 (not ``bool``).
     """
 
     N: int
@@ -62,6 +68,7 @@ class GridSpec:
                 raise ParameterError(
                     f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        _reject_bool("L", self.L)
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ParameterError(f"L must be positive and finite, got {self.L!r}")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fastconv import FastConvolver
-from .grid import GridSpec, output_nodes
+from .grid import GridSpec, _reject_bool, output_nodes
 from .quadrature import MidpointSamples, SingularParams
 from .spectral import f_from_samples
 
@@ -50,6 +50,7 @@ class FracLapParams:
     grid: GridSpec
 
     def __post_init__(self):
+        _reject_bool("alpha", self.alpha)
         if not (0.0 < self.alpha < 2.0):
             raise ParameterError(f"alpha must lie in (0, 2), got {self.alpha}")
         if abs(self.alpha - 1.0) < _ALPHA_ONE_MARGIN:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SampleShapeError
-from .grid import GridSpec, index_sign
+from .grid import GridSpec, _reject_bool, index_sign
 
 __all__ = [
     "SingularParams",
@@ -38,6 +38,12 @@ __all__ = [
 # Below this magnitude sin(z)/z is replaced by 1 - z^2/6; the relative error
 # of the truncation is < 1e-32 there, far below double precision.
 _SINC_SERIES_CUTOFF = 1e-8
+
+
+def _float_or_complex(x) -> np.ndarray:
+    """``x`` as float64, or as complex128 when it is complex."""
+    x = np.asarray(x)
+    return x.astype(complex if np.iscomplexobj(x) else float, copy=False)
 
 
 def _sinc(z: np.ndarray) -> np.ndarray:
@@ -53,13 +59,15 @@ class SingularParams:
     """Exponent pair of the kernel sin^β(η)·|sin(η−s)|^γ.
 
     Requires β > 0 and γ > −1, the range in which the two-sided quadrature
-    converges.
+    converges; neither may be a ``bool``.
     """
 
     beta: float
     gamma: float
 
     def __post_init__(self):
+        for name in ("beta", "gamma"):
+            _reject_bool(name, getattr(self, name))
         if not self.beta > 0:
             raise ParameterError(f"beta must be > 0, got {self.beta}")
         if not self.gamma > -1:
@@ -68,13 +76,17 @@ class SingularParams:
 
 @dataclass(frozen=True)
 class MidpointSamples:
-    """Integrand samples f at the 2rN fine midpoints of a grid."""
+    """Integrand samples f at the 2rN fine midpoints of a grid.
+
+    ``values`` is stored as float64 when it is real and as complex128 when
+    it is complex, so real samples take the real-arithmetic path.
+    """
 
     values: np.ndarray
     grid: GridSpec
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = _float_or_complex(self.values)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) != self.grid.num_midpoints:
             raise SampleShapeError(

@@ -15,11 +15,11 @@ from fraclap.quadrature import (MidpointSamples, SingularParams,
                                 singular_integral_direct)
 
 
-def _random_samples(g: GridSpec, seed: int) -> MidpointSamples:
+def _random_samples(g: GridSpec, seed: int, real: bool = False) -> MidpointSamples:
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(g.num_midpoints) + 1j * rng.standard_normal(
-        g.num_midpoints
-    )
+    v = rng.standard_normal(g.num_midpoints)
+    if not real:
+        v = v + 1j * rng.standard_normal(g.num_midpoints)
     return MidpointSamples(values=v, grid=g)
 
 
@@ -55,13 +55,15 @@ class TestFftLength:
 def _kernel(conv: FastConvolver) -> np.ndarray:
     """κ on its cyclic length-P layout, rebuilt from the plan's row table.
 
-    Row ρ of the table is the FFT of κ_ρ[q] = κ[(2rq − ρ) mod P], so its
-    inverse FFT puts κ back at those indices.
+    Row ρ of the table is the rfft of κ_ρ[q] = κ[(2rq − ρ) mod P], so its
+    irfft puts κ back at those indices.
     """
-    rows = np.fft.ifft(conv._kernel_table(), axis=1)
-    two_r, m = rows.shape
+    table = conv._kernel_table()
+    two_r = table.shape[0]
+    m = conv.fft_length // two_r
+    rows = np.fft.irfft(table, n=m, axis=1)
     q, rho = np.meshgrid(np.arange(m), np.arange(two_r))
-    kappa = np.empty(conv.fft_length, dtype=complex)
+    kappa = np.empty(conv.fft_length)
     kappa[(two_r * q - rho) % conv.fft_length] = rows
     return kappa
 
@@ -85,11 +87,13 @@ class TestKernelLayout:
     def test_zero_samples_zero_k_columns(self):
         # The samples enter only through a_n = weight·f_n: zero samples give
         # exactly zero, and the plan (kernel table, weights) is the same
-        # whatever samples built it.
+        # whatever samples built it.  Real zeros build the half table and
+        # complex zeros extend it to the full one.
         g = GridSpec(N=6, r=2, L=1.0)
         p = SingularParams(beta=0.7, gamma=0.2)
         zero = FastConvolver(g, p)
         assert np.all(zero.apply(np.zeros(g.num_midpoints)) == 0)
+        assert np.all(zero.apply(np.zeros(g.num_midpoints, dtype=complex)) == 0)
         other = FastConvolver(g, p)
         other.apply(_random_samples(g, 1).values)
         for a, b in zip(zero._plan, other._plan):
@@ -164,18 +168,21 @@ class TestFastAgainstDirect:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(n=st.integers(1, 300), r=st.integers(1, 7),
            beta=st.floats(0.001, 4.0), gamma=st.floats(-0.999, 3.0),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=293, r=7, beta=1.99, gamma=-0.99, seed=0)  # criterion 1's pair
-    @example(n=1, r=1, beta=1.99, gamma=-0.99, seed=1)
-    @example(n=101, r=3, beta=1.99, gamma=-0.99, seed=2)
-    @example(n=1, r=32, beta=1.99, gamma=-0.99, seed=3)  # the NLS runs' r
-    @example(n=31, r=32, beta=1.99, gamma=-0.99, seed=4)
-    @example(n=300, r=110, beta=1.99, gamma=-0.99, seed=5)  # rows: 218 + 2
-    @example(n=300, r=110, beta=0.8, gamma=0.4, seed=6)  # oracle at large 2rN
-    def test_property_fast_equals_direct(self, n, r, beta, gamma, seed):
+           seed=st.integers(0, 2**32 - 1), real=st.booleans())
+    @example(n=293, r=7, beta=1.99, gamma=-0.99, seed=0, real=False)  # criterion 1
+    @example(n=1, r=1, beta=1.99, gamma=-0.99, seed=1, real=False)
+    @example(n=101, r=3, beta=1.99, gamma=-0.99, seed=2, real=False)
+    @example(n=1, r=32, beta=1.99, gamma=-0.99, seed=3, real=False)  # NLS runs' r
+    @example(n=31, r=32, beta=1.99, gamma=-0.99, seed=4, real=False)
+    @example(n=300, r=110, beta=1.99, gamma=-0.99, seed=5, real=False)  # 218 + 2 rows
+    @example(n=300, r=110, beta=0.8, gamma=0.4, seed=6, real=False)  # large 2rN
+    # Real samples: m = 3 is odd at N = 2 (no Nyquist bin); 218 + 2 rows.
+    @example(n=2, r=1, beta=1.99, gamma=-0.99, seed=7, real=True)
+    @example(n=300, r=110, beta=1.99, gamma=-0.99, seed=8, real=True)
+    def test_property_fast_equals_direct(self, n, r, beta, gamma, seed, real):
         g = GridSpec(N=n, r=r, L=1.0)
         p = SingularParams(beta=beta, gamma=gamma)
-        F = _random_samples(g, seed)
+        F = _random_samples(g, seed, real)
         assert _rel(
             fast_singular_integral(F, p), singular_integral_direct(F, p)
         ) < 1e-11
@@ -192,13 +199,48 @@ class TestFastAgainstDirect:
         ) < 1e-12
 
 
+_PEAK_RSS_CODE = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from fraclap.fastconv import fast_singular_integral
+    from fraclap.grid import GridSpec
+    from fraclap.quadrature import MidpointSamples, SingularParams
+
+    def peak():
+        with open("/proc/self/status") as f:
+            return next(int(line.split()[1]) * 1024 for line in f
+                        if line.startswith("VmHWM:"))
+
+    g = GridSpec(N=2**18, r=1, L=1.0)
+    rng = np.random.default_rng(31)
+    v = np.empty(g.num_midpoints, dtype=sys.argv[1])
+    v.real = rng.standard_normal(g.num_midpoints)
+    if np.iscomplexobj(v):
+        v.imag = rng.standard_normal(g.num_midpoints)
+    F = MidpointSamples(values=v, grid=g)
+    before = peak()
+    fast_singular_integral(F, SingularParams(beta=1.3, gamma=-0.3))
+    print((peak() - before) / v.nbytes)
+""")
+
+
+def _fresh_apply_peak_rss(dtype: str) -> float:
+    """Peak-RSS rise of one apply at N = 2^18, r = 1 in a fresh interpreter,
+    over the bytes of its ``dtype`` samples."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CODE, dtype],
+                          capture_output=True, text=True, check=True)
+    return float(proc.stdout)
+
+
 class TestConvolverReuse:
     def test_cached_plan_matches_one_shot(self):
         g = GridSpec(N=9, r=4, L=1.0)
         p = SingularParams(beta=0.6, gamma=0.1)
         plan = FastConvolver(g, p, cache_kernels=True)
+        # Real, complex, real: the kept half table is mirrored to the full
+        # one, whose first m//2+1 columns then serve real samples.
         for seed in (20, 21, 22):
-            F = _random_samples(g, seed)
+            F = _random_samples(g, seed, real=seed != 21)
             assert np.array_equal(plan.apply(F.values),
                                   plan.apply(F.values))
             assert _rel(plan.apply(F.values),
@@ -232,30 +274,16 @@ class TestConvolverReuse:
         # kernel table and the buffer are 2x the samples each, and so is
         # the scratch of one row's FFT: about 6x.  One FFT over all P
         # points needed 4x for its scratch alone, about 9x in all.
-        code = textwrap.dedent("""
-            import numpy as np
-            from fraclap.fastconv import fast_singular_integral
-            from fraclap.grid import GridSpec
-            from fraclap.quadrature import MidpointSamples, SingularParams
+        assert _fresh_apply_peak_rss("complex") <= 7.0
 
-            def peak():
-                with open("/proc/self/status") as f:
-                    return next(int(line.split()[1]) * 1024 for line in f
-                                if line.startswith("VmHWM:"))
-
-            g = GridSpec(N=2**18, r=1, L=1.0)
-            rng = np.random.default_rng(31)
-            v = np.empty(g.num_midpoints, dtype=complex)
-            v.real = rng.standard_normal(g.num_midpoints)
-            v.imag = rng.standard_normal(g.num_midpoints)
-            F = MidpointSamples(values=v, grid=g)
-            before = peak()
-            fast_singular_integral(F, SingularParams(beta=1.3, gamma=-0.3))
-            print((peak() - before) / v.nbytes)
-        """)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, check=True)
-        assert float(proc.stdout) <= 7.0
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak RSS from /proc/self/status")
+    def test_one_shot_peak_rss_real_samples(self):
+        # Real samples build only the half table (2x the float samples) and
+        # transform their rows in place inside the half-spectrum buffer
+        # (2x); with the weights and one row's scratch that is about 7x.
+        # The same samples cast to complex need about 12x their float bytes.
+        assert _fresh_apply_peak_rss("float") <= 11.0
 
     def test_wrong_length_rejected(self):
         g = GridSpec(N=4, r=1, L=1.0)

@@ -29,6 +29,11 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("L", [True, np.bool_(True)])
+    def test_bool_map_scale_rejected(self, L):
+        with pytest.raises(ParameterError, match="bool"):
+            GridSpec(N=4, r=1, L=L)
+
     def test_numpy_integers_accepted_and_stored_as_int(self):
         g = GridSpec(N=np.int64(8), r=np.int32(3), L=1.0)
         assert type(g.N) is int and type(g.r) is int

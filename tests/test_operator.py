@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fraclap.errors import ParameterError
-from fraclap.grid import GridSpec, midpoint_nodes, output_nodes
+from fraclap.grid import GridSpec, map_to_real, midpoint_nodes, output_nodes
 from fraclap.operator import FracLapParams, FractionalLaplacian, prefactors
 from fraclap.profiles import ERF, RATIONAL, mapped_derivatives
 from fraclap.quadrature import MidpointSamples
@@ -25,6 +25,12 @@ class TestParams:
     @pytest.mark.parametrize("alpha", [0.0, 2.0, -0.3, 2.5, 1.0, 1.0 + 5e-9])
     def test_invalid_alpha_rejected(self, alpha):
         with pytest.raises(ParameterError):
+            FracLapParams(alpha=alpha, grid=GridSpec(N=4, r=1, L=1.0))
+
+    @pytest.mark.parametrize("alpha", [True, False, np.bool_(True)])
+    def test_bool_alpha_rejected(self, alpha):
+        # True is 1 and would be misreported as the Hilbert-transform case.
+        with pytest.raises(ParameterError, match="bool"):
             FracLapParams(alpha=alpha, grid=GridSpec(N=4, r=1, L=1.0))
 
     def test_kernel_exponents(self):
@@ -112,6 +118,21 @@ class TestApply:
         us, uss = mapped_derivatives(ERF, g.L)
         out = FractionalLaplacian(p).apply(f_from_analytic(us, uss, g))
         assert np.max(np.abs(out.imag)) < 1e-12 * np.max(np.abs(out))
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (2, 1), (101, 2), (1024, 32),
+                                      (4097, 7)])
+    def test_real_samples_stay_real(self, n, r):
+        # Real u runs in real arithmetic and returns float64.  The
+        # complex-cast route rounds differently in its FFTs and carries
+        # round-off imaginary parts, which the integrand's k² weights lift:
+        # on erf the two agree to 9.9e-15 relative at worst.
+        g = GridSpec(N=n, r=r, L=2.1)
+        op = FractionalLaplacian(FracLapParams(alpha=0.9, grid=g))
+        u = ERF.u(map_to_real(output_nodes(g), g.L))
+        real = op.apply_to_samples(u)
+        cast = op.apply_to_samples(u.astype(complex))
+        assert real.dtype == np.float64
+        assert np.max(np.abs(real - cast.real)) <= 1e-13 * np.max(np.abs(cast))
 
     def test_rational_profile_matches_exact(self):
         g = GridSpec(N=64, r=8, L=1.0)

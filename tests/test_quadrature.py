@@ -28,6 +28,12 @@ class TestSingularParams:
         with pytest.raises(ParameterError):
             SingularParams(beta=beta, gamma=gamma)
 
+    @pytest.mark.parametrize("beta,gamma", [(True, 0.5), (1.0, False),
+                                            (np.bool_(True), 0.5)])
+    def test_bool_exponents_rejected(self, beta, gamma):
+        with pytest.raises(ParameterError, match="bool"):
+            SingularParams(beta=beta, gamma=gamma)
+
 
 class TestMidpointSamples:
     def test_length_checked(self):

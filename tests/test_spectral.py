@@ -173,33 +173,41 @@ class TestDerivativesAtMidpoints:
 
         # One work array of length 2rN plus the interleaved output; a
         # buffer of length 4rN would reach 3.2 times the output's bytes.
+        # Real coefficients hold the half spectrum and the real irfft output
+        # instead, the same bytes as one complex work array.
         g = GridSpec(N=2**14, r=8, L=1.0)
-        a = coefficients_from_samples(
-            np.random.default_rng(0).standard_normal(g.N))
-        derivatives_at_midpoints(a, g)
-        tracemalloc.start()
-        try:
-            f = derivatives_at_midpoints(a, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * f.nbytes
+        u = np.random.default_rng(0).standard_normal(g.N)
+        for a in (coefficients_from_samples(u),
+                  coefficients_from_samples(u.astype(complex))):
+            derivatives_at_midpoints(a, g)
+            tracemalloc.start()
+            try:
+                f = derivatives_at_midpoints(a, g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * f.nbytes
 
 
 class TestDirectSumOracle:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(n=st.integers(1, 300), r=st.integers(1, 7),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=1, r=1, seed=0)
-    @example(n=293, r=7, seed=0)
-    # At r = 1 the DST-III's bins m = N and M − m = N coincide; r = 32 lies
-    # beyond the drawn r ≤ 7.
-    @example(n=2, r=1, seed=0)
-    @example(n=1024, r=1, seed=0)
-    @example(n=31, r=32, seed=0)
-    def test_fast_route_equals_direct_sums(self, n, r, seed):
+           seed=st.integers(0, 2**32 - 1), real=st.booleans())
+    @example(n=1, r=1, seed=0, real=False)
+    @example(n=293, r=7, seed=0, real=False)
+    # At r = 1 the DST-III's bins m = N and M − m = N coincide (for real u,
+    # the Nyquist bin of the half spectrum); r = 32 lies beyond the drawn
+    # r ≤ 7.
+    @example(n=2, r=1, seed=0, real=False)
+    @example(n=1024, r=1, seed=0, real=False)
+    @example(n=31, r=32, seed=0, real=False)
+    @example(n=2, r=1, seed=0, real=True)
+    @example(n=1024, r=1, seed=0, real=True)
+    def test_fast_route_equals_direct_sums(self, n, r, seed, real):
         rng = np.random.default_rng(seed)
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u = rng.standard_normal(n)
+        if not real:
+            u = u + 1j * rng.standard_normal(n)
         g = GridSpec(N=n, r=r, L=1.0)
         a = coefficients_from_samples(u, threshold=0.0)
         a_direct = cosine_coefficients_direct(u)
@@ -248,3 +256,14 @@ class TestIntegrandConstruction:
     def test_wrong_sample_count_rejected(self):
         with pytest.raises(SampleShapeError):
             f_from_samples(np.ones(5), GridSpec(N=6, r=1, L=1.0))
+
+    def test_real_input_stays_float(self):
+        # Real u gives float64 at every stage; complex u stays complex128.
+        # (Their values agree: TestDirectSumOracle draws both.)
+        g = GridSpec(N=37, r=3, L=2.1)
+        u = ERF.u(2.1 / np.tan(output_nodes(g)))
+        assert coefficients_from_samples(u.tolist()).dtype == np.float64
+        assert f_from_samples(u, g).values.dtype == np.float64
+        assert f_from_samples(u.astype(complex), g).values.dtype == np.complex128
+        us, uss = mapped_derivatives(ERF, 2.1)
+        assert f_from_analytic(us, uss, g).values.dtype == np.float64
