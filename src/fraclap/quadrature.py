@@ -50,8 +50,10 @@ def _sinc(z: np.ndarray) -> np.ndarray:
     """sin(z)/z with the convention sin(0)/0 = 1, safe near z = 0."""
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < _SINC_SERIES_CUTOFF
-    denom = np.where(small, 1.0, z)
-    return np.where(small, 1.0 - z * z / 6.0, np.sin(z) / denom)
+    out = np.sin(z, out=np.empty_like(z))  # in place: one array besides z
+    np.divide(out, z, out=out, where=~small)
+    out[small] = 1.0 - z[small] * z[small] / 6.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,8 @@ def singular_integral_direct(F: MidpointSamples, p: SingularParams) -> np.ndarra
     w_upper = (node_pow[two_rn - k] - node_pow[two_rn - k - 1]) / (p.beta + 1.0)
 
     sinc_lower = _sinc(mid[:rn]) ** p.beta
-    sinc_upper = (np.sin(mid[rn:]) / (h * (two_rn - k - 0.5))) ** p.beta
+    # sin(η) = sin(π − η): the complementary angle keeps full accuracy near π.
+    sinc_upper = _sinc(h * (two_rn - k - 0.5)) ** p.beta
 
     scale = h ** (p.beta + p.gamma + 1.0)
     out = np.empty(N, dtype=complex)

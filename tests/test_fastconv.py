@@ -140,6 +140,18 @@ class TestKernelLayout:
         assert np.max(np.abs(kappa[~read])) < 1e-13 * np.max(np.abs(expected))
 
 
+class TestWeights:
+    @pytest.mark.parametrize("n, r", [(2**16, 1), (1024, 32)])
+    def test_weights_are_a_palindrome(self, n, r):
+        # sin(h(rN + k + ½)) = sin(h(rN − k − ½)) and the power differences
+        # mirror too, so the upper half is the lower one reversed, exactly;
+        # sin evaluated near π would lose ~1e-11 relative at N = 2^16.
+        conv = FastConvolver(GridSpec(N=n, r=r, L=1.0),
+                             SingularParams(beta=1.3, gamma=-0.3))
+        w = conv._weights()
+        assert np.array_equal(w, w[::-1])
+
+
 class TestFastAgainstDirect:
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     @pytest.mark.parametrize("r", [1, 2, 5])
@@ -246,10 +258,23 @@ class TestConvolverReuse:
             assert _rel(plan.apply(F.values),
                         fast_singular_integral(F, p)) < 1e-14
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 64, 101])  # odd and even m
+    @pytest.mark.parametrize("r", [1, 3, 32])
+    def test_one_shot_half_table_equals_kept_full_table(self, n, r):
+        # A one-shot complex apply multiplies by the half table on slices,
+        # T[m − k] = conj T[k]; a kept plan mirrors the full table once.
+        g = GridSpec(N=n, r=r, L=1.0)
+        p = SingularParams(beta=0.6, gamma=0.1)
+        F = _random_samples(g, 100 * n + r)
+        kept = FastConvolver(g, p)
+        out = kept.apply(F.values)
+        assert kept._plan[1].shape[1] == kept.fft_length // (2 * r)
+        assert np.array_equal(fast_singular_integral(F, p), out)
+
     def test_one_shot_memory_is_a_few_sample_arrays(self):
-        # Without a cache, one call holds at most the kernel table, the
-        # weights and one transform buffer; the table and the buffer are
-        # 2x the samples each at this size (P = 4rN).
+        # Without a cache, one call holds at most the half kernel table (1x
+        # the samples at this size, P = 4rN), the weights (0.5x) and one
+        # transform buffer (2x).
         import tracemalloc
 
         g = GridSpec(N=2**16, r=1, L=1.0)
@@ -262,7 +287,7 @@ class TestConvolverReuse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * F.values.nbytes
+        assert peak <= 4 * F.values.nbytes
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak RSS from /proc/self/status")
@@ -271,10 +296,11 @@ class TestConvolverReuse:
         # invisible to tracemalloc, so this reads the peak RSS of a fresh
         # interpreter around one apply.  VmHWM, unlike ru_maxrss, does not
         # inherit the launching process's peak across exec.  At r = 1 the
-        # kernel table and the buffer are 2x the samples each, and so is
-        # the scratch of one row's FFT: about 6x.  One FFT over all P
-        # points needed 4x for its scratch alone, about 9x in all.
-        assert _fresh_apply_peak_rss("complex") <= 7.0
+        # half kernel table is 1x the samples, the buffer 2x, and the
+        # scratch of one row's FFT 2x: about 5x.  Mirroring the full table
+        # would add 1x, and one FFT over all P points would need 4x for its
+        # scratch alone, about 9x in all.
+        assert _fresh_apply_peak_rss("complex") <= 5.6
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak RSS from /proc/self/status")
