@@ -31,10 +31,9 @@ the m//2+1 ``rfft`` bins of each row, half the bytes of the full spectra
 rows are transformed.  Real samples stay real: their rows go through
 ``rfft``, the products with the half table are summed into one row, and one
 ``irfft`` of length m gives A.  Complex samples keep complex row FFTs
-against full rows, T[m − k] = conj T[k]: a kept plan mirrors the full table
-once, a one-shot plan never does and multiplies the upper bins by the
-conjugated half table on slices.  A real/imaginary split through the real
-path measured slower.
+against the same half table: T_ρ[m − k] = conj T_ρ[k] = T_{2r−1−ρ}[k], so
+a row's upper bins are the table with rows and columns reversed.  A
+real/imaginary split through the real path measured slower.
 """
 
 from __future__ import annotations
@@ -70,32 +69,17 @@ def _transform_rows(transform, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _full_table(half: np.ndarray, m: int) -> np.ndarray:
-    """Length-m spectra of real rows from their first m//2+1 bins.
-
-    A real row's spectrum is Hermitian, T[m − k] = conj(T[k]).
-    """
-    full = np.empty((half.shape[0], m), dtype=complex)
-    full[:, :half.shape[1]] = half
-    np.conjugate(half[:, (m - 1) // 2:0:-1], out=full[:, half.shape[1]:])
-    return full
-
-
 class FastConvolver:
     """Fast-convolution plan for fixed (grid, β, γ).
 
     The plan is the pair (sample weights, kernel table); it depends only on
     the grid and the exponents and is built on the first :meth:`apply`.
     Row ρ of the table is the spectrum of the real κ_ρ, kept as its m//2+1
-    ``rfft`` bins, which is all real samples need; rows 0..r−1 are the
-    conjugates of rows r..2r−1 (from M(a) = M(−a−1)).  Complex samples need
-    the full length-m rows, T[m − k] = conj T[k].
+    ``rfft`` bins for real and complex samples alike; rows 0..r−1 are the
+    conjugates of rows r..2r−1 (from M(a) = M(−a−1)).
     With ``cache_kernels=True`` the plan is kept and reused by every later
     call, which is what makes repeated application inside a time stepper
-    affordable; its first complex call mirrors the full table once, whose
-    first m//2+1 columns then serve real samples.  With
-    ``cache_kernels=False`` nothing is retained and the table is never
-    mirrored: complex rows are multiplied by the half table on slices, which
+    affordable.  With ``cache_kernels=False`` nothing is retained, which
     keeps the memory footprint flat for very large one-shot evaluations.
     """
 
@@ -120,7 +104,13 @@ class FastConvolver:
         n, r, two_rn = g.N, g.r, g.num_midpoints
         m = self.fft_length // (2 * r)
         moving = np.diff(np.arange(two_rn + 1, dtype=float) ** (gamma + 1.0))
-        sinc = _sinc(g.h * (np.arange(two_rn) + 0.5))
+        # sin(h(a+½)) is a palindrome over a ∈ [0, 2rN): the lower half's
+        # sin, mirrored, is never evaluated near π.
+        sinc = g.h * (np.arange(two_rn) + 0.5)  # h(a+½), divided in place
+        lower = np.sin(sinc[:r * n])
+        np.divide(lower, sinc[:r * n], out=sinc[:r * n])
+        np.divide(lower[::-1], sinc[r * n:], out=sinc[r * n:])
+        del lower
         moving *= np.power(sinc, gamma, out=sinc)  # M(a ≥ 0)
         del sinc
         moving = moving.reshape(n, 2 * r)  # moving[q, c] = M(2rq + c)
@@ -170,26 +160,22 @@ class FastConvolver:
         weights, table = self._plan or (self._weights(), self._kernel_table())
         n, two_r = g.N, 2 * g.r
         m = self.fft_length // two_r
+        half = m // 2 + 1
         real = not np.iscomplexobj(values)
         if self.cache_kernels:
-            if not real and table.shape[1] < m:
-                table = _full_table(table, m)
             self._plan = weights, table
         # Row ρ holds a^ρ.  Real rows sit in the first m floats of their
         # half-spectrum row and are transformed in place (numpy copies an
         # input that overlaps its output, here one batch of rows).
-        buf = np.zeros((two_r, m // 2 + 1 if real else m), dtype=complex)
+        buf = np.zeros((two_r, half if real else m), dtype=complex)
         rows = buf.view(float)[:, :m] if real else buf
         np.multiply(weights.reshape(n, two_r).T, values.reshape(n, two_r).T,
                     out=rows[:, :n])
         del weights
         _transform_rows(np.fft.rfft if real else np.fft.fft, rows, buf)
-        bins = min(table.shape[1], buf.shape[1])
-        buf[:, :bins] *= table[:, :bins]
-        if bins < m and not real:  # the half table: T[m − k] = conj T[k]
-            up = np.conjugate(buf[:, bins:], out=buf[:, bins:])
-            up *= table[:, (m - 1) // 2:0:-1]  # buf·conj T = conj(conj buf · T)
-            np.conjugate(up, out=up)
+        buf[:, :half] *= table
+        if not real:  # T_ρ[m − k] = conj T_ρ[k] = T_{2r−1−ρ}[k]
+            buf[:, half:] *= table[::-1, (m - 1) // 2:0:-1]
         del table
         for row in buf[1:]:  # sum the 2r products in place
             buf[0] += row

@@ -61,10 +61,8 @@ class EvolutionState:
             raise SampleShapeError(
                 f"psi must have length N={self.params.grid.N}, got {self.psi.shape}"
             )
-        # dt = 0 is tolerated so a degenerate identity step can be formed;
-        # simulate() itself requires dt > 0.
-        if not self.dt >= 0:
-            raise ParameterError(f"dt must be nonnegative, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
         if self.operator is None or self.operator.params != self.params:
             self.operator = FractionalLaplacian(self.params)
 
@@ -121,10 +119,12 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
     none of them.  A non-finite sample aborts the run with
     :class:`fraclap.errors.BlowUpError` carrying the first bad index, the
     time it appeared and the energy log of the steps before it, after the
-    sink has seen every earlier snapshot.
+    sink has seen every earlier snapshot.  A step count t_end/dt that
+    overflows, or whose energy log does not fit in memory, is a
+    :class:`fraclap.errors.ParameterError`.
     """
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
+    state = EvolutionState(psi=np.asarray(psi0, dtype=complex), t=0.0,
+                           params=p, dt=dt)
     if not (t_end >= 0 and math.isfinite(t_end)):
         raise ParameterError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if isinstance(snapshot_every, bool) \
@@ -132,12 +132,15 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
             or snapshot_every < 1:
         raise ParameterError(
             f"snapshot_every must be a positive integer, got {snapshot_every!r}")
+    if not t_end / dt < 2**53:  # also rejects a quotient that overflows
+        raise ParameterError(f"t_end/dt = {t_end / dt:g} steps is too many")
     n_steps = int(round(t_end / dt))
-
-    state = EvolutionState(psi=np.asarray(psi0, dtype=complex), t=0.0,
-                           params=p, dt=dt)
-    times = np.empty(n_steps + 1)
-    energies = np.empty(n_steps + 1)
+    try:
+        times = np.empty(n_steps + 1)
+        energies = np.empty(n_steps + 1)
+    except MemoryError as exc:
+        raise ParameterError(
+            f"the energy log of {n_steps} steps does not fit in memory") from exc
 
     def record(step: int):
         m = energy(state)

@@ -181,7 +181,10 @@ def singular_integral_direct(F: MidpointSamples, p: SingularParams) -> np.ndarra
     out = np.empty(N, dtype=complex)
     for j in range(N):
         ridx = (2 * j + 1) * r
-        moving = _sinc(h * (n + 0.5 - ridx)) ** p.gamma
+        # sinc is even and sin(h·t) = sin(π − h·t): the complementary angle
+        # keeps full accuracy at the far shifts, where h·t is close to π.
+        t = np.abs(n + 0.5 - ridx)
+        moving = (np.sin(h * np.minimum(t, two_rn - t)) / (h * t)) ** p.gamma
         w_moving = signed_power_difference(
             n + 1 - ridx,
             n - ridx,

@@ -48,8 +48,7 @@ __all__ = [
 ]
 
 
-def coefficients_from_samples(u_nodes, threshold: float | None = None
-                              ) -> np.ndarray:
+def coefficients_from_samples(u_nodes) -> np.ndarray:
     """Cosine coefficients a_k, k = 0..N−1, of u from its N node samples.
 
     ``u_nodes`` holds u at s_j = (2j+1)π/(2N).  With X the FFT of the
@@ -57,16 +56,14 @@ def coefficients_from_samples(u_nodes, threshold: float | None = None
     a_k = e^{−ikπ/(2N)}·X_k/N with a_0 halved, and Σ_k a_k cos(k s_j) = u_j.
     Real samples give real (float64) a_k, from half of X.
 
-    The coefficients are Krasny-filtered: every a_k with |a_k| < threshold
-    is zeroed, because f weights a_k by up to k², which would lift
-    round-off-level coefficients at high k into visible noise.
-    ``threshold`` defaults to machine epsilon times max|a_k|.
+    The coefficients are Krasny-filtered: every a_k with |a_k| below machine
+    epsilon times max|a_k| is zeroed, because f weights a_k by up to k²,
+    which would lift round-off-level coefficients at high k into visible
+    noise.
     """
     u_nodes = _float_or_complex(u_nodes)
     if u_nodes.ndim != 1 or len(u_nodes) == 0:
         raise SampleShapeError("u_nodes must be a nonempty vector")
-    if threshold is not None and threshold < 0:
-        raise ParameterError("threshold must be nonnegative")
     n = len(u_nodes)
     real = not np.iscomplexobj(u_nodes)
     mirrored = np.concatenate([u_nodes, u_nodes[::-1]])
@@ -76,9 +73,7 @@ def coefficients_from_samples(u_nodes, threshold: float | None = None
         a = np.ascontiguousarray(a.real)
     a[0] *= 0.5
     magnitude = np.abs(a)
-    if threshold is None:
-        threshold = np.finfo(float).eps * magnitude.max()
-    a[magnitude < threshold] = 0.0
+    a[magnitude < np.finfo(float).eps * magnitude.max()] = 0.0
     return a
 
 
@@ -136,8 +131,7 @@ def f_from_analytic(us: Callable, uss: Callable, g: GridSpec) -> MidpointSamples
     return MidpointSamples(values=values, grid=g)
 
 
-def f_from_samples(u_nodes, g: GridSpec,
-                   threshold: float | None = None) -> MidpointSamples:
+def f_from_samples(u_nodes, g: GridSpec) -> MidpointSamples:
     """Build f at the midpoints from u sampled at the N output nodes only.
 
     Composition of :func:`coefficients_from_samples` and
@@ -149,5 +143,5 @@ def f_from_samples(u_nodes, g: GridSpec,
         raise SampleShapeError(
             f"expected {g.N} node samples, got {u_nodes.shape}"
         )
-    a = coefficients_from_samples(u_nodes, threshold=threshold)
+    a = coefficients_from_samples(u_nodes)
     return MidpointSamples(values=derivatives_at_midpoints(a, g), grid=g)

@@ -299,8 +299,10 @@ class TestConfigErrors:
                      "--r", "1", "--output", str(tmp_path / "o.csv")])
         assert code == 2
 
+    # The last two ask for more steps than a float counts or memory logs.
     @pytest.mark.parametrize("dt,t_end", [("0.01", "nan"), ("nan", "0.02"),
-                                          ("0.01", "inf")])
+                                          ("0.01", "inf"), ("1e-300", "1e10"),
+                                          ("1e-12", "1000")])
     def test_nls_non_finite_time_exits_2(self, tmp_path, dt, t_end):
         code = main(["--command", "nls", "--alpha", "1.3", "--N", "8",
                      "--r", "1", "--dt", dt, "--t-end", t_end,

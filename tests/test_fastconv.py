@@ -3,11 +3,13 @@ import subprocess
 import sys
 import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fraclap import fastconv
 from fraclap.errors import SampleShapeError
 from fraclap.fastconv import FastConvolver, fast_singular_integral
 from fraclap.grid import GridSpec
@@ -87,8 +89,7 @@ class TestKernelLayout:
     def test_zero_samples_zero_k_columns(self):
         # The samples enter only through a_n = weight·f_n: zero samples give
         # exactly zero, and the plan (kernel table, weights) is the same
-        # whatever samples built it.  Real zeros build the half table and
-        # complex zeros extend it to the full one.
+        # whatever samples built it, real or complex.
         g = GridSpec(N=6, r=2, L=1.0)
         p = SingularParams(beta=0.7, gamma=0.2)
         zero = FastConvolver(g, p)
@@ -138,6 +139,32 @@ class TestKernelLayout:
         assert _rel(kappa[read], expected) < 1e-13
         assert not np.all(read)
         assert np.max(np.abs(kappa[~read])) < 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n, r", [(2**16, 1), (4096, 3), (1024, 32)])
+    def test_far_shift_sinc_matches_mpmath(self, n, r, monkeypatch):
+        # Row r + σ reads M(2r(N−1) + σ) at q = m − N + 1; at σ = r − 1 that
+        # is the far shift a = 2rN − r − 1, where h(a+½) is close to π.  At
+        # γ = 1 the power difference 2a + 1 is exact, so only the sinc
+        # rounds; sin evaluated near π would lose ~eps·2rN relative.
+        rows = []
+        transform_rows = fastconv._transform_rows
+
+        def keep_rows(transform, a, out):  # the real rows before their rfft
+            rows.append(a.copy())
+            return transform_rows(transform, a, out)
+
+        monkeypatch.setattr(fastconv, "_transform_rows", keep_rows)
+        g = GridSpec(N=n, r=r, L=1.0)
+        conv = FastConvolver(g, SingularParams(beta=1.0, gamma=1.0))
+        conv._kernel_table()
+        m = conv.fft_length // (2 * r)
+        got = np.concatenate(rows)[:, m - n + 1]
+        with mpmath.workdps(40):
+            for sigma in range(r):
+                a = 2 * r * (n - 1) + sigma
+                z = mpmath.pi * (a + mpmath.mpf(1) / 2) / g.num_midpoints
+                exact = mpmath.sin(z) / z * (2 * a + 1)
+                assert abs(got[sigma] - exact) <= 1e-15 * exact
 
 
 class TestWeights:
@@ -249,8 +276,7 @@ class TestConvolverReuse:
         g = GridSpec(N=9, r=4, L=1.0)
         p = SingularParams(beta=0.6, gamma=0.1)
         plan = FastConvolver(g, p, cache_kernels=True)
-        # Real, complex, real: the kept half table is mirrored to the full
-        # one, whose first m//2+1 columns then serve real samples.
+        # Real, complex, real: one kept half table serves both kinds.
         for seed in (20, 21, 22):
             F = _random_samples(g, seed, real=seed != 21)
             assert np.array_equal(plan.apply(F.values),
@@ -261,15 +287,23 @@ class TestConvolverReuse:
     @pytest.mark.parametrize("n", [1, 2, 5, 13, 64, 101])  # odd and even m
     @pytest.mark.parametrize("r", [1, 3, 32])
     def test_one_shot_half_table_equals_kept_full_table(self, n, r):
-        # A one-shot complex apply multiplies by the half table on slices,
-        # T[m − k] = conj T[k]; a kept plan mirrors the full table once.
+        # The half table stands for the full spectra: with rows and columns
+        # reversed it gives their upper bins, T_ρ[m − k] = T_{2r−1−ρ}[k],
+        # which complex rows read.  Kept and one-shot plans hold the same
+        # (2r, m//2+1) table and agree bit for bit in any order of calls.
         g = GridSpec(N=n, r=r, L=1.0)
         p = SingularParams(beta=0.6, gamma=0.1)
-        F = _random_samples(g, 100 * n + r)
         kept = FastConvolver(g, p)
-        out = kept.apply(F.values)
-        assert kept._plan[1].shape[1] == kept.fft_length // (2 * r)
-        assert np.array_equal(fast_singular_integral(F, p), out)
+        m = kept.fft_length // (2 * r)
+        for i, real in enumerate((False, True, False)):
+            F = _random_samples(g, 100 * n + r + i, real)
+            out = kept.apply(F.values)
+            assert kept._plan[1].shape == (2 * r, m // 2 + 1)
+            assert np.array_equal(fast_singular_integral(F, p), out)
+        table = kept._plan[1]
+        full = np.fft.fft(np.fft.irfft(table, n=m, axis=1), axis=1)
+        assert _rel(np.concatenate((table, table[::-1, (m - 1) // 2:0:-1]),
+                                   axis=1), full) < 1e-13
 
     def test_one_shot_memory_is_a_few_sample_arrays(self):
         # Without a cache, one call holds at most the half kernel table (1x
@@ -297,7 +331,7 @@ class TestConvolverReuse:
         # interpreter around one apply.  VmHWM, unlike ru_maxrss, does not
         # inherit the launching process's peak across exec.  At r = 1 the
         # half kernel table is 1x the samples, the buffer 2x, and the
-        # scratch of one row's FFT 2x: about 5x.  Mirroring the full table
+        # scratch of one row's FFT 2x: about 5x.  A mirrored full table
         # would add 1x, and one FFT over all P points would need 4x for its
         # scratch alone, about 9x in all.
         assert _fresh_apply_peak_rss("complex") <= 5.6

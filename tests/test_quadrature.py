@@ -171,6 +171,26 @@ class TestSingularIntegralDirect:
         assert errs[1] < errs[0] / 4 * 1.5
         assert errs[1] < 1e-3
 
+    @pytest.mark.parametrize("n, r", [(1024, 1), (512, 3)])
+    def test_far_shift_matches_mpmath(self, n, r):
+        # f is 1 at the last midpoint only, whose distance to s_0 is the
+        # far shift a = 2rN − r − 1, where h(a+½) is close to π.  β = γ = 1
+        # make the power differences exact, so only the sinc factors round;
+        # sin evaluated near π would lose ~eps·2rN relative.
+        g = GridSpec(N=n, r=r, L=1.0)
+        f = np.zeros(g.num_midpoints)
+        f[-1] = 1.0
+        out = singular_integral_direct(MidpointSamples(values=f, grid=g),
+                                       SingularParams(beta=1.0, gamma=1.0))[0]
+        with mpmath.workdps(40):
+            h = mpmath.pi / g.num_midpoints
+            a = g.num_midpoints - r - 1
+            z = h * (a + mpmath.mpf(1) / 2)
+            exact = (mpmath.sin(h / 2) / (h / 2) / 2
+                     * mpmath.sin(z) / z * (2 * a + 1) / 2 * h**3)
+            assert abs(out.real - exact) <= 1e-15 * exact
+        assert out.imag == 0
+
     def test_rational_profile_against_exact(self):
         # Single trigonometric mode u = e^{2is}: the full operator value is
         # known in closed form, and the quadrature error falls ~4x per

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraclap.errors import ParameterError, SampleShapeError
+from fraclap.errors import SampleShapeError
 from fraclap.grid import GridSpec, midpoint_nodes, output_nodes
 from fraclap.profiles import ERF, mapped_derivatives
 from fraclap.spectral import (coefficients_from_samples,
@@ -90,28 +90,25 @@ class TestCoefficients:
 
 
 class TestKrasnyFilter:
+    # Every a_k with |a_k| < eps·max|a_k| is zeroed; the rule is relative,
+    # so scaling u scales the a_k and keeps the same ones.
     @staticmethod
     def _samples(a):
         return _cosine_series(np.asarray(a), _nodes(len(a)))
 
     def test_all_above_identity(self):
-        u = self._samples([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(coefficients_from_samples(u, 0.5),
-                              coefficients_from_samples(u, 0.0))
-
-    def test_all_below_zeroed(self):
-        u = self._samples(np.full(4, 1e-18))
-        assert np.all(coefficients_from_samples(u, 1e-12) == 0)
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+        for scale in (1.0, 1e-30, 1e30):
+            out = coefficients_from_samples(self._samples(scale * a))
+            assert np.all(out != 0)
+            assert out == pytest.approx(scale * a, rel=1e-14)
 
     def test_mixed(self):
-        out = coefficients_from_samples(
-            self._samples([1.0, 1e-17, 2.0, 3e-18]), 1e-12)
-        assert out[1] == 0 and out[3] == 0
-        assert out[[0, 2]] == pytest.approx([1.0, 2.0], rel=1e-14)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ParameterError):
-            coefficients_from_samples(np.ones(2), -1.0)
+        a = np.array([1.0, 1e-17, 2.0, 3e-18])
+        for scale in (1.0, 1e-30, 1e30):
+            out = coefficients_from_samples(self._samples(scale * a))
+            assert out[1] == 0 and out[3] == 0
+            assert out[[0, 2]] == pytest.approx(scale * a[[0, 2]], rel=1e-14)
 
 
 class TestDerivativesAtMidpoints:
@@ -163,7 +160,7 @@ class TestDerivativesAtMidpoints:
         n = 16
         g = GridSpec(N=n, r=r, L=1.0)
         u = np.exp(3j * _nodes(n))
-        fast = f_from_samples(u, g, threshold=0.0).values
+        fast = f_from_samples(u, g).values
         direct = integrand_direct(cosine_coefficients_direct(u),
                                   g.num_midpoints)
         assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
@@ -209,7 +206,7 @@ class TestDirectSumOracle:
         if not real:
             u = u + 1j * rng.standard_normal(n)
         g = GridSpec(N=n, r=r, L=1.0)
-        a = coefficients_from_samples(u, threshold=0.0)
+        a = coefficients_from_samples(u)
         a_direct = cosine_coefficients_direct(u)
         assert np.max(np.abs(a - a_direct)) <= 1e-13 * np.max(np.abs(a_direct))
         fast = derivatives_at_midpoints(a, g)
