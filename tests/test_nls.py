@@ -30,9 +30,9 @@ class TestState:
             EvolutionState(psi=np.zeros(7), t=0.0, params=p, dt=0.1)
 
     def test_negative_dt_rejected(self):
-        # Zero and non-finite steps are rejected too: dt must be > 0.
+        # Non-finite steps are rejected too: dt must be > 0 and finite.
         p = FracLapParams(alpha=1.3, grid=GridSpec(N=8, r=1, L=1.0))
-        for dt in (-0.1, 0.0, -0.0, math.nan, math.inf):
+        for dt in (-0.1, math.nan, math.inf):
             with pytest.raises(ParameterError):
                 EvolutionState(psi=np.zeros(8), t=0.0, params=p, dt=dt)
 
@@ -102,6 +102,18 @@ class TestRk4:
         growth = sum(z**k / math.factorial(k) for k in range(5))
         assert np.max(np.abs(stepped.psi - psi0 * growth)) < 1e-14
         assert stepped.t == pytest.approx(0.25)
+
+    def test_zero_dt_rejected(self):
+        # A zero step never reaches rk4_step: neither a new state nor one
+        # derived by dataclasses.replace may carry dt = 0.
+        p = FracLapParams(alpha=1.3, grid=GridSpec(N=4, r=1, L=1.0))
+        psi0 = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
+        for dt in (0.0, -0.0):
+            with pytest.raises(ParameterError):
+                EvolutionState(psi=psi0, t=0.0, params=p, dt=dt)
+        state = EvolutionState(psi=psi0, t=0.0, params=p, dt=0.1)
+        with pytest.raises(ParameterError):
+            dataclasses.replace(state, dt=0.0)
 
     def test_richardson_order_four(self):
         # Halving dt divides the time-stepping error by ~16.  The reference
