@@ -10,6 +10,10 @@ Three commands, selected with ``--command``:
   file as soon as the snapshot is taken, and on a blow-up the energy log
   of the steps before it).
 
+``apply`` and ``nls`` take any ``--input``; ``sweep`` takes only
+``builtin:rational`` and ``builtin:erf``, the inputs with a closed form.
+The default is ``builtin:gaussian`` for ``nls``, else ``builtin:rational``.
+
 Exit codes: 0 success, 2 configuration error, 3 input-shape error,
 4 blow-up abort, 5 internal numeric failure.
 
@@ -29,7 +33,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from itertools import chain, count
 from pathlib import Path
 
@@ -39,34 +43,17 @@ from .errors import BlowUpError, ParameterError, SampleShapeError
 from .grid import GridSpec, map_to_real, output_nodes
 from .nls import simulate
 from .operator import FracLapParams, FractionalLaplacian
-from .profiles import Profile, builtin_profile, mapped_derivatives
-from .reference import ErrorReport, error_norms
+from .profiles import builtin_profile, mapped_derivatives
+from .reference import error_norms
 from .spectral import f_from_analytic, f_from_samples
 
-__all__ = ["RunConfig", "main", "cmd_apply", "cmd_sweep", "cmd_nls"]
+__all__ = ["main", "cmd_apply", "cmd_sweep", "cmd_nls"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SHAPE = 3
 EXIT_BLOWUP = 4
 EXIT_NUMERIC = 5
-
-
-@dataclass
-class RunConfig:
-    """Validated run description; lists are length 1 except for sweep."""
-
-    command: str
-    alphas: list
-    Ns: list
-    rs: list
-    L: float
-    input: str  # "builtin:<name>" or a samples-file path
-    output: Path
-    fmt: str
-    dt: float | None = None
-    t_end: float | None = None
-    snapshot_every: int = 100
 
 
 # Rows formatted per write: enough that the per-block overhead vanishes,
@@ -161,8 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, default=1.0, help="map scale, > 0")
     p.add_argument("--input", default=None,
                    help="builtin:rational | builtin:erf | builtin:gaussian | "
-                   "samples file ('re im' per line, one line per node)")
-    p.add_argument("--output", required=True, help="output file path")
+                   "samples file ('re im' per line, one line per node); sweep "
+                   "takes only builtin:rational or builtin:erf; default "
+                   "builtin:gaussian for nls, else builtin:rational")
+    p.add_argument("--output", type=Path, required=True, help="output file path")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     p.add_argument("--dt", type=float, default=None, help="time step (nls)")
     p.add_argument("--t-end", type=float, default=None, help="final time (nls)")
@@ -171,45 +160,38 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _validate(args: argparse.Namespace) -> RunConfig:
+def _validate(args: argparse.Namespace) -> list[FracLapParams]:
+    """Check the whole run description before any computation starts.
+
+    Applies the ``--input`` default and sets ``args.profile`` to the builtin
+    profile it names, or None for a samples file.  Returns the parameter
+    record of every evaluation in sweep order: α outermost, then N, then r.
+    """
     alphas = _parse_list(args.alpha, float, "--alpha")
     ns = _parse_list(args.N, int, "--N")
     rs = _parse_list(args.r, int, "--r")
     if not alphas or not ns or not rs:
         raise ParameterError("--alpha, --N and --r must be nonempty")
-    default_input = "builtin:gaussian" if args.command == "nls" else "builtin:rational"
-    cfg = RunConfig(
-        command=args.command,
-        alphas=alphas,
-        Ns=ns,
-        rs=rs,
-        L=args.L,
-        input=args.input or default_input,
-        output=Path(args.output),
-        fmt=args.fmt,
-        dt=args.dt,
-        t_end=args.t_end,
-        snapshot_every=args.snapshot_every,
-    )
-    if cfg.command in ("apply", "nls"):
-        if len(alphas) != 1 or len(ns) != 1 or len(rs) != 1:
-            raise ParameterError(
-                f"--command {cfg.command} takes single --alpha/--N/--r values"
-            )
-    if cfg.command == "nls":
-        if cfg.dt is None or cfg.t_end is None:
-            raise ParameterError("--command nls requires --dt and --t-end")
-    # Construct every parameter record up front: all module-level
-    # validation fires before any computation starts.
-    for alpha in cfg.alphas:
-        for n in cfg.Ns:
-            for r in cfg.rs:
-                FracLapParams(alpha=alpha, grid=GridSpec(N=n, r=r, L=cfg.L))
-    if not cfg.input.startswith("builtin:") and not Path(cfg.input).is_file():
-        raise ParameterError(f"samples file not found: {cfg.input}")
-    if cfg.input.startswith("builtin:"):
-        builtin_profile(cfg.input.split(":", 1)[1])
-    return cfg
+    if args.command != "sweep" and len(alphas) * len(ns) * len(rs) != 1:
+        raise ParameterError(
+            f"--command {args.command} takes single --alpha/--N/--r values"
+        )
+    if args.command == "nls" and (args.dt is None or args.t_end is None):
+        raise ParameterError("--command nls requires --dt and --t-end")
+    params = [FracLapParams(alpha=alpha, grid=GridSpec(N=n, r=r, L=args.L))
+              for alpha in alphas for n in ns for r in rs]
+    args.input = args.input or (
+        "builtin:gaussian" if args.command == "nls" else "builtin:rational")
+    args.profile = None
+    if args.input.startswith("builtin:"):
+        args.profile = builtin_profile(args.input.split(":", 1)[1])
+    elif not Path(args.input).is_file():
+        raise ParameterError(f"samples file not found: {args.input}")
+    if args.command == "sweep" and getattr(args.profile, "exact", None) is None:
+        raise ParameterError(
+            "--command sweep needs a builtin input with an exact solution"
+        )
+    return params
 
 
 def _load_samples(path: str, expected: int) -> np.ndarray:
@@ -242,52 +224,44 @@ def _load_samples(path: str, expected: int) -> np.ndarray:
     return samples if samples.imag.any() else samples.real.copy()
 
 
-def _resolve_operator_input(cfg: RunConfig, params: FracLapParams):
-    """Integrand samples and exact-solution callable for one evaluation.
+def _integrand(args: argparse.Namespace, p: FracLapParams):
+    """Integrand samples for one evaluation.
 
-    Builtin rational uses the analytic derivative route; builtin erf and
-    sample files use the pseudospectral route (erf mirrors the workflow of
-    knowing u only through its node values).
+    Builtin rational uses the analytic derivative route; the other builtins
+    and sample files use the pseudospectral route (erf mirrors the workflow
+    of knowing u only through its node values).
     """
-    g = params.grid
-    if cfg.input.startswith("builtin:"):
-        profile: Profile = builtin_profile(cfg.input.split(":", 1)[1])
-        if profile.name == "rational":
-            us, uss = mapped_derivatives(profile, g.L)
-            return f_from_analytic(us, uss, g), profile.exact
-        u_nodes = profile.u(map_to_real(output_nodes(g), g.L))
-        return f_from_samples(u_nodes, g), profile.exact
-    samples = _load_samples(cfg.input, g.N)
-    return f_from_samples(samples, g), None
+    g = p.grid
+    if args.profile is None:
+        return f_from_samples(_load_samples(args.input, g.N), g)
+    if args.profile.name == "rational":
+        us, uss = mapped_derivatives(args.profile, g.L)
+        return f_from_analytic(us, uss, g)
+    return f_from_samples(args.profile.u(map_to_real(output_nodes(g), g.L)), g)
 
 
-def _error_block(report: ErrorReport | None):
-    return None if report is None else asdict(report)
-
-
-def cmd_apply(cfg: RunConfig) -> int:
-    alpha, n, r = cfg.alphas[0], cfg.Ns[0], cfg.rs[0]
-    params = FracLapParams(alpha=alpha, grid=GridSpec(N=n, r=r, L=cfg.L))
-    g = params.grid
-    F, exact_fn = _resolve_operator_input(cfg, params)
-    values = FractionalLaplacian(params, cache_kernels=False).apply(F)
+def cmd_apply(args: argparse.Namespace, params: list[FracLapParams]) -> int:
+    (p,) = params
+    alpha, g = p.alpha, p.grid
+    F = _integrand(args, p)
+    values = FractionalLaplacian(p, cache_kernels=False).apply(F)
     s = output_nodes(g)
     x = map_to_real(s, g.L)
-    report = None
-    if exact_fn is not None:
-        report = error_norms(values, exact_fn(alpha, x), r=r, alpha=alpha)
+    exact = getattr(args.profile, "exact", None)
+    report = None if exact is None else error_norms(
+        values, exact(alpha, x), r=g.r, alpha=alpha)
 
-    columns = [np.arange(n), s, x, values.real, values.imag]
-    if cfg.fmt == "json":
+    columns = [np.arange(g.N), s, x, values.real, values.imag]
+    if args.fmt == "json":
         doc = {
             "command": "apply",
-            "alpha": alpha, "N": n, "r": r, "L": cfg.L, "input": cfg.input,
+            "alpha": alpha, "N": g.N, "r": g.r, "L": g.L, "input": args.input,
             "nodes": _NODES,
-            "error": _error_block(report),
+            "error": None if report is None else asdict(report),
         }
-        _write_json(cfg.output, doc, ("j", "s", "x", "re", "im"), [columns])
+        _write_json(args.output, doc, ("j", "s", "x", "re", "im"), [columns])
     else:
-        with open(cfg.output, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write("j,s_j,x_j,re,im\n")
             _write_rows(fh, _CSV_ROW, columns)
             if report is not None:
@@ -295,38 +269,31 @@ def cmd_apply(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace, params: list[FracLapParams]) -> int:
     rows = []
-    errors: dict[tuple, float] = {}
-    for alpha in cfg.alphas:
-        for n in cfg.Ns:
-            for r in cfg.rs:
-                params = FracLapParams(alpha=alpha, grid=GridSpec(N=n, r=r, L=cfg.L))
-                F, exact_fn = _resolve_operator_input(cfg, params)
-                if exact_fn is None:
-                    raise ParameterError(
-                        "--command sweep needs a builtin input with an exact solution"
-                    )
-                t0 = time.perf_counter()
-                values = FractionalLaplacian(params, cache_kernels=False).apply(F)
-                runtime_ms = (time.perf_counter() - t0) * 1e3
-                x = map_to_real(output_nodes(params.grid), cfg.L)
-                rep = error_norms(values, exact_fn(alpha, x), r=r, alpha=alpha)
-                errors[(alpha, n, r)] = rep.l2
-                rows.append(
-                    {"alpha": alpha, "N": n, "r": r, "l2": rep.l2,
-                     "linf": rep.linf, "runtime_ms": runtime_ms}
-                )
+    for p in params:
+        alpha, n, r = p.alpha, p.grid.N, p.grid.r
+        F = _integrand(args, p)
+        t0 = time.perf_counter()
+        values = FractionalLaplacian(p, cache_kernels=False).apply(F)
+        runtime_ms = (time.perf_counter() - t0) * 1e3
+        x = map_to_real(output_nodes(p.grid), p.grid.L)
+        rep = error_norms(values, args.profile.exact(alpha, x), r=r, alpha=alpha)
+        rows.append(
+            {"alpha": alpha, "N": n, "r": r, "l2": rep.l2,
+             "linf": rep.linf, "runtime_ms": runtime_ms}
+        )
+    l2 = {(row["alpha"], row["N"], row["r"]): row["l2"] for row in rows}
     for row in rows:
-        finer = errors.get((row["alpha"], row["N"], 2 * row["r"]))
+        finer = l2.get((row["alpha"], row["N"], 2 * row["r"]))
         row["order_vs_r"] = (
             math.log2(row["l2"] / finer)
             if finer not in (None, 0.0) and row["l2"] > 0 else None
         )
 
-    if cfg.fmt == "json":
-        cfg.output.write_text(json.dumps({"command": "sweep", "rows": rows},
-                                         indent=1) + "\n")
+    if args.fmt == "json":
+        args.output.write_text(json.dumps({"command": "sweep", "rows": rows},
+                                          indent=1) + "\n")
     else:
         lines = ["alpha,N,r,l2,linf,runtime_ms,order_vs_r"]
         for row in rows:
@@ -336,7 +303,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 f"{_fmt(row['l2'])},{_fmt(row['linf'])},"
                 f"{_fmt(row['runtime_ms'])},{order}"
             )
-        cfg.output.write_text("\n".join(lines) + "\n")
+        args.output.write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -344,18 +311,16 @@ def _snapshot_path(base: Path, index: int) -> Path:
     return base.with_name(f"{base.stem}_snapshot_{index:06d}{base.suffix}")
 
 
-def cmd_nls(cfg: RunConfig) -> int:
-    alpha, n, r = cfg.alphas[0], cfg.Ns[0], cfg.rs[0]
-    params = FracLapParams(alpha=alpha, grid=GridSpec(N=n, r=r, L=cfg.L))
-    g = params.grid
+def cmd_nls(args: argparse.Namespace, params: list[FracLapParams]) -> int:
+    (p,) = params
+    g = p.grid
     x = map_to_real(output_nodes(g), g.L)
-    if cfg.input.startswith("builtin:"):
-        psi0 = np.asarray(builtin_profile(cfg.input.split(":", 1)[1]).u(x),
-                          dtype=complex)
+    if args.profile is None:
+        psi0 = _load_samples(args.input, g.N)
     else:
-        psi0 = _load_samples(cfg.input, n)
+        psi0 = np.asarray(args.profile.u(x), dtype=complex)
 
-    j = np.arange(n)
+    j = np.arange(g.N)
 
     def node_columns(psi):
         # np.hypot, not np.abs: it matches the scalar abs() bit for bit.
@@ -365,38 +330,38 @@ def cmd_nls(cfg: RunConfig) -> int:
     # keeps the earlier ones; JSON holds them, since its node records follow
     # the complete energy log in one document.
     snapshots = []
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         def sink(*snap):
             snapshots.append(snap)
     else:
         index = count()
 
         def sink(t, psi, m):
-            with open(_snapshot_path(cfg.output, next(index)), "w") as fh:
+            with open(_snapshot_path(args.output, next(index)), "w") as fh:
                 fh.write("j,x_j,re,im,abs\n")
                 _write_rows(fh, _CSV_ROW, node_columns(psi))
 
     def write_csv_log(times, energies):
-        with open(cfg.output, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write("t,M,drift\n")
             _write_rows(fh, "%.17g,%.17g,%.17g\n",
                         [times, energies, np.abs(energies - energies[0])])
 
     try:
-        result = simulate(psi0, params, dt=cfg.dt, t_end=cfg.t_end,
-                          snapshot_every=cfg.snapshot_every, sink=sink)
+        result = simulate(psi0, p, dt=args.dt, t_end=args.t_end,
+                          snapshot_every=args.snapshot_every, sink=sink)
     except BlowUpError as exc:
         # CSV keeps the steps logged before the abort, like its snapshots.
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             write_csv_log(exc.times, exc.energies)
         raise
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         m0 = result.energies[0]
         doc = {
             "command": "nls",
-            "alpha": alpha, "N": n, "r": r, "L": cfg.L,
-            "dt": cfg.dt, "t_end": cfg.t_end,
+            "alpha": p.alpha, "N": g.N, "r": g.r, "L": g.L,
+            "dt": args.dt, "t_end": args.t_end,
             "energy": [
                 {"t": t, "M": m, "drift": abs(m - m0)}
                 for t, m in zip(result.times, result.energies)
@@ -405,7 +370,7 @@ def cmd_nls(cfg: RunConfig) -> int:
                 {"t": t, "nodes": _NODES, "M": m} for t, _, m in snapshots
             ],
         }
-        _write_json(cfg.output, doc, ("j", "x", "re", "im", "abs"),
+        _write_json(args.output, doc, ("j", "x", "re", "im", "abs"),
                     (node_columns(psi) for _, psi, _ in snapshots))
     else:
         write_csv_log(result.times, result.energies)
@@ -418,12 +383,7 @@ _COMMANDS = {"apply": cmd_apply, "sweep": cmd_sweep, "nls": cmd_nls}
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _validate(args)
-    except ParameterError as exc:
-        print(f"fraclap: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args, _validate(args))
     except ParameterError as exc:
         print(f"fraclap: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

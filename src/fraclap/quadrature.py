@@ -60,8 +60,8 @@ def _sinc(z: np.ndarray) -> np.ndarray:
 class SingularParams:
     """Exponent pair of the kernel sin^β(η)·|sin(η−s)|^γ.
 
-    Requires β > 0 and γ > −1, the range in which the two-sided quadrature
-    converges; neither may be a ``bool``.
+    Requires finite β > 0 and γ > −1, the range in which the two-sided
+    quadrature converges; neither may be a ``bool``.
     """
 
     beta: float
@@ -70,10 +70,10 @@ class SingularParams:
     def __post_init__(self):
         for name in ("beta", "gamma"):
             _reject_bool(name, getattr(self, name))
-        if not self.beta > 0:
-            raise ParameterError(f"beta must be > 0, got {self.beta}")
-        if not self.gamma > -1:
-            raise ParameterError(f"gamma must be > -1, got {self.gamma}")
+        if not (self.beta > 0 and np.isfinite(self.beta)):
+            raise ParameterError(f"beta must be finite and > 0, got {self.beta}")
+        if not (self.gamma > -1 and np.isfinite(self.gamma)):
+            raise ParameterError(f"gamma must be finite and > -1, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,15 @@ def modified_midpoint(f_mid, a: float, b: float, beta: float) -> complex:
     subinterval, so the rule reproduces ∫ x^β dx with zero quadrature error
     whenever f is constant.
 
-    β = −1 is rejected (the antiderivative changes form), and β ≤ −1 is
-    rejected when a = 0 (the integral itself diverges).
+    a, b and β must be finite.  β = −1 is rejected (the antiderivative
+    changes form), and β ≤ −1 is rejected when a = 0 (the integral itself
+    diverges).
     """
     f_mid = np.asarray(f_mid)
     if f_mid.ndim != 1 or len(f_mid) == 0:
         raise ParameterError("f_mid must be a nonempty vector")
+    if not np.isfinite((a, b, beta)).all():
+        raise ParameterError(f"need finite a, b, beta, got {a}, {b}, {beta}")
     if not (a >= 0 and b > a):
         raise ParameterError(f"need 0 <= a < b, got a={a}, b={b}")
     if beta == -1:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -129,18 +130,18 @@ def _ref_fmt(x):
 
 
 def _reference_apply(argv):
-    cfg = cli._validate(cli.build_parser().parse_args(argv))
-    alpha, n, r = cfg.alphas[0], cfg.Ns[0], cfg.rs[0]
-    params = FracLapParams(alpha=alpha, grid=GridSpec(N=n, r=r, L=cfg.L))
-    F, exact_fn = cli._resolve_operator_input(cfg, params)
+    args = cli.build_parser().parse_args(argv)
+    (params,) = cli._validate(args)
+    alpha, n, r = params.alpha, params.grid.N, params.grid.r
+    F = cli._integrand(args, params)
     values = FractionalLaplacian(params, cache_kernels=False).apply(F)
     s = output_nodes(params.grid)
-    x = map_to_real(s, cfg.L)
-    report = error_norms(values, exact_fn(alpha, x), r=r, alpha=alpha)
-    if cfg.fmt == "json":
+    x = map_to_real(s, args.L)
+    report = error_norms(values, args.profile.exact(alpha, x), r=r, alpha=alpha)
+    if args.fmt == "json":
         doc = {
             "command": "apply",
-            "alpha": alpha, "N": n, "r": r, "L": cfg.L, "input": cfg.input,
+            "alpha": alpha, "N": n, "r": r, "L": args.L, "input": args.input,
             "nodes": [
                 {"j": j, "s": s[j], "x": x[j],
                  "re": values[j].real, "im": values[j].imag}
@@ -163,21 +164,21 @@ def _reference_apply(argv):
 
 def _reference_nls(argv):
     """Expected bytes: the main file, then each CSV snapshot file in order."""
-    cfg = cli._validate(cli.build_parser().parse_args(argv))
-    alpha, n, r = cfg.alphas[0], cfg.Ns[0], cfg.rs[0]
-    params = FracLapParams(alpha=alpha, grid=GridSpec(N=n, r=r, L=cfg.L))
-    x = map_to_real(output_nodes(params.grid), cfg.L)
+    args = cli.build_parser().parse_args(argv)
+    (params,) = cli._validate(args)
+    alpha, n, r = params.alpha, params.grid.N, params.grid.r
+    x = map_to_real(output_nodes(params.grid), args.L)
     psi0 = np.asarray(builtin_profile("gaussian").u(x), dtype=complex)
     snapshots = []
-    result = simulate(psi0, params, dt=cfg.dt, t_end=cfg.t_end,
-                      snapshot_every=cfg.snapshot_every,
+    result = simulate(psi0, params, dt=args.dt, t_end=args.t_end,
+                      snapshot_every=args.snapshot_every,
                       sink=lambda *snap: snapshots.append(snap))
     m0 = result.energies[0]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "command": "nls",
-            "alpha": alpha, "N": n, "r": r, "L": cfg.L,
-            "dt": cfg.dt, "t_end": cfg.t_end,
+            "alpha": alpha, "N": n, "r": r, "L": args.L,
+            "dt": args.dt, "t_end": args.t_end,
             "energy": [
                 {"t": t, "M": m, "drift": abs(m - m0)}
                 for t, m in zip(result.times, result.energies)
@@ -211,6 +212,53 @@ def _reference_nls(argv):
     return files
 
 
+def _reference_sweep(argv):
+    """Expected bytes, with every runtime_ms value written as ``RUNTIME``."""
+    args = cli.build_parser().parse_args(argv)
+    cli._validate(args)
+    rows = []
+    for alpha in map(float, args.alpha.split(",")):
+        for n in map(int, args.N.split(",")):
+            for r in map(int, args.r.split(",")):
+                params = FracLapParams(alpha=alpha,
+                                       grid=GridSpec(N=n, r=r, L=args.L))
+                F = cli._integrand(args, params)
+                values = FractionalLaplacian(params, cache_kernels=False).apply(F)
+                x = map_to_real(output_nodes(params.grid), args.L)
+                exact = builtin_profile(args.input.split(":")[1]).exact
+                report = error_norms(values, exact(alpha, x), r=r, alpha=alpha)
+                rows.append({"alpha": alpha, "N": n, "r": r, "l2": report.l2,
+                             "linf": report.linf, "runtime_ms": "RUNTIME"})
+    for row in rows:
+        finer = [f["l2"] for f in rows if (f["alpha"], f["N"], f["r"])
+                 == (row["alpha"], row["N"], 2 * row["r"])]
+        row["order_vs_r"] = (math.log2(row["l2"] / finer[0])
+                             if finer and finer[0] != 0 and row["l2"] > 0
+                             else None)
+    if args.fmt == "json":
+        return (json.dumps({"command": "sweep", "rows": rows}, indent=1)
+                + "\n").encode()
+    lines = ["alpha,N,r,l2,linf,runtime_ms,order_vs_r"]
+    for row in rows:
+        order = "" if row["order_vs_r"] is None else _ref_fmt(row["order_vs_r"])
+        lines.append(f"{_ref_fmt(row['alpha'])},{row['N']},{row['r']},"
+                     f"{_ref_fmt(row['l2'])},{_ref_fmt(row['linf'])},"
+                     f"RUNTIME,{order}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _mask_runtime(path):
+    """The sweep output at ``path`` with every runtime_ms value as ``RUNTIME``."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return re.sub(r'"runtime_ms": [^,\n]*', '"runtime_ms": "RUNTIME"',
+                      text).encode()
+    lines = text.splitlines()
+    masked = [lines[0]] + [",".join(f[:5] + ["RUNTIME"] + f[6:])
+                           for f in (ln.split(",") for ln in lines[1:])]
+    return ("\n".join(masked) + "\n").encode()
+
+
 class TestGoldenWriters:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("profile,alpha,L", [("erf", "0.7", "2.1"),
@@ -236,6 +284,17 @@ class TestGoldenWriters:
         assert main(argv) == 0
         written = [out] + sorted(tmp_path.glob("run_snapshot_*"))
         assert [p.read_bytes() for p in written] == _reference_nls(argv)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("profile,L", [("rational", "1.0"), ("erf", "2.1")])
+    def test_sweep_bytes_match_reference(self, tmp_path, profile, L, fmt):
+        # r = 2 and r = 3 have no 2r partner, so their order_vs_r is empty.
+        out = tmp_path / f"sweep.{fmt}"
+        argv = ["--command", "sweep", "--alpha", "0.7,1.3", "--N", "16,24",
+                "--r", "1,2,3", "--L", L, "--input", f"builtin:{profile}",
+                "--format", fmt, "--output", str(out)]
+        assert main(argv) == 0
+        assert _mask_runtime(out) == _reference_sweep(argv)
 
     def test_special_values_match_json_and_fstrings(self, tmp_path,
                                                     monkeypatch):
@@ -320,6 +379,32 @@ class TestConfigErrors:
                      "--r", "1", "--input", str(tmp_path / "absent.txt"),
                      "--output", str(tmp_path / "o.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("source", ["builtin:gaussian", "file"])
+    def test_sweep_without_closed_form_rejected_before_evaluation(
+            self, tmp_path, monkeypatch, source):
+        def evaluation_ran(*args):
+            raise AssertionError("sweep evaluated before validating --input")
+
+        monkeypatch.setattr(cli, "f_from_samples", evaluation_ran)
+        if source == "file":
+            source = tmp_path / "u.txt"
+            source.write_text("1 0\n" * 8)
+        code = main(["--command", "sweep", "--alpha", "1.3", "--N", "8",
+                     "--r", "1", "--input", str(source),
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+
+    def test_sweep_validates_every_triple_before_evaluation(self, tmp_path,
+                                                            monkeypatch):
+        calls = []
+        f_from_analytic = cli.f_from_analytic
+        monkeypatch.setattr(cli, "f_from_analytic",
+                            lambda *a: calls.append(a) or f_from_analytic(*a))
+        code = main(["--command", "sweep", "--alpha", "1.3,7", "--N", "8",
+                     "--r", "1,2", "--input", "builtin:rational",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2 and calls == []
 
     def test_apply_rejects_lists(self, tmp_path):
         code = main(["--command", "apply", "--alpha", "0.5,0.7", "--N", "8",

@@ -23,7 +23,9 @@ class TestSingularParams:
     def test_valid(self):
         SingularParams(beta=1.3, gamma=-0.3)
 
-    @pytest.mark.parametrize("beta,gamma", [(0.0, 0.0), (-0.5, 0.0), (1.0, -1.0)])
+    @pytest.mark.parametrize("beta,gamma", [(0.0, 0.0), (-0.5, 0.0), (1.0, -1.0),
+                                            (np.inf, 0.5), (1.0, np.inf),
+                                            (np.nan, 0.5)])
     def test_invalid(self, beta, gamma):
         with pytest.raises(ParameterError):
             SingularParams(beta=beta, gamma=gamma)
@@ -127,6 +129,11 @@ class TestModifiedMidpoint:
             modified_midpoint(np.ones(4), 0.0, 1.0, -1.5)
         with pytest.raises(ParameterError):
             modified_midpoint(np.ones(4), 1.0, 0.5, 0.5)
+        for a, b, beta in [(0.0, np.inf, 0.5), (0.0, 1.0, np.nan),
+                           (0.0, 1.0, np.inf), (np.inf, np.inf, 0.5),
+                           (0.5, 1.0, -np.inf)]:
+            with pytest.raises(ParameterError):
+                modified_midpoint(np.ones(4), a, b, beta)
 
 
 class TestSignedPowerDifference:
