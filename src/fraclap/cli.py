@@ -270,19 +270,26 @@ def cmd_apply(args: argparse.Namespace, params: list[FracLapParams]) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, params: list[FracLapParams]) -> int:
-    rows = []
-    for p in params:
-        alpha, n, r = p.alpha, p.grid.N, p.grid.r
-        F = _integrand(args, p)
-        t0 = time.perf_counter()
-        values = FractionalLaplacian(p, cache_kernels=False).apply(F)
-        runtime_ms = (time.perf_counter() - t0) * 1e3
-        x = map_to_real(output_nodes(p.grid), p.grid.L)
-        rep = error_norms(values, args.profile.exact(alpha, x), r=r, alpha=alpha)
-        rows.append(
-            {"alpha": alpha, "N": n, "r": r, "l2": rep.l2,
-             "linf": rep.linf, "runtime_ms": runtime_ms}
-        )
+    # The integrand depends on the grid alone: build it once per grid, for
+    # every α on that grid, and keep the rows in sweep order.
+    by_grid = {}
+    for i, p in enumerate(params):
+        by_grid.setdefault(p.grid, []).append(i)
+    rows = [None] * len(params)
+    for indices in by_grid.values():
+        F = _integrand(args, params[indices[0]])
+        for i in indices:
+            p = params[i]
+            alpha, n, r = p.alpha, p.grid.N, p.grid.r
+            t0 = time.perf_counter()
+            values = FractionalLaplacian(p, cache_kernels=False).apply(F)
+            runtime_ms = (time.perf_counter() - t0) * 1e3
+            x = map_to_real(output_nodes(p.grid), p.grid.L)
+            rep = error_norms(values, args.profile.exact(alpha, x), r=r,
+                              alpha=alpha)
+            rows[i] = {"alpha": alpha, "N": n, "r": r, "l2": rep.l2,
+                       "linf": rep.linf, "runtime_ms": runtime_ms}
+        del F  # before the next grid's integrand is built
     l2 = {(row["alpha"], row["N"], row["r"]): row["l2"] for row in rows}
     for row in rows:
         finer = l2.get((row["alpha"], row["N"], 2 * row["r"]))

@@ -20,6 +20,11 @@ integer, which keeps the FFTs fast.  Only every 2r-th entry of c is read,
 so c splits into 2r polyphase parts: with n = 2rq + ρ, a^ρ_q = a_{2rq+ρ}
 and κ_ρ[q] = κ[(2rq − ρ) mod P], A_j = Σ_ρ (a^ρ ⊛_m κ_ρ)[j], ρ = 0..2r−1.
 The plan is the table of the length-m FFTs of the κ_ρ, one row each.  The
+rows go in pairs, residues 2c and 2r−1−2c, whose kernel rows are each
+other's mirror: the sampled route of :mod:`fraclap.spectral` produces f
+pair by pair.  A batch of pairs, about 2^14 points, is weighted,
+transformed, multiplied by its table rows and summed into one row before
+the next batch, so only one batch of weighted rows is held at a time.  The
 row FFTs run batched, at most 2^17 points per call: pocketfft's scratch
 grows with the points of a call, and batching keeps many short rows fast.
 
@@ -69,18 +74,30 @@ def _transform_rows(transform, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# Points of one batch of row pairs.  At N = 1024, r = 32 a warm sampled
+# apply measured the same for 2^14 to 2^17 points and a third slower at
+# 2^12; the smaller batch keeps a kept plan's buffer at 256 KiB.
+_BATCH_POINTS = 1 << 14
+
+
 class FastConvolver:
     """Fast-convolution plan for fixed (grid, β, γ).
 
     The plan is the pair (sample weights, kernel table); it depends only on
-    the grid and the exponents and is built on the first :meth:`apply`.
-    Row ρ of the table is the spectrum of the real κ_ρ, kept as its m//2+1
-    ``rfft`` bins for real and complex samples alike; rows 0..r−1 are the
-    conjugates of rows r..2r−1 (from M(a) = M(−a−1)).
+    the grid and the exponents and is built on the first call.  The
+    weights are kept as the (r, N) polyphase rows of the even residues: the
+    weights are a palindrome, so the row of residue 2r−1−2c is that of 2c
+    reversed.  Row ρ of the table is the spectrum of the real κ_ρ, kept as
+    its m//2+1 ``rfft`` bins for real and complex samples alike; rows
+    0..r−1 are the conjugates of rows r..2r−1 (from M(a) = M(−a−1)).
+
     With ``cache_kernels=True`` the plan is kept and reused by every later
     call, which is what makes repeated application inside a time stepper
-    affordable.  With ``cache_kernels=False`` nothing is retained, which
-    keeps the memory footprint flat for very large one-shot evaluations.
+    affordable.  A kept plan also keeps one work buffer per kind of sample,
+    which holds one batch of row pairs (``_BATCH_POINTS``, 256 KiB of
+    complex rows), so a warm call allocates only arrays of length O(N).
+    With ``cache_kernels=False`` nothing is retained, which keeps the
+    memory footprint flat for very large one-shot evaluations.
     """
 
     def __init__(self, grid: GridSpec, params: SingularParams,
@@ -89,7 +106,11 @@ class FastConvolver:
         self.params = params
         self.cache_kernels = cache_kernels
         self.fft_length = 2 * grid.r * _smooth5_at_least(2 * grid.N - 1)
+        # The index units' factor h^{β+γ+1}/((β+1)(γ+1)).
+        self.scale = grid.h ** (params.beta + params.gamma + 1.0) / (
+            (params.beta + 1) * (params.gamma + 1))
         self._plan = None
+        self._work = {}
 
     def _kernel_table(self) -> np.ndarray:
         """Row ρ is the rfft of κ_ρ[q] = κ[(2rq − ρ) mod P], κ[t] = M(t+r−1).
@@ -147,43 +168,95 @@ class FastConvolver:
         to near machine precision: float64 for real samples, complex128 for
         complex ones.
         """
-        g, p = self.grid, self.params
+        g = self.grid
         values = _float_or_complex(values)
         if values.shape != (g.num_midpoints,):
             raise SampleShapeError(
                 f"expected {g.num_midpoints} midpoint samples, got {values.shape}"
             )
-        # Without a cache, every array is dropped once used.  Weights first:
-        # at N = 2^20, r = 1 this order measured 252 MiB peak RSS against
-        # 272 MiB, because it decides which freed temporaries glibc's heap
-        # keeps resident.
-        weights, table = self._plan or (self._weights(), self._kernel_table())
-        n, two_r = g.N, 2 * g.r
-        m = self.fft_length // two_r
+        rows = values.reshape(g.N, 2 * g.r).T
+        even, odd = rows[0::2], rows[::-2]
+        return self.convolve(lambda c0, c1, work: (even[c0:c1], odd[c0:c1]),
+                             self.scale, real=not np.iscomplexobj(values))
+
+    def convolve(self, pairs, scale, real: bool,
+                 negate_odd: bool = False) -> np.ndarray:
+        """Quadrature values times ``scale`` from the polyphase rows of f.
+
+        Pair c is the rows of residues 2c and 2r−1−2c, whose kernel rows are
+        each other's mirror.  ``pairs(c0, c1, work)`` returns (even, odd),
+        two (c1−c0, N) arrays holding f at the midpoints 2rq + 2c and
+        2rq + 2r−1−2c, q = 0..N−1, for c0 ≤ c < c1; they may be views of
+        ``work``, a (c1−c0, 2N) scratch array (float64 when ``real``, else
+        complex128) whose contents are used up by the call.  With
+        ``negate_odd`` the odd rows hold −f.  The pairs are transformed,
+        multiplied by the table and summed a batch at a time.  ``scale``
+        multiplies the N index-unit sums (:attr:`scale` gives the
+        quadrature values); the result never shares memory with the plan.
+        """
+        g = self.grid
+        n, r = g.N, g.r
+        m = self.fft_length // (2 * r)
         half = m // 2 + 1
-        real = not np.iscomplexobj(values)
-        if self.cache_kernels:
-            self._plan = weights, table
-        # Row ρ holds a^ρ.  Real rows sit in the first m floats of their
-        # half-spectrum row and are transformed in place (numpy copies an
-        # input that overlaps its output, here one batch of rows).
-        buf = np.zeros((two_r, half if real else m), dtype=complex)
-        rows = buf.view(float)[:, :m] if real else buf
-        np.multiply(weights.reshape(n, two_r).T, values.reshape(n, two_r).T,
-                    out=rows[:, :n])
-        del weights
-        _transform_rows(np.fft.rfft if real else np.fft.fft, rows, buf)
-        buf[:, :half] *= table
-        if not real:  # T_ρ[m − k] = conj T_ρ[k] = T_{2r−1−ρ}[k]
-            buf[:, half:] *= table[::-1, (m - 1) // 2:0:-1]
-        del table
-        for row in buf[1:]:  # sum the 2r products in place
-            buf[0] += row
-        if real:  # into row 1, which has room for m floats
-            out = np.fft.irfft(buf[0], n=m, out=buf[1].view(float)[:m])
+        rev = slice((m - 1) // 2, 0, -1)
+        if self._plan is not None:
+            weights, table = self._plan
         else:
-            out = np.fft.ifft(buf[0], out=buf[0])
-        scale = g.h ** (p.beta + p.gamma + 1.0) / ((p.beta + 1) * (p.gamma + 1))
+            # Without a cache, every array is dropped once used.  Weights
+            # first: at N = 2^20, r = 1 this order measured 252 MiB peak RSS
+            # against 272 MiB, because it decides which freed temporaries
+            # glibc's heap keeps resident.
+            weights = self._weights().reshape(n, 2 * r).T[0::2]
+            table = self._kernel_table()
+            if self.cache_kernels:
+                weights = np.ascontiguousarray(weights)
+                self._plan = weights, table
+        # Row pairs per batch.  A row has room for m transform points and
+        # for the 2N of a scratch row; real rows are the floats of their
+        # half-spectrum rows and are transformed in place (numpy copies
+        # the overlapping input).
+        width = max(half, n) if real else max(m, 2 * n)
+        k = max(1, min(r, _BATCH_POINTS // (2 * width)))
+        buf = self._work.get(real)
+        if buf is None:
+            buf = np.zeros((2 * k, width), dtype=complex)
+            if self.cache_kernels:
+                self._work[real] = buf
+        rows = buf.view(float) if real else buf
+        spectra = buf[:, :half] if real else buf[:, :m]
+        total = None
+        for c0 in range(0, r, k):
+            c1 = min(c0 + k, r)
+            j = c1 - c0
+            even, odd = pairs(c0, c1, rows[:j, :2 * n])
+            # Odd rows first: ``even`` may share a scratch row with them.
+            np.multiply(weights[c0:c1, ::-1], odd, out=rows[j:2 * j, :n])
+            np.multiply(weights[c0:c1], even, out=rows[:j, :n])
+            if c1 == r:  # a one-shot plan drops its weights, then its table
+                del weights
+            rows[:2 * j, n:m] = 0.0
+            _transform_rows(np.fft.rfft if real else np.fft.fft,
+                            rows[:2 * j, :m], spectra[:2 * j])
+            spectra[:j, :half] *= table[0::2][c0:c1]
+            spectra[j:2 * j, :half] *= table[::-2][c0:c1]
+            if not real:  # T_ρ[m − k] = conj T_ρ[k] = T_{2r−1−ρ}[k]
+                spectra[:j, half:] *= table[::-2][c0:c1, rev]
+                spectra[j:2 * j, half:] *= table[0::2][c0:c1, rev]
+            if c1 == r:
+                del table
+            for i in range(1, 2 * j):  # sum the batch's products in place
+                if negate_odd and i >= j:
+                    spectra[0] -= spectra[i]
+                else:
+                    spectra[0] += spectra[i]
+            if total is None:
+                total = spectra[0] if c1 == r else spectra[0].copy()
+            else:
+                total += spectra[0]
+        if real:  # into row 1, which has room for m floats
+            out = np.fft.irfft(total, n=m, out=rows[1, :m])
+        else:
+            out = np.fft.ifft(total, out=total)
         return out[:n] * scale
 
 

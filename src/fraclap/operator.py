@@ -29,7 +29,10 @@ from .errors import ParameterError
 from .fastconv import FastConvolver
 from .grid import GridSpec, _reject_bool, output_nodes
 from .quadrature import MidpointSamples, SingularParams
-from .spectral import f_from_samples
+# f_from_samples stays importable from here: the benchmark's tracer wraps
+# it by this name.
+from .spectral import (_node_samples, coefficients_from_samples,
+                       f_from_samples, sine_rows, sine_twiddles)
 
 __all__ = [
     "FracLapParams",
@@ -78,7 +81,10 @@ class FractionalLaplacian:
 
     Holds the fast-convolution plan, so repeated applications (e.g. the
     four stage evaluations of every time step) reuse the transformed
-    sample-independent kernel.
+    sample-independent kernel.  With ``cache_kernels`` (the default) the
+    sampled route keeps its own plan as well, built on its first call: the
+    (r, N) fold twiddles of :func:`fraclap.spectral.sine_twiddles` and the
+    prefactor times the convolution's scale.
     """
 
     def __init__(self, params: FracLapParams, cache_kernels: bool = True):
@@ -87,6 +93,7 @@ class FractionalLaplacian:
             params.grid, params.singular_params, cache_kernels=cache_kernels
         )
         self._pref = prefactors(params)
+        self._plan = None
 
     def apply(self, F: MidpointSamples) -> np.ndarray:
         """Operator values at all x_j from integrand midpoint samples F.
@@ -102,9 +109,27 @@ class FractionalLaplacian:
     def apply_to_samples(self, u_nodes) -> np.ndarray:
         """Operator values from u at the N output nodes alone.
 
-        Builds the integrand pseudospectrally (:func:`f_from_samples`) and
-        applies the operator; this is the only possible route when u is
-        known by samples, as inside an evolution loop.
+        Builds the integrand pseudospectrally and applies the operator;
+        this is the only possible route when u is known by samples, as
+        inside an evolution loop.  The value is that of
+        ``apply(f_from_samples(u_nodes, grid))``, but f is never put in
+        midpoint order: row c of :func:`fraclap.spectral.sine_rows` holds
+        the convolution's row pair c, residue 2c in its first half and
+        residue 2r−1−2c, reversed and negated, in its second.
         """
-        F = f_from_samples(u_nodes, self.params.grid)
-        return self.apply(F)
+        g = self.params.grid
+        n = g.N
+        a = coefficients_from_samples(_node_samples(u_nodes, g))
+        keep = self._conv.cache_kernels
+        twiddles, scale = self._plan or (sine_twiddles(g) if keep else None,
+                                         self._pref * self._conv.scale)
+        if keep:
+            self._plan = twiddles, scale
+        rows = sine_rows(a, g, twiddles)
+
+        def pairs(c0, c1, work):
+            w = rows(c0, c1, work)
+            return w[:, :n], w[:, :n - 1:-1]
+
+        return self._conv.convolve(pairs, scale, real=not np.iscomplexobj(a),
+                                   negate_odd=True)

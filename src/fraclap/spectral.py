@@ -17,14 +17,20 @@ cos(s)·sin(ks) then make f a sine series on the modes 1..N,
 
     f = Σ_{m=1}^{N} b_m sin(ms),   b_m = −½(m²−1)(a_{m−1} − a_{m+1}),
 
-with a_N = a_{N+1} = 0, and one FFT of length 2rN (a DST-III, Makhoul,
-IEEE Trans. ASSP 28, 1980; mode m in bins m and 2rN − m) sums it at every
-midpoint s_n = (2n+1)π/(4rN).  u_s and u_ss are never formed.
+with a_N = a_{N+1} = 0.  A DST-III (Makhoul, IEEE Trans. ASSP 28, 1980;
+mode m in bins m and 2rN − m of a spectrum of length 2rN) sums it at every
+midpoint s_n = (2n+1)π/(4rN).  Only 2N of those bins are nonzero, so
+:func:`sine_rows` folds them with stride r and sums f by r IFFTs of length
+2N instead of one of length 2rN.  Its rows are already the polyphase rows
+of the fast convolution (:mod:`fraclap.fastconv`), which
+:meth:`fraclap.operator.FractionalLaplacian.apply_to_samples` consumes as
+they come; :func:`derivatives_at_midpoints` gathers them into midpoint
+order.  u_s and u_ss are never formed.
 
 Real u stays real throughout: its a_k come from the ``rfft`` of the
-mirrored samples, the spectrum that sums f is Hermitian, and f is one
-``irfft`` of length 2rN from the bins 0..rN.  Complex u runs the same steps in complex
-arithmetic.
+mirrored samples, the row spectra that sum f are Hermitian, and each row
+is one ``irfft`` of length 2N from bins 0..N.  Complex u runs the same
+steps in complex arithmetic.
 
 The shifted node set never contains 0 or π, so the series machinery stays
 clear of the map's poles.
@@ -32,11 +38,13 @@ clear of the map's poles.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError, SampleShapeError
+from .fastconv import _transform_rows
 from .grid import GridSpec, midpoint_nodes
 from .quadrature import MidpointSamples, _float_or_complex
 
@@ -45,6 +53,8 @@ __all__ = [
     "derivatives_at_midpoints",
     "f_from_analytic",
     "f_from_samples",
+    "sine_rows",
+    "sine_twiddles",
 ]
 
 
@@ -77,46 +87,104 @@ def coefficients_from_samples(u_nodes) -> np.ndarray:
     return a
 
 
-def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
-    """f = sin(s)·u_ss + 2cos(s)·u_s at all 2rN midpoints in (0, π).
+def sine_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None) -> np.ndarray:
+    """Fold twiddles e^{iπm(4c+1)/(2M)}/r of modes m = 1..N, rows c0..c1−1.
 
-    ``a`` holds the N cosine coefficients of u.  With M = 2rN, f is the
-    sine series Σ_{m=1}^{N} b_m sin(m s_n) at s_n = (2n+1)π/(2M), summed by
-    one FFT of length 2rN (a DST-III, Makhoul 1980): bin m gets
-    −i·b_m·e^{iπm/(2M)} and bin M − m adds i·b_m·e^{−iπm/(2M)} (at r = 1
-    both are bin N for m = N); with w = (M/2)·IFFT_M, f_{2n} = w_n and
-    f_{2n+1} = −w_{M−1−n}.  For real ``a`` the spectrum is Hermitian (bin
-    M − m is the conjugate of bin m), so w is one ``irfft`` from bins
-    0..M/2, the Nyquist bin M/2 carrying both parts of mode N at r = 1, and
-    f is float64.  The name stays, though f is returned, because the
-    benchmark's tracer wraps the function by it.
+    M = 2rN; ``c1`` defaults to r.  Returns a (c1−c0, N) table.
+    """
+    c = np.arange(c0, g.r if c1 is None else c1)[:, None]
+    m = np.arange(1, g.N + 1)
+    return np.exp(0.5j * np.pi / g.num_midpoints * (m * (4 * c + 1))) * (1.0 / g.r)
+
+
+def sine_rows(a, g: GridSpec, twiddles=None) -> Callable:
+    """The sine series w of f, as a function that sums its rows.
+
+    ``a`` holds the N cosine coefficients of u.  With M = 2rN, the DST-III
+    of Makhoul (1980) sums f = Σ_{m=1}^{N} b_m sin(m s_n) at the midpoints
+    s_n = (2n+1)π/(2M) as w = (M/2)·IFFT_M(W), where bin m of W is
+    −i·b_m·e^{iπm/(2M)} and bin M − m adds i·b_m·e^{−iπm/(2M)}; then
+    f_{2n} = w_n and f_{2n+1} = −w_{M−1−n}.  Only 2N of the M bins are
+    nonzero, so the long IFFT splits into r short ones with no cross-row
+    pass (the four-step FFT of Bailey, J. Supercomputing 4, 1990): row c
+    holds w_{rq+c}, q = 0..2N−1, and is the IFFT of length 2N of W folded
+    with stride r, bin m going to bin m mod 2N with the twiddle of
+    :func:`sine_twiddles` (which carries the 1/r of the shorter IFFT).
+    Bins m and M − m land on bins m and 2N − m; bin N is shared at every r.
+    Row c's first half is f at the midpoints 2rq + 2c and its second half,
+    reversed and negated, f at 2rq + 2r−1−2c, q = 0..N−1.
+
+    Real ``a`` gives Hermitian row spectra (bin 2N − m is the conjugate of
+    bin m), so each row is one ``irfft`` from bins 0..N, the Nyquist bin N
+    carrying both parts of mode N, and the rows are float64.
+
+    Returns ``rows(c0, c1, out=None)``, the (c1−c0, 2N) rows c0..c1−1,
+    written into ``out`` when given: complex rows are transformed in place
+    there, real rows come from a half spectrum allocated per call.
+    ``twiddles`` is the (r, N) table of :func:`sine_twiddles`; without it
+    the twiddles are computed one row at a time.
     """
     a = _float_or_complex(a)
     if a.shape != (g.N,):
         raise SampleShapeError(
             f"expected {g.N} cosine coefficients, got {a.shape}"
         )
-    n_mid = g.num_midpoints
+    n, n_mid = g.N, g.num_midpoints
     if 2 * n_mid > 2**52:
         raise ParameterError("r*N too large for exact index arithmetic")
-    m = np.arange(1, g.N + 1)
+    m = np.arange(1, n + 1)
     diff = a.copy()
     diff[:-2] -= a[2:]  # a_{m−1} − a_{m+1}
     # bins = −i·(M/2)·b_m = ¼iM(m²−1)(a_{m−1} − a_{m+1}).
     bins = 0.25j * n_mid * (m * m - 1.0) * diff
-    phase = np.exp(0.5j * np.pi / n_mid * m)
     real = not np.iscomplexobj(a)
-    w = np.zeros(n_mid // 2 + 1 if real else n_mid, dtype=complex)
-    w[1: g.N + 1] = bins * phase
-    if real:
-        w[-1] += w[-1].conj()  # the Nyquist bin is its own mirror
-        w = np.fft.irfft(w, n=n_mid)
-    else:
-        w[:-g.N - 1:-1] -= bins * phase.conj()  # adds: bin N is shared at r = 1
-        np.fft.ifft(w, out=w)
-    f = np.empty(n_mid, dtype=w.dtype)
-    f[0::2] = w[: n_mid // 2]
-    np.negative(w[: n_mid // 2 - 1: -1], out=f[1::2])
+    mirror = None if real else -bins[:-1]
+
+    def rows(c0: int, c1: int, out=None) -> np.ndarray:
+        if real or out is None:
+            spectra = np.empty((c1 - c0, n + 1 if real else 2 * n),
+                               dtype=complex)
+        else:
+            spectra = out
+        spectra[:, 0] = 0.0
+        if twiddles is None:
+            folds = ((spectra[i:i + 1], sine_twiddles(g, c, c + 1))
+                     for i, c in enumerate(range(c0, c1)))
+        else:
+            folds = ((spectra, twiddles[c0:c1]),)
+        for spectrum, tw in folds:
+            np.multiply(bins, tw, out=spectrum[:, 1:n + 1])
+            if real:  # the Nyquist bin is its own mirror
+                spectrum[:, n] += spectrum[:, n].conj()
+            else:  # bin 2N − m gets −b_m·conj(t_m); bin N is shared
+                np.conjugate(tw[:, :n - 1], out=spectrum[:, :n:-1])
+                np.multiply(mirror, spectrum[:, :n:-1], out=spectrum[:, :n:-1])
+                spectrum[:, n] -= bins[-1] * tw[:, -1].conj()
+        if not real:
+            return _transform_rows(np.fft.ifft, spectra, spectra)
+        if out is None:
+            out = np.empty((c1 - c0, 2 * n))
+        return _transform_rows(partial(np.fft.irfft, n=2 * n), spectra, out)
+
+    return rows
+
+
+def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
+    """f = sin(s)·u_ss + 2cos(s)·u_s at all 2rN midpoints in (0, π).
+
+    ``a`` holds the N cosine coefficients of u.  The sine series is summed
+    by :func:`sine_rows`, r IFFTs of length 2N in place of one of length
+    2rN, and its rows are gathered into midpoint order: f_{2(rq+c)} is row
+    c at q and f_{2(rq+c)+1} is minus row r−1−c at 2N−1−q, q < N.  Real
+    ``a`` gives float64 f.  The name stays, though f is returned, because
+    the benchmark's tracer wraps the function by it.
+    """
+    n, r = g.N, g.r
+    rows = sine_rows(a, g)(0, r)
+    f = np.empty(g.num_midpoints, dtype=rows.dtype)
+    pairs = f.reshape(n, r, 2)
+    pairs[:, :, 0] = rows[:, :n].T
+    np.negative(rows[::-1, :n - 1:-1].T, out=pairs[:, :, 1])
     return f
 
 
@@ -138,10 +206,15 @@ def f_from_samples(u_nodes, g: GridSpec) -> MidpointSamples:
     :func:`derivatives_at_midpoints`; this is the route used when no
     analytic derivatives are available (e.g. inside a time stepper).
     """
+    a = coefficients_from_samples(_node_samples(u_nodes, g))
+    return MidpointSamples(values=derivatives_at_midpoints(a, g), grid=g)
+
+
+def _node_samples(u_nodes, g: GridSpec) -> np.ndarray:
+    """``u_nodes`` as float64 or complex128, checked to hold N samples."""
     u_nodes = _float_or_complex(u_nodes)
     if u_nodes.shape != (g.N,):
         raise SampleShapeError(
             f"expected {g.N} node samples, got {u_nodes.shape}"
         )
-    a = coefficients_from_samples(u_nodes)
-    return MidpointSamples(values=derivatives_at_midpoints(a, g), grid=g)
+    return u_nodes

@@ -436,6 +436,23 @@ class TestSweep:
         _, rows, _ = _read_csv_rows(out)
         assert len(rows) == 1 and rows[0][6] == ""
 
+    def test_integrand_built_once_per_grid(self, tmp_path, monkeypatch):
+        # Three α on four grids: one f_from_samples call per grid, and the
+        # rows keep the sweep order (α, then N, then r).
+        grids = []
+        f_from_samples = cli.f_from_samples
+        monkeypatch.setattr(cli, "f_from_samples",
+                            lambda u, g: grids.append(g) or f_from_samples(u, g))
+        out = tmp_path / "sweep.csv"
+        assert main(["--command", "sweep", "--alpha", "0.3,0.7,1.3",
+                     "--N", "16,24", "--r", "1,2", "--input", "builtin:erf",
+                     "--output", str(out)]) == 0
+        assert sorted((g.N, g.r) for g in grids) == [(16, 1), (16, 2),
+                                                     (24, 1), (24, 2)]
+        _, rows, _ = _read_csv_rows(out)
+        assert [(float(row[0]), int(row[1]), int(row[2])) for row in rows] == [
+            (a, n, r) for a in (0.3, 0.7, 1.3) for n in (16, 24) for r in (1, 2)]
+
     def test_numeric_columns_deterministic(self, tmp_path):
         args = ["--command", "sweep", "--alpha", "0.7,1.3", "--N", "16",
                 "--r", "1,2", "--input", "builtin:erf"]

@@ -9,7 +9,7 @@ from fraclap.operator import FracLapParams, FractionalLaplacian, prefactors
 from fraclap.profiles import ERF, RATIONAL, mapped_derivatives
 from fraclap.quadrature import MidpointSamples
 from fraclap.reference import exact_rational
-from fraclap.spectral import f_from_analytic
+from fraclap.spectral import f_from_analytic, f_from_samples
 
 from .oracles import c_alpha
 
@@ -174,3 +174,51 @@ class TestApply:
         from_analytic = op.apply(f_from_analytic(us, uss, g))
         scale = np.max(np.abs(from_analytic))
         assert np.max(np.abs(from_samples - from_analytic)) < 1e-11 * scale
+
+
+class TestSampledRoute:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 101, 1024])
+    @pytest.mark.parametrize("r", [1, 2, 3, 7, 32])
+    def test_equals_apply_of_f_from_samples(self, n, r):
+        # apply_to_samples sums the integrand's rows straight into the
+        # convolution; apply takes it in midpoint order.  Kept and one-shot
+        # plans, real and complex u; a later call leaves an earlier result
+        # untouched, so no output shares memory with the plan.
+        g = GridSpec(N=n, r=r, L=1.3)
+        rng = np.random.default_rng(100 * n + r)
+        for keep in (True, False):
+            op = FractionalLaplacian(FracLapParams(alpha=0.7, grid=g),
+                                     cache_kernels=keep)
+            results = []
+            for real in (False, True, False):
+                u = rng.standard_normal(n)
+                if not real:
+                    u = u + 1j * rng.standard_normal(n)
+                got = op.apply_to_samples(u)
+                ref = op.apply(f_from_samples(u, g))
+                assert got.dtype == ref.dtype
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+                results.append((got, got.copy()))
+            for got, copy in results:
+                assert np.array_equal(got, copy)
+
+    @pytest.mark.parametrize("dtype, bound", [(complex, 1.0), (float, 2.0)])
+    def test_warm_call_allocates_little(self, dtype, bound):
+        # A kept plan keeps its twiddles and work buffers, so a warm call
+        # allocates only arrays of length O(N): bound times the bytes of the
+        # 2rN midpoint samples of that dtype.
+        import tracemalloc
+
+        g = GridSpec(N=1024, r=32, L=200.0)
+        op = FractionalLaplacian(FracLapParams(alpha=1.99, grid=g))
+        u = np.random.default_rng(5).standard_normal(g.N).astype(dtype)
+        if dtype is complex:
+            u.imag = np.random.default_rng(6).standard_normal(g.N)
+        op.apply_to_samples(u)
+        tracemalloc.start()
+        try:
+            op.apply_to_samples(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * g.num_midpoints * np.dtype(dtype).itemsize

@@ -186,6 +186,20 @@ class TestDerivativesAtMidpoints:
             assert peak <= 2.5 * f.nbytes
 
 
+def _shared_bin_examples(test):
+    """Examples at r = 3, 7 and 32 (beyond the drawn r ≤ 7 at 32).
+
+    Folded with stride r, mode N's bins N and 2rN − N both land on bin N of
+    the rows' IFFTs of length 2N, at every r (for real u, the Nyquist bin
+    of the half spectrum).
+    """
+    for n in (1, 2, 31, 101):
+        for r in (3, 7, 32):
+            for real in (False, True):
+                test = example(n=n, r=r, seed=0, real=real)(test)
+    return test
+
+
 class TestDirectSumOracle:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(n=st.integers(1, 300), r=st.integers(1, 7),
@@ -193,13 +207,12 @@ class TestDirectSumOracle:
     @example(n=1, r=1, seed=0, real=False)
     @example(n=293, r=7, seed=0, real=False)
     # At r = 1 the DST-III's bins m = N and M − m = N coincide (for real u,
-    # the Nyquist bin of the half spectrum); r = 32 lies beyond the drawn
-    # r ≤ 7.
+    # the Nyquist bin of the half spectrum).
     @example(n=2, r=1, seed=0, real=False)
     @example(n=1024, r=1, seed=0, real=False)
-    @example(n=31, r=32, seed=0, real=False)
     @example(n=2, r=1, seed=0, real=True)
     @example(n=1024, r=1, seed=0, real=True)
+    @_shared_bin_examples
     def test_fast_route_equals_direct_sums(self, n, r, seed, real):
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(n)
