@@ -21,12 +21,13 @@ so c splits into 2r polyphase parts: with n = 2rq + ρ, a^ρ_q = a_{2rq+ρ}
 and κ_ρ[q] = κ[(2rq − ρ) mod P], A_j = Σ_ρ (a^ρ ⊛_m κ_ρ)[j], ρ = 0..2r−1.
 The plan is the table of the length-m FFTs of the κ_ρ, one row each.  The
 rows go in pairs, residues 2c and 2r−1−2c, whose kernel rows are each
-other's mirror: the sampled route of :mod:`fraclap.spectral` produces f
-pair by pair.  A batch of pairs, about 2^14 points, is weighted,
-transformed, multiplied by its table rows and summed into one row before
-the next batch, so only one batch of weighted rows is held at a time.  The
-row FFTs run batched, at most 2^17 points per call: pocketfft's scratch
-grows with the points of a call, and batching keeps many short rows fast.
+other's mirror: :func:`_pair_rows` views f so, and
+:func:`fraclap.spectral.sine_pairs` sums f pair by pair.  A batch of pairs,
+about 2^14 points, is weighted, transformed, multiplied by its table rows
+and summed into one row before the next batch, so only one batch of
+weighted rows is held at a time.  The row FFTs run batched, at most 2^17
+points per call: pocketfft's scratch grows with the points of a call, and
+batching keeps many short rows fast.
 
 M is real, so every κ_ρ is real and its spectrum Hermitian: the table keeps
 the m//2+1 ``rfft`` bins of each row, half the bytes of the full spectra
@@ -64,6 +65,12 @@ def _smooth5_at_least(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+def _pair_rows(values: np.ndarray, g: GridSpec) -> tuple:
+    """The (even, odd) row pairs of :meth:`FastConvolver.convolve`, as views."""
+    rows = values.reshape(g.N, 2 * g.r).T
+    return rows[0::2], rows[::-2]
 
 
 def _transform_rows(transform, a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -174,25 +181,24 @@ class FastConvolver:
             raise SampleShapeError(
                 f"expected {g.num_midpoints} midpoint samples, got {values.shape}"
             )
-        rows = values.reshape(g.N, 2 * g.r).T
-        even, odd = rows[0::2], rows[::-2]
+        even, odd = _pair_rows(values, g)
         return self.convolve(lambda c0, c1, work: (even[c0:c1], odd[c0:c1]),
-                             self.scale, real=not np.iscomplexobj(values))
+                             real=not np.iscomplexobj(values))
 
-    def convolve(self, pairs, scale, real: bool,
+    def convolve(self, pairs, real: bool,
                  negate_odd: bool = False) -> np.ndarray:
-        """Quadrature values times ``scale`` from the polyphase rows of f.
+        """The N quadrature values from the polyphase rows of f.
 
         Pair c is the rows of residues 2c and 2r−1−2c, whose kernel rows are
         each other's mirror.  ``pairs(c0, c1, work)`` returns (even, odd),
         two (c1−c0, N) arrays holding f at the midpoints 2rq + 2c and
-        2rq + 2r−1−2c, q = 0..N−1, for c0 ≤ c < c1; they may be views of
+        2rq + 2r−1−2c, q = 0..N−1, for c0 ≤ c < c1 (:func:`_pair_rows` of f,
+        or :func:`fraclap.spectral.sine_pairs`); they may be views of
         ``work``, a (c1−c0, 2N) scratch array (float64 when ``real``, else
         complex128) whose contents are used up by the call.  With
         ``negate_odd`` the odd rows hold −f.  The pairs are transformed,
-        multiplied by the table and summed a batch at a time.  ``scale``
-        multiplies the N index-unit sums (:attr:`scale` gives the
-        quadrature values); the result never shares memory with the plan.
+        multiplied by the table and summed a batch at a time; the result
+        never shares memory with the plan.
         """
         g = self.grid
         n, r = g.N, g.r
@@ -257,7 +263,7 @@ class FastConvolver:
             out = np.fft.irfft(total, n=m, out=rows[1, :m])
         else:
             out = np.fft.ifft(total, out=total)
-        return out[:n] * scale
+        return out[:n] * self.scale
 
 
 def fast_singular_integral(F: MidpointSamples, p: SingularParams) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlowUpError, ParameterError, SampleShapeError
-from .grid import output_nodes
+from .grid import _reject_bool, output_nodes
 from .operator import FracLapParams, FractionalLaplacian
 
 __all__ = [
@@ -61,6 +61,7 @@ class EvolutionState:
             raise SampleShapeError(
                 f"psi must have length N={self.params.grid.N}, got {self.psi.shape}"
             )
+        _reject_bool("dt", self.dt)
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
         if self.operator is None or self.operator.params != self.params:
@@ -125,6 +126,7 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
     """
     state = EvolutionState(psi=np.asarray(psi0, dtype=complex), t=0.0,
                            params=p, dt=dt)
+    _reject_bool("t_end", t_end)
     if not (t_end >= 0 and math.isfinite(t_end)):
         raise ParameterError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if isinstance(snapshot_every, bool) \

@@ -25,14 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import ParameterError
 from .fastconv import FastConvolver
 from .grid import GridSpec, _reject_bool, output_nodes
 from .quadrature import MidpointSamples, SingularParams
-# f_from_samples stays importable from here: the benchmark's tracer wraps
-# it by this name.
-from .spectral import (_node_samples, coefficients_from_samples,
-                       f_from_samples, sine_rows, sine_twiddles)
+# The benchmark's tracer wraps f_from_samples here, and
+# coefficients_from_samples in spectral (looked up at call time), by name.
+from .spectral import _node_samples, f_from_samples, sine_pairs, sine_twiddles
 
 __all__ = [
     "FracLapParams",
@@ -82,9 +82,8 @@ class FractionalLaplacian:
     Holds the fast-convolution plan, so repeated applications (e.g. the
     four stage evaluations of every time step) reuse the transformed
     sample-independent kernel.  With ``cache_kernels`` (the default) the
-    sampled route keeps its own plan as well, built on its first call: the
-    (r, N) fold twiddles of :func:`fraclap.spectral.sine_twiddles` and the
-    prefactor times the convolution's scale.
+    sampled route also keeps the (r, N) fold twiddles of
+    :func:`fraclap.spectral.sine_twiddles`, built on its first call.
     """
 
     def __init__(self, params: FracLapParams, cache_kernels: bool = True):
@@ -93,7 +92,7 @@ class FractionalLaplacian:
             params.grid, params.singular_params, cache_kernels=cache_kernels
         )
         self._pref = prefactors(params)
-        self._plan = None
+        self._twiddles = None
 
     def apply(self, F: MidpointSamples) -> np.ndarray:
         """Operator values at all x_j from integrand midpoint samples F.
@@ -113,23 +112,13 @@ class FractionalLaplacian:
         this is the only possible route when u is known by samples, as
         inside an evolution loop.  The value is that of
         ``apply(f_from_samples(u_nodes, grid))``, but f is never put in
-        midpoint order: row c of :func:`fraclap.spectral.sine_rows` holds
-        the convolution's row pair c, residue 2c in its first half and
-        residue 2r−1−2c, reversed and negated, in its second.
+        midpoint order: :func:`fraclap.spectral.sine_pairs` hands the
+        convolution its row pairs as they are summed.
         """
         g = self.params.grid
-        n = g.N
-        a = coefficients_from_samples(_node_samples(u_nodes, g))
-        keep = self._conv.cache_kernels
-        twiddles, scale = self._plan or (sine_twiddles(g) if keep else None,
-                                         self._pref * self._conv.scale)
-        if keep:
-            self._plan = twiddles, scale
-        rows = sine_rows(a, g, twiddles)
-
-        def pairs(c0, c1, work):
-            w = rows(c0, c1, work)
-            return w[:, :n], w[:, :n - 1:-1]
-
-        return self._conv.convolve(pairs, scale, real=not np.iscomplexobj(a),
-                                   negate_odd=True)
+        a = spectral.coefficients_from_samples(_node_samples(u_nodes, g))
+        if self._twiddles is None and self._conv.cache_kernels:
+            self._twiddles = sine_twiddles(g)
+        return self._pref * self._conv.convolve(
+            sine_pairs(a, g, self._twiddles), real=not np.iscomplexobj(a),
+            negate_odd=True)

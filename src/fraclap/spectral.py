@@ -20,11 +20,11 @@ cos(s)·sin(ks) then make f a sine series on the modes 1..N,
 with a_N = a_{N+1} = 0.  A DST-III (Makhoul, IEEE Trans. ASSP 28, 1980;
 mode m in bins m and 2rN − m of a spectrum of length 2rN) sums it at every
 midpoint s_n = (2n+1)π/(4rN).  Only 2N of those bins are nonzero, so
-:func:`sine_rows` folds them with stride r and sums f by r IFFTs of length
-2N instead of one of length 2rN.  Its rows are already the polyphase rows
-of the fast convolution (:mod:`fraclap.fastconv`), which
+:func:`sine_pairs` folds them with stride r and sums f by r IFFTs of length
+2N instead of one of length 2rN.  Each of its rows is one row pair of the
+fast convolution (:mod:`fraclap.fastconv`), which
 :meth:`fraclap.operator.FractionalLaplacian.apply_to_samples` consumes as
-they come; :func:`derivatives_at_midpoints` gathers them into midpoint
+they come; :func:`derivatives_at_midpoints` puts them into midpoint
 order.  u_s and u_ss are never formed.
 
 Real u stays real throughout: its a_k come from the ``rfft`` of the
@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, SampleShapeError
-from .fastconv import _transform_rows
+from .fastconv import _pair_rows, _transform_rows
 from .grid import GridSpec, midpoint_nodes
 from .quadrature import MidpointSamples, _float_or_complex
 
@@ -53,7 +53,7 @@ __all__ = [
     "derivatives_at_midpoints",
     "f_from_analytic",
     "f_from_samples",
-    "sine_rows",
+    "sine_pairs",
     "sine_twiddles",
 ]
 
@@ -97,8 +97,8 @@ def sine_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None) -> np.ndarray
     return np.exp(0.5j * np.pi / g.num_midpoints * (m * (4 * c + 1))) * (1.0 / g.r)
 
 
-def sine_rows(a, g: GridSpec, twiddles=None) -> Callable:
-    """The sine series w of f, as a function that sums its rows.
+def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
+    """The convolution's row pairs of f, as a function that sums them.
 
     ``a`` holds the N cosine coefficients of u.  With M = 2rN, the DST-III
     of Makhoul (1980) sums f = Σ_{m=1}^{N} b_m sin(m s_n) at the midpoints
@@ -111,18 +111,21 @@ def sine_rows(a, g: GridSpec, twiddles=None) -> Callable:
     with stride r, bin m going to bin m mod 2N with the twiddle of
     :func:`sine_twiddles` (which carries the 1/r of the shorter IFFT).
     Bins m and M − m land on bins m and 2N − m; bin N is shared at every r.
-    Row c's first half is f at the midpoints 2rq + 2c and its second half,
-    reversed and negated, f at 2rq + 2r−1−2c, q = 0..N−1.
+    Row c is the convolution's row pair c: its first half is f at the
+    midpoints 2rq + 2c and its second half, reversed, −f at 2rq + 2r−1−2c,
+    q = 0..N−1.
 
     Real ``a`` gives Hermitian row spectra (bin 2N − m is the conjugate of
     bin m), so each row is one ``irfft`` from bins 0..N, the Nyquist bin N
     carrying both parts of mode N, and the rows are float64.
 
-    Returns ``rows(c0, c1, out=None)``, the (c1−c0, 2N) rows c0..c1−1,
-    written into ``out`` when given: complex rows are transformed in place
-    there, real rows come from a half spectrum allocated per call.
-    ``twiddles`` is the (r, N) table of :func:`sine_twiddles`; without it
-    the twiddles are computed one row at a time.
+    Returns ``pairs(c0, c1, work=None)``, the (even, odd) pair rows
+    c0..c1−1 that :meth:`fraclap.fastconv.FastConvolver.convolve` takes,
+    two (c1−c0, N) views of the rows, which are written into ``work`` when
+    given: complex rows are transformed in place there, real rows come from
+    a half spectrum allocated per call.  ``twiddles`` is the (r, N) table of
+    :func:`sine_twiddles`; without it the twiddles are computed one row at
+    a time.
     """
     a = _float_or_complex(a)
     if a.shape != (g.N,):
@@ -140,12 +143,12 @@ def sine_rows(a, g: GridSpec, twiddles=None) -> Callable:
     real = not np.iscomplexobj(a)
     mirror = None if real else -bins[:-1]
 
-    def rows(c0: int, c1: int, out=None) -> np.ndarray:
-        if real or out is None:
+    def pairs(c0: int, c1: int, work=None):
+        if real or work is None:
             spectra = np.empty((c1 - c0, n + 1 if real else 2 * n),
                                dtype=complex)
         else:
-            spectra = out
+            spectra = work
         spectra[:, 0] = 0.0
         if twiddles is None:
             folds = ((spectra[i:i + 1], sine_twiddles(g, c, c + 1))
@@ -160,31 +163,30 @@ def sine_rows(a, g: GridSpec, twiddles=None) -> Callable:
                 np.conjugate(tw[:, :n - 1], out=spectrum[:, :n:-1])
                 np.multiply(mirror, spectrum[:, :n:-1], out=spectrum[:, :n:-1])
                 spectrum[:, n] -= bins[-1] * tw[:, -1].conj()
-        if not real:
-            return _transform_rows(np.fft.ifft, spectra, spectra)
-        if out is None:
-            out = np.empty((c1 - c0, 2 * n))
-        return _transform_rows(partial(np.fft.irfft, n=2 * n), spectra, out)
+        if real:
+            work = np.empty((c1 - c0, 2 * n)) if work is None else work
+            w = _transform_rows(partial(np.fft.irfft, n=2 * n), spectra, work)
+        else:
+            w = _transform_rows(np.fft.ifft, spectra, spectra)
+        return w[:, :n], w[:, :n - 1:-1]
 
-    return rows
+    return pairs
 
 
 def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
     """f = sin(s)·u_ss + 2cos(s)·u_s at all 2rN midpoints in (0, π).
 
     ``a`` holds the N cosine coefficients of u.  The sine series is summed
-    by :func:`sine_rows`, r IFFTs of length 2N in place of one of length
-    2rN, and its rows are gathered into midpoint order: f_{2(rq+c)} is row
-    c at q and f_{2(rq+c)+1} is minus row r−1−c at 2N−1−q, q < N.  Real
-    ``a`` gives float64 f.  The name stays, though f is returned, because
-    the benchmark's tracer wraps the function by it.
+    by :func:`sine_pairs`, r IFFTs of length 2N in place of one of length
+    2rN, and its row pairs are put into midpoint order.  Real ``a`` gives
+    float64 f.  The name stays, though f is returned, because the
+    benchmark's tracer wraps the function by it.
     """
-    n, r = g.N, g.r
-    rows = sine_rows(a, g)(0, r)
-    f = np.empty(g.num_midpoints, dtype=rows.dtype)
-    pairs = f.reshape(n, r, 2)
-    pairs[:, :, 0] = rows[:, :n].T
-    np.negative(rows[::-1, :n - 1:-1].T, out=pairs[:, :, 1])
+    even, odd = sine_pairs(a, g)(0, g.r)
+    f = np.empty(g.num_midpoints, dtype=even.dtype)
+    f_even, f_odd = _pair_rows(f, g)
+    f_even[...] = even
+    np.negative(odd, out=f_odd)
     return f
 
 

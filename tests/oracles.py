@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity through a route that shares no code with
 the implementation it checks: transforms by direct O(M²) summation,
 convolutions by direct O(N²) summation, the pseudospectral integrand by
-direct summation of its cosine series, and the fractional Laplacian by
-adaptive quadrature of its derivative-kernel form
+direct summation of its cosine series (and its sine series in long double),
+and the fractional Laplacian by adaptive quadrature of its derivative-kernel
+form
 
     (c_α/α) ∫_0^∞ (u_x(x−y) − u_x(x+y)) / y^α dy,
 
@@ -85,6 +86,36 @@ def integrand_direct(a, num_midpoints: int) -> np.ndarray:
     uss = -(np.cos(ks) * k**2.0) @ a
     s = (2 * np.arange(num_midpoints) + 1) * np.pi / (2 * num_midpoints)
     return np.sin(s) * uss + 2.0 * np.cos(s) * us
+
+
+# π to long double precision (np.pi is only float64).
+_PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def sine_series_long(a, num_midpoints: int) -> np.ndarray:
+    """The integrand's sine series at the M midpoints, in long double.
+
+    f = Σ_{m=1}^{N} b_m sin(m s_n), s_n = (2n+1)π/(2M), with
+    b_m = −½(m²−1)(a_{m−1} − a_{m+1}) and a_N = a_{N+1} = 0, all formed in
+    long double from ``a``.  sin(m s_n) = (e^{i m s_n} − e^{−i m s_n})/(2i)
+    and m s_n = πm/(2M) + 2πmn/(2M) split f into an inverse and a forward
+    DFT of length 2M with e^{±iπm/(2M)}·b_m in bin m, read at n < M: no
+    Makhoul reindexing, no folding.  numpy's pocketfft transforms complex256
+    input in long double (eps 1.08e-19).  Returns complex256.
+    """
+    a = np.asarray(a).astype(np.clongdouble)
+    n, big_m = len(a), num_midpoints
+    padded = np.zeros(n + 2, dtype=np.clongdouble)
+    padded[:n] = a
+    m = np.arange(1, n + 1)
+    b = -0.5 * (m * m - 1).astype(np.longdouble) * (padded[:n] - padded[2:])
+    angle = _PI_LONG * m.astype(np.longdouble) / (2 * big_m)
+    phase = np.cos(angle) + 1j * np.sin(angle)
+    up = np.zeros(2 * big_m, dtype=np.clongdouble)
+    down = np.zeros(2 * big_m, dtype=np.clongdouble)
+    up[1:n + 1] = b * phase
+    down[1:n + 1] = b * phase.conj()
+    return (2 * big_m * np.fft.ifft(up) - np.fft.fft(down))[:big_m] / 2j
 
 
 def fraclap_quad(ux, alpha: float, x: float) -> float | complex:

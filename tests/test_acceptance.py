@@ -65,6 +65,7 @@ def _rational_errors(n: int, r: int, alpha: float):
                        r=r, alpha=alpha)
 
 
+@pytest.mark.slow
 def test_criterion_2_rational_reproduction():
     """Ten-million-node single-mode profile at alpha = 1.3, r = 1."""
     desk = _rational_errors(2**20, 1, 1.3)
@@ -84,6 +85,7 @@ def test_criterion_2_rational_reproduction():
     assert elapsed <= 60.0
 
 
+@pytest.mark.slow
 def test_criterion_3_erf_spectral_reproduction():
     """erf through the sampled (pseudospectral) route at N = 2^20, r = 8."""
     t0 = time.perf_counter()
@@ -172,6 +174,7 @@ def test_criterion_6_midpoint_rule_regimes():
         )
 
 
+@pytest.mark.slow
 def test_criterion_7_nls_desk_run():
     """Energy drift quarters per refinement doubling; no blow-up."""
     t0 = time.perf_counter()

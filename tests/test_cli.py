@@ -540,6 +540,7 @@ class TestNls:
         times = [float(line.split(",")[0]) for line in lines[1:]]
         assert times == pytest.approx(0.1 * np.arange(n_snaps), abs=1e-12)
 
+    @pytest.mark.slow
     def test_csv_memory_does_not_grow_with_snapshot_count(self, tmp_path):
         import tracemalloc
 

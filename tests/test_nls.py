@@ -36,6 +36,13 @@ class TestState:
             with pytest.raises(ParameterError):
                 EvolutionState(psi=np.zeros(8), t=0.0, params=p, dt=dt)
 
+    @pytest.mark.parametrize("dt", [True, np.True_])
+    def test_bool_dt_rejected(self, dt):
+        # True would otherwise pass as a step of 1.
+        p = FracLapParams(alpha=1.3, grid=GridSpec(N=8, r=1, L=1.0))
+        with pytest.raises(ParameterError, match="bool"):
+            EvolutionState(psi=np.zeros(8), t=0.0, params=p, dt=dt)
+
     def test_replace_shares_the_operator(self):
         state = _gaussian_state(n=16, r=2, L=5.0, alpha=1.3)
         stepped = rk4_step(state)
@@ -197,6 +204,16 @@ class TestSimulate:
     def test_non_finite_or_negative_times_rejected(self, dt, t_end):
         state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)
         with pytest.raises(ParameterError):
+            _simulate(state.psi, state.params, dt=dt, t_end=t_end,
+                      snapshot_every=1)
+
+    @pytest.mark.parametrize("dt,t_end", [
+        (True, 0.05), (np.True_, 0.05), (0.01, True), (0.01, np.True_),
+    ])
+    def test_bool_times_rejected(self, dt, t_end):
+        # t_end=True would otherwise run 1/dt steps.
+        state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)
+        with pytest.raises(ParameterError, match="bool"):
             _simulate(state.psi, state.params, dt=dt, t_end=t_end,
                       snapshot_every=1)
 

@@ -202,6 +202,25 @@ class TestSampledRoute:
             for got, copy in results:
                 assert np.array_equal(got, copy)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 101, 1024, 4097])
+    @pytest.mark.parametrize("r", [1, 2, 3, 7, 32])
+    def test_kept_and_one_shot_agree_bitwise(self, n, r):
+        # A kept operator folds with its (r, N) twiddle table, a one-shot
+        # one computes the twiddles row by row: the same numbers, cold and
+        # warm.
+        g = GridSpec(N=n, r=r, L=1.3)
+        p = FracLapParams(alpha=0.7, grid=g)
+        rng = np.random.default_rng(10 * n + r)
+        kept = FractionalLaplacian(p)
+        for u in (rng.standard_normal(n),
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            once = FractionalLaplacian(p, cache_kernels=False)
+            ref = once.apply_to_samples(u)
+            for _ in range(2):
+                got = kept.apply_to_samples(u)
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+
     @pytest.mark.parametrize("dtype, bound", [(complex, 1.0), (float, 2.0)])
     def test_warm_call_allocates_little(self, dtype, bound):
         # A kept plan keeps its twiddles and work buffers, so a warm call
