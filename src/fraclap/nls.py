@@ -117,12 +117,12 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
     Snapshots (t, ψ, M) are taken at t = 0, after every
     ``snapshot_every``-th step, and at the final step, and each is passed
     to ``sink`` at once, with a copy of ψ the sink may keep; the run holds
-    none of them.  A non-finite sample aborts the run with
+    none of them.  A non-finite sample after a step aborts the run with
     :class:`fraclap.errors.BlowUpError` carrying the first bad index, the
     time it appeared and the energy log of the steps before it, after the
-    sink has seen every earlier snapshot.  A step count t_end/dt that
-    overflows, or whose energy log does not fit in memory, is a
-    :class:`fraclap.errors.ParameterError`.
+    sink has seen every earlier snapshot.  A non-finite ψ0 (naming its
+    first bad index), or a step count t_end/dt that overflows or whose
+    energy log does not fit in memory, is a ParameterError.
     """
     state = EvolutionState(psi=np.asarray(psi0, dtype=complex), t=0.0,
                            params=p, dt=dt)
@@ -151,6 +151,9 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
         if step % snapshot_every == 0 or step == n_steps:
             sink(state.t, state.psi.copy(), m)
 
+    finite = np.isfinite(state.psi.real) & np.isfinite(state.psi.imag)
+    if not finite.all():  # a step would spread it to every node
+        raise ParameterError(f"psi0 is not finite at index {np.argmin(finite)}")
     record(0)
     for step in range(1, n_steps + 1):
         state = rk4_step(state)

@@ -32,7 +32,7 @@ from .grid import GridSpec, _reject_bool, output_nodes
 from .quadrature import MidpointSamples, SingularParams
 # The benchmark's tracer wraps f_from_samples here, and
 # coefficients_from_samples in spectral (looked up at call time), by name.
-from .spectral import _node_samples, f_from_samples, sine_pairs, sine_twiddles
+from .spectral import f_from_samples, sine_pairs, sine_twiddles
 
 __all__ = [
     "FracLapParams",
@@ -116,9 +116,8 @@ class FractionalLaplacian:
         convolution its row pairs as they are summed.
         """
         g = self.params.grid
-        a = spectral.coefficients_from_samples(_node_samples(u_nodes, g))
+        a = spectral.coefficients_from_samples(u_nodes)
         if self._twiddles is None and self._conv.cache_kernels:
             self._twiddles = sine_twiddles(g)
         return self._pref * self._conv.convolve(
-            sine_pairs(a, g, self._twiddles), real=not np.iscomplexobj(a),
-            negate_odd=True)
+            sine_pairs(a, g, self._twiddles), real=not np.iscomplexobj(a))

@@ -87,14 +87,18 @@ def coefficients_from_samples(u_nodes) -> np.ndarray:
     return a
 
 
-def sine_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None) -> np.ndarray:
+def sine_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None,
+                  out=None) -> np.ndarray:
     """Fold twiddles e^{iπm(4c+1)/(2M)}/r of modes m = 1..N, rows c0..c1−1.
 
-    M = 2rN; ``c1`` defaults to r.  Returns a (c1−c0, N) table.
+    M = 2rN; ``c1`` defaults to r.  Returns a (c1−c0, N) table (in ``out``).
     """
     c = np.arange(c0, g.r if c1 is None else c1)[:, None]
     m = np.arange(1, g.N + 1)
-    return np.exp(0.5j * np.pi / g.num_midpoints * (m * (4 * c + 1))) * (1.0 / g.r)
+    out = np.multiply(0.5j * np.pi / g.num_midpoints, m * (4 * c + 1), out=out)
+    np.exp(out, out=out)
+    out *= 1.0 / g.r
+    return out
 
 
 def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
@@ -121,16 +125,16 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
 
     Returns ``pairs(c0, c1, work=None)``, the (even, odd) pair rows
     c0..c1−1 that :meth:`fraclap.fastconv.FastConvolver.convolve` takes,
-    two (c1−c0, N) views of the rows, which are written into ``work`` when
-    given: complex rows are transformed in place there, real rows come from
-    a half spectrum allocated per call.  ``twiddles`` is the (r, N) table of
-    :func:`sine_twiddles`; without it the twiddles are computed one row at
-    a time.
+    f and −f, two (c1−c0, N) views of the rows, which are written into
+    ``work`` when given: complex rows are transformed in place there, real
+    rows come from a half spectrum allocated per call.  ``twiddles`` is the
+    (r, N) table of :func:`sine_twiddles`; without it the twiddles of rows
+    c0..c1−1 are computed in place in the bins they multiply.
     """
     a = _float_or_complex(a)
     if a.shape != (g.N,):
         raise SampleShapeError(
-            f"expected {g.N} cosine coefficients, got {a.shape}"
+            f"expected {g.N} node samples or cosine coefficients, got {a.shape}"
         )
     n, n_mid = g.N, g.num_midpoints
     if 2 * n_mid > 2**52:
@@ -150,23 +154,21 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
         else:
             spectra = work
         spectra[:, 0] = 0.0
-        if twiddles is None:
-            folds = ((spectra[i:i + 1], sine_twiddles(g, c, c + 1))
-                     for i, c in enumerate(range(c0, c1)))
+        if twiddles is None:  # computed into the bins they multiply
+            tw = sine_twiddles(g, c0, c1, out=spectra[:, 1:n + 1])
         else:
-            folds = ((spectra, twiddles[c0:c1]),)
-        for spectrum, tw in folds:
-            np.multiply(bins, tw, out=spectrum[:, 1:n + 1])
-            if real:  # the Nyquist bin is its own mirror
-                spectrum[:, n] += spectrum[:, n].conj()
-            else:  # bin 2N − m gets −b_m·conj(t_m); bin N is shared
-                np.conjugate(tw[:, :n - 1], out=spectrum[:, :n:-1])
-                np.multiply(mirror, spectrum[:, :n:-1], out=spectrum[:, :n:-1])
-                spectrum[:, n] -= bins[-1] * tw[:, -1].conj()
-        if real:
+            tw = twiddles[c0:c1]
+        if not real:  # bin 2N − m gets −b_m·conj(t_m); bin N is shared
+            np.conjugate(tw[:, :n - 1], out=spectra[:, :n:-1])
+            np.multiply(mirror, spectra[:, :n:-1], out=spectra[:, :n:-1])
+            shared = bins[-1] * tw[:, -1].conj()
+        np.multiply(bins, tw, out=spectra[:, 1:n + 1])
+        if real:  # the Nyquist bin is its own mirror
+            spectra[:, n] += spectra[:, n].conj()
             work = np.empty((c1 - c0, 2 * n)) if work is None else work
             w = _transform_rows(partial(np.fft.irfft, n=2 * n), spectra, work)
         else:
+            spectra[:, n] -= shared
             w = _transform_rows(np.fft.ifft, spectra, spectra)
         return w[:, :n], w[:, :n - 1:-1]
 
@@ -178,7 +180,8 @@ def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
 
     ``a`` holds the N cosine coefficients of u.  The sine series is summed
     by :func:`sine_pairs`, r IFFTs of length 2N in place of one of length
-    2rN, and its row pairs are put into midpoint order.  Real ``a`` gives
+    2rN, and its row pairs are put into midpoint order, the odd rows
+    negated back from the −f of :func:`sine_pairs`.  Real ``a`` gives
     float64 f.  The name stays, though f is returned, because the
     benchmark's tracer wraps the function by it.
     """
@@ -208,15 +211,5 @@ def f_from_samples(u_nodes, g: GridSpec) -> MidpointSamples:
     :func:`derivatives_at_midpoints`; this is the route used when no
     analytic derivatives are available (e.g. inside a time stepper).
     """
-    a = coefficients_from_samples(_node_samples(u_nodes, g))
+    a = coefficients_from_samples(u_nodes)
     return MidpointSamples(values=derivatives_at_midpoints(a, g), grid=g)
-
-
-def _node_samples(u_nodes, g: GridSpec) -> np.ndarray:
-    """``u_nodes`` as float64 or complex128, checked to hold N samples."""
-    u_nodes = _float_or_complex(u_nodes)
-    if u_nodes.shape != (g.N,):
-        raise SampleShapeError(
-            f"expected {g.N} node samples, got {u_nodes.shape}"
-        )
-    return u_nodes

@@ -4,8 +4,9 @@ Each oracle recomputes a quantity through a route that shares no code with
 the implementation it checks: transforms by direct O(M²) summation,
 convolutions by direct O(N²) summation, the pseudospectral integrand by
 direct summation of its cosine series (and its sine series in long double),
-and the fractional Laplacian by adaptive quadrature of its derivative-kernel
-form
+the NLS standing wave by a fixed-point solve on the operator's dense
+matrix, and the fractional Laplacian by adaptive quadrature of its
+derivative-kernel form
 
     (c_α/α) ∫_0^∞ (u_x(x−y) − u_x(x+y)) / y^α dy,
 
@@ -19,6 +20,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import lu_factor, lu_solve
 
 
 def c_alpha(alpha: float) -> float:
@@ -149,6 +151,32 @@ def fraclap_quad(ux, alpha: float, x: float) -> float | complex:
     else:
         value = one_part("re")
     return c_alpha(alpha) / alpha * value
+
+
+def nls_ground_state(apply, x, lam: float = 1.0, tol: float = 1e-13,
+                     max_iter: int = 500) -> tuple:
+    """Q with (λ + ½A)Q = Q³ at the nodes x, by Petviashvili's iteration.
+
+    ``apply`` maps node samples to the operator's values at the same nodes
+    (``FractionalLaplacian.apply_to_samples``); A is built densely from its
+    action on the unit vectors, so no time stepping is involved.  From
+    Q = sech(x), Q ← S^{3/2}(λ+½A)^{−1}Q³ with the stabilizing factor
+    S = ⟨Q,(λ+½A)Q⟩/⟨Q,Q³⟩ (Pelinovsky & Stepanyants, SIAM J. Numer. Anal.
+    42, 2004) until an update moves Q by less than ``tol``.  ψ = e^{iλt}Q
+    then solves i·ψ_t = ½Aψ − |ψ|²ψ exactly.  Returns Q, the residual
+    max|(λ+½A)Q − Q³| and the number of iterations.
+    """
+    n = len(x)
+    k = lam * np.eye(n) + 0.5 * np.column_stack([apply(e) for e in np.eye(n)])
+    lu = lu_factor(k)
+    q = 1.0 / np.cosh(x)
+    for it in range(1, max_iter + 1):
+        q3 = q**3
+        s = (q @ k @ q) / (q @ q3)
+        q, previous = s**1.5 * lu_solve(lu, q3), q
+        if np.max(np.abs(q - previous)) < tol:
+            break
+    return q, float(np.max(np.abs(k @ q - q**3))), it
 
 
 def fitted_order(sizes, errors) -> float:

@@ -509,6 +509,19 @@ class TestNls:
                 "--t-end", "1.0", "--input", str(samples),
                 "--output", str(tmp_path / "o.csv")]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_initial_psi_is_a_configuration_error(self, tmp_path,
+                                                           capsys, fmt):
+        samples = tmp_path / "psi0.txt"
+        samples.write_text("1 0\n0.5 0\nnan 0\n0.25 0\n")
+        out = tmp_path / f"o.{fmt}"
+        assert main(["--command", "nls", "--alpha", "1.3", "--N", "4",
+                     "--r", "1", "--L", "10.0", "--dt", "0.01",
+                     "--t-end", "0.02", "--input", str(samples),
+                     "--format", fmt, "--output", str(out)]) == 2
+        assert "psi0 is not finite at index 2" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["psi0.txt"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_exit_code(self, tmp_path):
         assert main(self._blow_up_argv(tmp_path)) == 4

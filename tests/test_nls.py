@@ -9,10 +9,12 @@ import pytest
 from fraclap.errors import BlowUpError, ParameterError, SampleShapeError
 from fraclap.grid import GridSpec, map_to_real, output_nodes
 from fraclap.nls import EvolutionState, energy, rhs, rk4_step, simulate
-from fraclap.operator import FracLapParams, prefactors
+from fraclap.operator import FracLapParams, FractionalLaplacian, prefactors
 from fraclap.profiles import GAUSSIAN, mapped_derivatives
 from fraclap.quadrature import singular_integral_direct
 from fraclap.spectral import f_from_analytic
+
+from .oracles import nls_ground_state
 
 
 def _gaussian_state(n, r, L, alpha=1.99, dt=0.01):
@@ -238,6 +240,18 @@ class TestSimulate:
                                  snapshot_every=np.int64(2))
         assert [t for t, _, _ in snapshots] == pytest.approx([0.0, 0.02, 0.03])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_initial_psi_rejected(self, bad):
+        # Not a blow-up at t = 0.01: a step would spread it to every node.
+        state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)
+        psi0 = state.psi.copy()
+        psi0[3] = bad
+        seen = []
+        with pytest.raises(ParameterError, match="psi0 is not finite at index 3"):
+            simulate(psi0, state.params, dt=0.01, t_end=0.02, snapshot_every=1,
+                     sink=lambda *snap: seen.append(snap))
+        assert seen == []  # no snapshot, no M(0) = nan
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_detection(self):
         state = _gaussian_state(n=32, r=1, L=10.0, alpha=1.3)
@@ -266,3 +280,26 @@ class TestSimulate:
                                snapshot_every=100)
             drifts.append(np.max(np.abs(res.energies - res.energies[0])))
         assert 3.0 <= drifts[0] / drifts[1] <= 5.0
+
+
+class TestGroundState:
+    @pytest.mark.parametrize("alpha", [0.7, 1.6])
+    def test_standing_wave_error_falls_sixteenfold_per_halved_dt(self, alpha):
+        # ψ = e^{iλt}Q solves the semi-discrete equation to the residual of
+        # Q, so what is left at t = 0.5 is RK4's O(dt⁴) error.  Measured:
+        # 4.55e-10 → 2.84e-11 (α = 0.7) and 7.13e-11 → 4.34e-12 (α = 1.6).
+        g = GridSpec(N=256, r=16, L=4.0)
+        p = FracLapParams(alpha=alpha, grid=g)
+        x = map_to_real(output_nodes(g), g.L)
+        q, residual, _ = nls_ground_state(
+            FractionalLaplacian(p).apply_to_samples, x, lam=1.0)
+        assert residual < 1e-12
+        errors = []
+        for dt in (0.004, 0.002):
+            _, snapshots = _simulate(q, p, dt=dt, t_end=0.5,
+                                     snapshot_every=10**6)
+            t, psi, _ = snapshots[-1]
+            assert t == pytest.approx(0.5)
+            errors.append(np.max(np.abs(psi - np.exp(1j * t) * q)))
+        assert errors[0] < 1e-9
+        assert errors[0] / errors[1] == pytest.approx(16.0, abs=2.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.errors import ParameterError
+from fraclap.errors import ParameterError, SampleShapeError
 from fraclap.grid import GridSpec, map_to_real, midpoint_nodes, output_nodes
 from fraclap.operator import FracLapParams, FractionalLaplacian, prefactors
 from fraclap.profiles import ERF, RATIONAL, mapped_derivatives
@@ -134,6 +134,25 @@ class TestApply:
         assert real.dtype == np.float64
         assert np.max(np.abs(real - cast.real)) <= 1e-13 * np.max(np.abs(cast))
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.3, 1.99])
+    def test_real_path_round_off_on_white_noise(self, alpha):
+        # White noise puts weight on every mode, and the integrand weights
+        # mode k by k², so the two routes' round-off grows like N^{2−α}
+        # relative to the output.  Measured worst constant: 3.6 (α = 1.99,
+        # N = 31, r = 1); 2.5 at α = 0.3.  N = 1 gives zero output.
+        eps = np.finfo(float).eps
+        for n in (2, 3, 7, 31, 101, 1024, 4097):
+            for r in (1, 2, 7, 32):
+                if n * r > 40000:
+                    continue
+                g = GridSpec(N=n, r=r, L=1.3)
+                op = FractionalLaplacian(FracLapParams(alpha=alpha, grid=g))
+                u = np.random.default_rng(n * r).standard_normal(n)
+                real = op.apply_to_samples(u)
+                cast = op.apply_to_samples(u.astype(complex))
+                bound = 16 * eps * n ** (2 - alpha) * np.max(np.abs(real))
+                assert np.max(np.abs(real - cast)) <= bound, (n, r)
+
     def test_rational_profile_matches_exact(self):
         g = GridSpec(N=64, r=8, L=1.0)
         p = FracLapParams(alpha=1.3, grid=g)
@@ -202,12 +221,22 @@ class TestSampledRoute:
             for got, copy in results:
                 assert np.array_equal(got, copy)
 
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_wrong_sample_count_rejected_before_the_plan(self, count):
+        # sine_pairs checks the length of the coefficients, which is the
+        # number of samples, before the convolution builds its plan.
+        op = FractionalLaplacian(
+            FracLapParams(alpha=0.7, grid=GridSpec(N=6, r=2, L=1.0)))
+        with pytest.raises(SampleShapeError, match="expected 6 node samples"):
+            op.apply_to_samples(np.ones(count))
+        assert op._conv._plan is None
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 101, 1024, 4097])
     @pytest.mark.parametrize("r", [1, 2, 3, 7, 32])
     def test_kept_and_one_shot_agree_bitwise(self, n, r):
         # A kept operator folds with its (r, N) twiddle table, a one-shot
-        # one computes the twiddles row by row: the same numbers, cold and
-        # warm.
+        # one computes each batch's twiddles in place in its bins: the same
+        # numbers, cold and warm.
         g = GridSpec(N=n, r=r, L=1.3)
         p = FracLapParams(alpha=0.7, grid=g)
         rng = np.random.default_rng(10 * n + r)
@@ -241,3 +270,23 @@ class TestSampledRoute:
         finally:
             tracemalloc.stop()
         assert peak <= bound * g.num_midpoints * np.dtype(dtype).itemsize
+
+    @pytest.mark.parametrize("n, r, bound", [(2**16, 1, 9.0), (2**18, 8, 4.5)])
+    def test_one_shot_rise_on_erf(self, n, r, bound):
+        # The rise of one one-shot call in units of 16rN bytes, the complex
+        # f a midpoint-order integrand would hold.  Measured 8.6x at r = 1
+        # and 4.19x at N = 2^18, r = 8.
+        import tracemalloc
+
+        g = GridSpec(N=n, r=r, L=2.1)
+        op = FractionalLaplacian(FracLapParams(alpha=0.9, grid=g),
+                                 cache_kernels=False)
+        u = ERF.u(map_to_real(output_nodes(g), g.L))
+        op.apply_to_samples(u)
+        tracemalloc.start()
+        try:
+            op.apply_to_samples(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 16 * g.r * g.N
