@@ -28,6 +28,7 @@ independent of N.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -194,11 +195,14 @@ def _validate(args: argparse.Namespace) -> list[FracLapParams]:
     return params
 
 
-def _load_samples(path: str, expected: int) -> np.ndarray:
+def _load_samples(path: str, expected: int,
+                  finite: bool = False) -> np.ndarray:
     """Read 're im' per line; the line count must equal the node count.
 
     A file whose imaginary column is exactly zero loads as float, so real
     data takes the real-arithmetic path, as a real builtin profile does.
+    With ``finite``, a NaN or infinite sample is a ParameterError naming
+    its line: the spectral route would spread it to every output node.
     """
     rows = []
     with open(path) as fh:
@@ -211,11 +215,16 @@ def _load_samples(path: str, expected: int) -> np.ndarray:
                     f"{path}:{line_no}: expected 're im', got {line.rstrip()!r}"
                 )
             try:
-                rows.append(complex(float(parts[0]), float(parts[1])))
+                value = complex(float(parts[0]), float(parts[1]))
             except ValueError:
                 raise SampleShapeError(
                     f"{path}:{line_no}: could not parse floats"
                 ) from None
+            if finite and not cmath.isfinite(value):
+                raise ParameterError(
+                    f"{path}:{line_no}: sample is not finite: {line.strip()!r}"
+                )
+            rows.append(value)
     if len(rows) != expected:
         raise SampleShapeError(
             f"{path}: {len(rows)} samples for a grid of N={expected} nodes"
@@ -233,7 +242,7 @@ def _integrand(args: argparse.Namespace, p: FracLapParams):
     """
     g = p.grid
     if args.profile is None:
-        return f_from_samples(_load_samples(args.input, g.N), g)
+        return f_from_samples(_load_samples(args.input, g.N, finite=True), g)
     if args.profile.name == "rational":
         us, uss = mapped_derivatives(args.profile, g.L)
         return f_from_analytic(us, uss, g)

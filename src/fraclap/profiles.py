@@ -38,7 +38,7 @@ class Profile:
 
 def _erf_vec(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return np.array([math.erf(t) for t in x.ravel()]).reshape(x.shape)
+    return np.fromiter(map(math.erf, x.flat), float, x.size).reshape(x.shape)
 
 
 RATIONAL = Profile(

@@ -80,7 +80,9 @@ def kummer_1f1(a: float, b: float, z) -> np.ndarray | float:
     precision once z ≪ −30, so it is never used.  Instead:
 
     * |z| ≤ 120 — the reflected series e^z·₁F₁(b−a; b; −z), whose terms
-      are all positive for b > a > 0, so no cancellation occurs;
+      are all positive for b > a > 0, so no cancellation occurs; each
+      entry stops at its own convergence, with the bits it gets when
+      passed alone;
     * |z| > 120 — the large-argument expansion
       Γ(b)/Γ(b−a) · |z|^{−a} · Σ_n (a)_n (a−b+1)_n / (n! |z|^n),
       truncated where its divergent tail turns; at this crossover the
@@ -112,15 +114,37 @@ def kummer_1f1(a: float, b: float, z) -> np.ndarray | float:
 
 
 def _reflected_series(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """e^z · Σ_n (b−a)_n (−z)^n / ((b)_n n!), all terms positive."""
-    w = -z
+    """e^z · Σ_n (b−a)_n (−z)^n / ((b)_n n!), all terms positive.
+
+    Each entry stops at its own n, the first whose term is ≤ 1e-17 of its
+    sum.  Past the mean index of the terms, term/sum grows with |z|, so
+    entries sorted by |z| stop nearly in order: the recurrence runs in
+    place on the suffix of entries still summing, and the suffix sheds its
+    leading converged entries.  An entry kept on behind a slower one adds
+    only terms that keep falling and stay below 1e-17 < 2^−54 of its sum,
+    under half an ulp, so they round away.  Every sum is therefore
+    bit-identical to the entry summed alone.
+    """
+    order = np.argsort(z)[::-1]  # |z| ascending
+    w = z[order]
+    np.negative(w, out=w)
     term = np.ones_like(w)
     total = np.ones_like(w)
+    lo = 0
     for n in range(_MAX_TERMS):
-        term = term * (b - a + n) * w / ((b + n) * (n + 1.0))
-        total += term
-        if np.all(term <= 1e-17 * total):
-            return np.exp(z) * total
+        t, s = term[lo:], total[lo:]
+        t *= b - a + n
+        t *= w[lo:]
+        t /= (b + n) * (n + 1.0)
+        s += t
+        done = t <= 1e-17 * s
+        first_open = int(np.argmin(done))
+        if done[first_open]:
+            ez = np.exp(np.negative(w, out=w), out=w)  # w is done with
+            total *= ez
+            ez[order] = total  # back to the order of z
+            return ez
+        lo += first_open
     raise ArithmeticError("reflected Kummer series did not converge")
 
 

@@ -95,7 +95,12 @@ def sine_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None,
     """
     c = np.arange(c0, g.r if c1 is None else c1)[:, None]
     m = np.arange(1, g.N + 1)
-    out = np.multiply(0.5j * np.pi / g.num_midpoints, m * (4 * c + 1), out=out)
+    if out is None:
+        out = np.empty((len(c), g.N), dtype=complex)
+    # m(4c+1) < 2M is exact in float64: no integer phase table is needed.
+    np.multiply(m, 4 * c + 1, out=out.imag)
+    out.imag *= 0.5 * np.pi / g.num_midpoints
+    out.real = 0.0
     np.exp(out, out=out)
     out *= 1.0 / g.r
     return out

@@ -109,6 +109,19 @@ class TestApply:
                      "--r", "1", "--input", str(samples), "--output", str(out)])
         assert code == 3
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", ["nan 0", "inf 0", "-inf 0", "0.5 -inf"])
+    def test_non_finite_sample_exits_2(self, tmp_path, capsys, bad, fmt):
+        # One bad sample would spread to every node of the spectral route.
+        samples = tmp_path / "u.txt"
+        samples.write_text(f"1 0\n0.5 0\n{bad}\n0.25 0\n")
+        out = tmp_path / f"out.{fmt}"
+        assert main(["--command", "apply", "--alpha", "1.3", "--N", "4",
+                     "--r", "1", "--input", str(samples), "--format", fmt,
+                     "--output", str(out)]) == 2
+        assert f"u.txt:3: sample is not finite: {bad!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["u.txt"]
+
     def test_determinism(self, tmp_path):
         for profile in ("rational", "erf"):
             for fmt in ("csv", "json"):

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fraclap import reference
 from fraclap.errors import ParameterError, SampleShapeError
 from fraclap.grid import map_to_real
 from fraclap.profiles import ERF, RATIONAL
@@ -93,6 +94,35 @@ class TestKummer:
         )
         assert np.max(np.abs(ours - theirs) / np.abs(theirs)) < 1e-10
 
+    @pytest.mark.parametrize("a", [0.55, 0.95, 1.45])
+    def test_vector_equals_scalar_calls_bit_for_bit(self, a):
+        # Each entry of the reflected series stops at its own convergence,
+        # so an entry's bits must not depend on its neighbours.
+        rng = np.random.default_rng(18)
+        z = np.concatenate([
+            -rng.uniform(0.0, 2000.0, 300),
+            -rng.uniform(0.0, 130.0, 300),
+            [0.0, -120.0, np.nextafter(-120.0, -np.inf),
+             np.nextafter(-120.0, 0.0), -119.5, -120.5, -1e-300],
+        ])
+        z = rng.permutation(np.concatenate([z, z[:50]]))  # with duplicates
+        alone = np.array([kummer_1f1(a, 1.5, zi) for zi in z])
+        ours = kummer_1f1(a, 1.5, z)
+        assert np.array_equal(ours.view(np.uint64), alone.view(np.uint64))
+
+    def test_permuted_input_gives_permuted_output(self):
+        rng = np.random.default_rng(7)
+        z = -rng.uniform(0.0, 150.0, 4000)
+        perm = rng.permutation(len(z))
+        ours = kummer_1f1(0.95, 1.5, z)
+        assert np.array_equal(kummer_1f1(0.95, 1.5, z[perm]).view(np.uint64),
+                              ours[perm].view(np.uint64))
+
+    def test_series_term_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(reference, "_MAX_TERMS", 5)
+        with pytest.raises(ArithmeticError):
+            kummer_1f1(0.95, 1.5, np.array([-0.5, -3.0, -50.0]))
+
     def test_consistency_with_erf_oracle_at_two(self):
         # a = 0.95, b = 1.5, z = -4 enters exact_erf at x = 2, alpha = 0.9.
         oracle = fraclap_quad(ERF.ux, 0.9, 2.0)
@@ -108,6 +138,19 @@ class TestKummer:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ParameterError):
             kummer_1f1(1.5, 0.95, -1.0)
+
+
+class TestErfProfile:
+    @pytest.mark.parametrize("x", [
+        np.array(-0.0),
+        np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, 5e-324, 0.5, -3.0, 30.0]),
+        np.linspace(-6.0, 6.0, 12).reshape(3, 4).T,  # 2-D, not contiguous
+    ])
+    def test_u_is_math_erf_bit_for_bit(self, x):
+        u = ERF.u(x)
+        expected = np.array([math.erf(t) for t in x.ravel()]).reshape(x.shape)
+        assert u.dtype == np.float64 and u.shape == x.shape
+        assert np.array_equal(u.view(np.uint64), expected.view(np.uint64))
 
 
 class TestErrorNorms:
