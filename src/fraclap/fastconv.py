@@ -83,7 +83,7 @@ def _transform_rows(transform, a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 # Points of one batch of row pairs.  At N = 1024, r = 32 a warm sampled
 # apply measured the same for 2^14 to 2^17 points and a third slower at
-# 2^12; the smaller batch keeps a kept plan's buffer at 256 KiB.
+# 2^12; the smaller batch keeps each call's batch buffer at 256 KiB.
 _BATCH_POINTS = 1 << 14
 
 
@@ -100,11 +100,12 @@ class FastConvolver:
 
     With ``cache_kernels=True`` the plan is kept and reused by every later
     call, which is what makes repeated application inside a time stepper
-    affordable.  A kept plan also keeps one work buffer per kind of sample,
-    which holds one batch of row pairs (``_BATCH_POINTS``, 256 KiB of
-    complex rows), so a warm call allocates only arrays of length O(N).
-    With ``cache_kernels=False`` nothing is retained, which keeps the
-    memory footprint flat for very large one-shot evaluations.
+    affordable; it is all a kept convolver holds.  Each call allocates one
+    batch buffer of row pairs (``_BATCH_POINTS``, 256 KiB of complex rows)
+    and lends its rows, at least 2N+2 floats or 2N complex wide, to the
+    producer of the pairs, so a warm call allocates only arrays of length
+    O(N).  With ``cache_kernels=False`` nothing is retained, which keeps
+    the memory footprint flat for very large one-shot evaluations.
     """
 
     def __init__(self, grid: GridSpec, params: SingularParams,
@@ -117,7 +118,6 @@ class FastConvolver:
         self.scale = grid.h ** (params.beta + params.gamma + 1.0) / (
             (params.beta + 1) * (params.gamma + 1))
         self._plan = None
-        self._work = {}
 
     def _kernel_table(self) -> np.ndarray:
         """Row ρ is the rfft of κ_ρ[q] = κ[(2rq − ρ) mod P], κ[t] = M(t+r−1).
@@ -184,7 +184,7 @@ class FastConvolver:
         even, odd = _pair_rows(values, g)
 
         def pairs(c0, c1, work):  # −f of the odd rows, in work's free half
-            return even[c0:c1], np.negative(odd[c0:c1], out=work[:, g.N:])
+            return even[c0:c1], np.negative(odd[c0:c1], out=work[:, g.N:2 * g.N])
 
         return self.convolve(pairs, real=not np.iscomplexobj(values))
 
@@ -196,8 +196,9 @@ class FastConvolver:
         two (c1−c0, N) arrays holding f at the midpoints 2rq + 2c and −f at
         the midpoints 2rq + 2r−1−2c, q = 0..N−1, for c0 ≤ c < c1 (from
         :meth:`apply`, or :func:`fraclap.spectral.sine_pairs`); they may be
-        views of ``work``, a (c1−c0, 2N) scratch array (float64 when
-        ``real``, else complex128) whose contents are used up by the call.
+        views of ``work``, the (c1−c0) scratch rows this call lends, at least
+        2N+2 floats wide when ``real``, else at least 2N complex, whose
+        contents are used up by the call.  The producer allocates nothing.
         The pairs are transformed, multiplied by the table and summed a
         batch at a time, the odd products subtracted; the result never
         shares memory with the plan.
@@ -222,23 +223,19 @@ class FastConvolver:
                 weights = np.ascontiguousarray(weights)
                 self._plan = weights, table
         # Row pairs per batch.  A row has room for m transform points and
-        # for the 2N of a scratch row; real rows are the floats of their
-        # half-spectrum rows and are transformed in place (numpy copies
-        # the overlapping input).
-        width = max(half, n) if real else max(m, 2 * n)
+        # for a scratch row, 2N+2 floats or 2N complex; real rows are the
+        # floats of their half-spectrum rows and are transformed in place
+        # (numpy copies the overlapping input).
+        width = max(half, n + 1) if real else max(m, 2 * n)
         k = max(1, min(r, _BATCH_POINTS // (2 * width)))
-        buf = self._work.get(real)
-        if buf is None:
-            buf = np.zeros((2 * k, width), dtype=complex)
-            if self.cache_kernels:
-                self._work[real] = buf
+        buf = np.zeros((2 * k, width), dtype=complex)
         rows = buf.view(float) if real else buf
         spectra = buf[:, :half] if real else buf[:, :m]
         total = None
         for c0 in range(0, r, k):
             c1 = min(c0 + k, r)
             j = c1 - c0
-            even, odd = pairs(c0, c1, rows[:j, :2 * n])
+            even, odd = pairs(c0, c1, rows[:j])
             # Odd rows first: ``even`` may share a scratch row with them.
             np.multiply(weights[c0:c1, ::-1], odd, out=rows[j:2 * j, :n])
             np.multiply(weights[c0:c1], even, out=rows[:j, :n])

@@ -105,7 +105,7 @@ def map_to_real(s, L: float):
     Accepts scalars or arrays.  Raises ParameterError outside (0, π).
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0) or np.any(s >= np.pi):
+    if not np.all((s > 0.0) & (s < np.pi)):  # NaN fails too
         raise ParameterError("s must lie strictly inside (0, pi)")
     x = L / np.tan(s)
     return x if x.ndim else float(x)

@@ -46,7 +46,7 @@ def exact_rational(alpha: float, s) -> np.ndarray | complex:
     if not 0.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0) or np.any(s_arr >= np.pi):
+    if not np.all((s_arr > 0.0) & (s_arr < np.pi)):  # NaN fails too
         raise ParameterError("s must lie strictly inside (0, pi)")
     out = np.asarray(
         -2.0 * math.gamma(1.0 + alpha) / (1j / np.tan(s_arr) + 1.0) ** (1.0 + alpha)
@@ -58,7 +58,8 @@ def exact_erf(alpha: float, x) -> np.ndarray | float:
     """(−Δ)^{α/2} of erf at x: (2^{1+α}/π)·Γ((1+α)/2)·x·₁F₁((1+α)/2; 3/2; −x²)."""
     if not 0.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    x_arr = np.asarray(x, dtype=float)
+    # x·₁F₁ decays like |x|^{−α}, so its limit 0 at x = ±∞ is that at x = 0.
+    x_arr = np.where(np.isinf(x), 0.0, np.asarray(x, dtype=float))
     factor = 2.0 ** (1.0 + alpha) / math.pi * math.gamma((1.0 + alpha) / 2.0)
     out = factor * x_arr * kummer_1f1((1.0 + alpha) / 2.0, 1.5, -(x_arr**2))
     return out if out.ndim else float(out)
@@ -89,15 +90,15 @@ def kummer_1f1(a: float, b: float, z) -> np.ndarray | float:
       smallest term is far below double precision for the parameters of
       interest.
 
-    Raises ParameterError for z > 0 or parameters outside b ≥ a > 0, and
-    ArithmeticError if neither regime reaches the target accuracy
-    (~1e-12 relative) for some entry.
+    Raises ParameterError for z > 0, NaN z or parameters outside
+    b ≥ a > 0, and ArithmeticError if neither regime reaches the target
+    accuracy (~1e-12 relative) for some entry.
     """
     if not (b >= a > 0):
         raise ParameterError(f"need b >= a > 0, got a={a}, b={b}")
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr > 0):
-        raise ParameterError("only z <= 0 is supported")
+    if not np.all(z_arr <= 0):  # NaN fails too
+        raise ParameterError("only z <= 0 is supported, and not NaN")
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
     if a == b:

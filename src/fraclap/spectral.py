@@ -128,12 +128,13 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     bin m), so each row is one ``irfft`` from bins 0..N, the Nyquist bin N
     carrying both parts of mode N, and the rows are float64.
 
-    Returns ``pairs(c0, c1, work=None)``, the (even, odd) pair rows
-    c0..c1−1 that :meth:`fraclap.fastconv.FastConvolver.convolve` takes,
-    f and −f, two (c1−c0, N) views of the rows, which are written into
-    ``work`` when given: complex rows are transformed in place there, real
-    rows come from a half spectrum allocated per call.  ``twiddles`` is the
-    (r, N) table of :func:`sine_twiddles`; without it the twiddles of rows
+    Returns ``pairs(c0, c1, work)``, the (even, odd) pair rows c0..c1−1
+    that :meth:`fraclap.fastconv.FastConvolver.convolve` takes, f and −f,
+    two (c1−c0, N) views of ``work``, the caller's scratch rows: at least
+    2N+2 floats wide for real ``a``, at least 2N complex otherwise.  A row's
+    bins are built in its own scratch (a real row's N+1 bins read as
+    complex) and its IFFT writes f over them.  ``twiddles`` is the (r, N)
+    table of :func:`sine_twiddles`; without it the twiddles of rows
     c0..c1−1 are computed in place in the bins they multiply.
     """
     a = _float_or_complex(a)
@@ -152,12 +153,8 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     real = not np.iscomplexobj(a)
     mirror = None if real else -bins[:-1]
 
-    def pairs(c0: int, c1: int, work=None):
-        if real or work is None:
-            spectra = np.empty((c1 - c0, n + 1 if real else 2 * n),
-                               dtype=complex)
-        else:
-            spectra = work
+    def pairs(c0: int, c1: int, work):
+        spectra = work[:, :2 * n + 2].view(complex) if real else work[:, :2 * n]
         spectra[:, 0] = 0.0
         if twiddles is None:  # computed into the bins they multiply
             tw = sine_twiddles(g, c0, c1, out=spectra[:, 1:n + 1])
@@ -168,10 +165,10 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
             np.multiply(mirror, spectra[:, :n:-1], out=spectra[:, :n:-1])
             shared = bins[-1] * tw[:, -1].conj()
         np.multiply(bins, tw, out=spectra[:, 1:n + 1])
-        if real:  # the Nyquist bin is its own mirror
+        if real:  # the Nyquist bin is its own mirror; f overwrites the bins
             spectra[:, n] += spectra[:, n].conj()
-            work = np.empty((c1 - c0, 2 * n)) if work is None else work
-            w = _transform_rows(partial(np.fft.irfft, n=2 * n), spectra, work)
+            w = _transform_rows(partial(np.fft.irfft, n=2 * n), spectra,
+                                work[:, :2 * n])
         else:
             spectra[:, n] -= shared
             w = _transform_rows(np.fft.ifft, spectra, spectra)
@@ -190,7 +187,11 @@ def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
     float64 f.  The name stays, though f is returned, because the
     benchmark's tracer wraps the function by it.
     """
-    even, odd = sine_pairs(a, g)(0, g.r)
+    real = not np.iscomplexobj(a)
+    work = np.empty((g.r, 2 * g.N + 2 if real else 2 * g.N),
+                    dtype=float if real else complex)
+    # The row function goes before f is allocated, and its bins with it.
+    even, odd = sine_pairs(a, g)(0, g.r, work)
     f = np.empty(g.num_midpoints, dtype=even.dtype)
     f_even, f_odd = _pair_rows(f, g)
     f_even[...] = even

@@ -97,7 +97,8 @@ class TestMap:
         s = np.linspace(0.1, math.pi - 0.1, 50)
         assert np.all(np.diff(map_to_real(s, 1.7)) < 0)
 
-    @pytest.mark.parametrize("bad", [0.0, math.pi, -0.3, 4.0])
+    @pytest.mark.parametrize("bad", [0.0, math.pi, -0.3, 4.0, math.nan,
+                                     np.array([1.0, math.nan])])
     def test_domain_errors(self, bad):
         with pytest.raises(ParameterError):
             map_to_real(bad, 1.0)

@@ -196,13 +196,15 @@ class TestApply:
 
 
 class TestSampledRoute:
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 101, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 31, 41, 101, 1024])
     @pytest.mark.parametrize("r", [1, 2, 3, 7, 32])
     def test_equals_apply_of_f_from_samples(self, n, r):
         # apply_to_samples sums the integrand's rows straight into the
         # convolution; apply takes it in midpoint order.  Kept and one-shot
         # plans, real and complex u; a later call leaves an earlier result
-        # untouched, so no output shares memory with the plan.
+        # untouched, so no output shares memory with the plan.  At N = 13
+        # and 41, m = 2N − 1 and the real scratch rows' 2N+2 floats set
+        # the batch width.
         g = GridSpec(N=n, r=r, L=1.3)
         rng = np.random.default_rng(100 * n + r)
         for keep in (True, False):
@@ -231,7 +233,7 @@ class TestSampledRoute:
             op.apply_to_samples(np.ones(count))
         assert op._conv._plan is None
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 31, 101, 1024, 4097])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 31, 41, 101, 1024, 4097])
     @pytest.mark.parametrize("r", [1, 2, 3, 7, 32])
     def test_kept_and_one_shot_agree_bitwise(self, n, r):
         # A kept operator folds with its (r, N) twiddle table, a one-shot
@@ -252,9 +254,10 @@ class TestSampledRoute:
 
     @pytest.mark.parametrize("dtype, bound", [(complex, 1.0), (float, 2.0)])
     def test_warm_call_allocates_little(self, dtype, bound):
-        # A kept plan keeps its twiddles and work buffers, so a warm call
-        # allocates only arrays of length O(N): bound times the bytes of the
-        # 2rN midpoint samples of that dtype.
+        # A kept plan keeps its twiddles, and each call lends one batch
+        # buffer of row pairs, so a warm call allocates only that and arrays
+        # of length O(N): bound times the bytes of the 2rN midpoint samples
+        # of that dtype.
         import tracemalloc
 
         g = GridSpec(N=1024, r=32, L=200.0)
@@ -271,10 +274,10 @@ class TestSampledRoute:
             tracemalloc.stop()
         assert peak <= bound * g.num_midpoints * np.dtype(dtype).itemsize
 
-    @pytest.mark.parametrize("n, r, bound", [(2**16, 1, 8.5), (2**18, 8, 4.5)])
+    @pytest.mark.parametrize("n, r, bound", [(2**16, 1, 8.0), (2**18, 8, 4.5)])
     def test_one_shot_rise_on_erf(self, n, r, bound):
         # The rise of one one-shot call in units of 16rN bytes, the complex
-        # f a midpoint-order integrand would hold.  Measured 8.07x at r = 1
+        # f a midpoint-order integrand would hold.  Measured 7.50x at r = 1
         # and 4.19x at N = 2^18, r = 8.
         import tracemalloc
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -38,6 +39,12 @@ class TestExactRational:
         with pytest.raises(ParameterError):
             exact_rational(2.3, 1.0)
 
+    @pytest.mark.parametrize("s", [math.nan, np.array([1.0, math.nan])])
+    def test_nan_rejected(self, s):
+        # NaN is not inside (0, pi) either.
+        with pytest.raises(ParameterError):
+            exact_rational(1.3, s)
+
     def test_against_integration_oracle(self):
         val = exact_rational(1.3, math.pi / 4)
         oracle = fraclap_quad(RATIONAL.ux, 1.3, 1.0)
@@ -63,6 +70,24 @@ class TestExactErf:
                 * x * mpmath.hyp1f1((1 + alpha) / 2, mpmath.mpf(3) / 2, -x * x)
             )
             assert exact_erf(alpha, x) == pytest.approx(hi, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.99])
+    def test_infinite_argument_gives_the_limit(self, alpha):
+        # x·1F1((1+α)/2; 3/2; −x²) decays like |x|^{−α}, so the limit is 0,
+        # reached without a warning; finite entries keep their bits.
+        x = np.array([-np.inf, -2e5, 0.7, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exact_erf(alpha, x)
+            assert exact_erf(alpha, np.inf) == 0.0
+            assert exact_erf(alpha, -np.inf) == 0.0
+        assert got[0] == 0.0 and got[3] == 0.0
+        assert np.array_equal(got[1:3], exact_erf(alpha, x[1:3]))
+
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])])
+    def test_nan_argument_rejected(self, x):
+        with pytest.raises(ParameterError):
+            exact_erf(0.9, x)
 
 
 class TestKummer:
@@ -134,6 +159,15 @@ class TestKummer:
     def test_positive_argument_rejected(self):
         with pytest.raises(ParameterError):
             kummer_1f1(0.95, 1.5, 1.0)
+
+    @pytest.mark.parametrize("a", [0.95, 1.5])
+    @pytest.mark.parametrize("z", [math.nan, np.array([-1.0, math.nan]),
+                                   np.array([-200.0, math.nan])])
+    def test_nan_argument_rejected(self, a, z):
+        # Rejected up front, in either regime and for a = b, instead of
+        # running the asymptotic expansion to its term limit.
+        with pytest.raises(ParameterError):
+            kummer_1f1(a, 1.5, z)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ParameterError):
