@@ -116,8 +116,9 @@ class FractionalLaplacian:
         convolution its row pairs as they are summed.
         """
         g = self.params.grid
-        a = spectral.coefficients_from_samples(u_nodes)
         if self._twiddles is None and self._conv.cache_kernels:
             self._twiddles = sine_twiddles(g)
+        # No name holds the coefficients: the row function keeps its bins.
         return self._pref * self._conv.convolve(
-            sine_pairs(a, g, self._twiddles), real=not np.iscomplexobj(a))
+            sine_pairs(spectral.coefficients_from_samples(u_nodes), g,
+                       self._twiddles), real=not np.iscomplexobj(u_nodes))

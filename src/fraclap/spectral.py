@@ -28,9 +28,9 @@ they come; :func:`derivatives_at_midpoints` puts them into midpoint
 order.  u_s and u_ss are never formed.
 
 Real u stays real throughout: its a_k come from the ``rfft`` of the
-mirrored samples, the row spectra that sum f are Hermitian, and each row
-is one ``irfft`` of length 2N from bins 0..N.  Complex u runs the same
-steps in complex arithmetic.
+mirrored samples, its sine-series bins are float64, the row spectra that
+sum f are Hermitian, and each row is one ``irfft`` of length 2N from bins
+0..N.  Complex u runs the same steps in complex arithmetic.
 
 The shifted node set never contains 0 or π, so the series machinery stays
 clear of the map's poles.
@@ -89,7 +89,7 @@ def coefficients_from_samples(u_nodes) -> np.ndarray:
 
 def sine_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None,
                   out=None) -> np.ndarray:
-    """Fold twiddles e^{iπm(4c+1)/(2M)}/r of modes m = 1..N, rows c0..c1−1.
+    """Fold twiddles i·e^{iπm(4c+1)/(2M)}/r of modes m = 1..N, rows c0..c1−1.
 
     M = 2rN; ``c1`` defaults to r.  Returns a (c1−c0, N) table (in ``out``).
     """
@@ -102,7 +102,7 @@ def sine_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None,
     out.imag *= 0.5 * np.pi / g.num_midpoints
     out.real = 0.0
     np.exp(out, out=out)
-    out *= 1.0 / g.r
+    out *= 1j / g.r
     return out
 
 
@@ -117,16 +117,17 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     nonzero, so the long IFFT splits into r short ones with no cross-row
     pass (the four-step FFT of Bailey, J. Supercomputing 4, 1990): row c
     holds w_{rq+c}, q = 0..2N−1, and is the IFFT of length 2N of W folded
-    with stride r, bin m going to bin m mod 2N with the twiddle of
-    :func:`sine_twiddles` (which carries the 1/r of the shorter IFFT).
-    Bins m and M − m land on bins m and 2N − m; bin N is shared at every r.
-    Row c is the convolution's row pair c: its first half is f at the
-    midpoints 2rq + 2c and its second half, reversed, −f at 2rq + 2r−1−2c,
-    q = 0..N−1.
+    with stride r, bin m going to bin m mod 2N with the twiddle t_m of
+    :func:`sine_twiddles` (which carries the i and the 1/r of the shorter
+    IFFT).  Bins m and M − m land on bins m and 2N − m, as B_m·t_m and
+    B_m·conj(t_m) with B_m = −(M/2)·b_m, which has the dtype of ``a``;
+    bin N takes both.  Row c is the convolution's row pair c: its first
+    half is f at the midpoints 2rq + 2c and its second half, reversed, −f
+    at 2rq + 2r−1−2c, q = 0..N−1.
 
     Real ``a`` gives Hermitian row spectra (bin 2N − m is the conjugate of
-    bin m), so each row is one ``irfft`` from bins 0..N, the Nyquist bin N
-    carrying both parts of mode N, and the rows are float64.
+    bin m), so each row is one ``irfft`` from bins 0..N, and the rows are
+    float64.
 
     Returns ``pairs(c0, c1, work)``, the (even, odd) pair rows c0..c1−1
     that :meth:`fraclap.fastconv.FastConvolver.convolve` takes, f and −f,
@@ -146,12 +147,10 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     if 2 * n_mid > 2**52:
         raise ParameterError("r*N too large for exact index arithmetic")
     m = np.arange(1, n + 1)
-    diff = a.copy()
-    diff[:-2] -= a[2:]  # a_{m−1} − a_{m+1}
-    # bins = −i·(M/2)·b_m = ¼iM(m²−1)(a_{m−1} − a_{m+1}).
-    bins = 0.25j * n_mid * (m * m - 1.0) * diff
+    bins = a.copy()
+    bins[:-2] -= a[2:]  # a_{m−1} − a_{m+1}
+    bins *= 0.25 * n_mid * (m * m - 1.0)  # B_m = −(M/2)·b_m
     real = not np.iscomplexobj(a)
-    mirror = None if real else -bins[:-1]
 
     def pairs(c0: int, c1: int, work):
         spectra = work[:, :2 * n + 2].view(complex) if real else work[:, :2 * n]
@@ -160,17 +159,16 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
             tw = sine_twiddles(g, c0, c1, out=spectra[:, 1:n + 1])
         else:
             tw = twiddles[c0:c1]
-        if not real:  # bin 2N − m gets −b_m·conj(t_m); bin N is shared
+        shared = bins[-1] * tw[:, -1].conj()  # before bin N is overwritten
+        if not real:  # bins 2N − m; a real row's are implied
             np.conjugate(tw[:, :n - 1], out=spectra[:, :n:-1])
-            np.multiply(mirror, spectra[:, :n:-1], out=spectra[:, :n:-1])
-            shared = bins[-1] * tw[:, -1].conj()
+            spectra[:, :n:-1] *= bins[:-1]
         np.multiply(bins, tw, out=spectra[:, 1:n + 1])
-        if real:  # the Nyquist bin is its own mirror; f overwrites the bins
-            spectra[:, n] += spectra[:, n].conj()
+        spectra[:, n] += shared
+        if real:  # f overwrites the bins
             w = _transform_rows(partial(np.fft.irfft, n=2 * n), spectra,
                                 work[:, :2 * n])
         else:
-            spectra[:, n] -= shared
             w = _transform_rows(np.fft.ifft, spectra, spectra)
         return w[:, :n], w[:, :n - 1:-1]
 

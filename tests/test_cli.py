@@ -122,6 +122,31 @@ class TestApply:
         assert f"u.txt:3: sample is not finite: {bad!r}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["u.txt"]
 
+    @pytest.mark.parametrize("bad, message", [
+        ("0.5", "u.txt:2: expected 're im'"),
+        ("0.5 x", "u.txt:2: could not parse floats"),
+    ])
+    def test_malformed_sample_line_exits_3(self, tmp_path, capsys, bad, message):
+        samples = tmp_path / "u.txt"
+        samples.write_text(f"1 0\n{bad}\n0.25 0\n0.125 0\n")
+        assert main(["--command", "apply", "--alpha", "1.3", "--N", "4",
+                     "--r", "1", "--input", str(samples),
+                     "--output", str(tmp_path / "out.csv")]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_blank_sample_lines_skipped(self, tmp_path):
+        dense, sparse = tmp_path / "dense.txt", tmp_path / "sparse.txt"
+        dense.write_text("1 0\n0.5 0\n0.25 0\n0.125 0\n")
+        sparse.write_text("1 0\n\n0.5 0\n   \n0.25 0\n0.125 0\n\n")
+        outputs = []
+        for source in (dense, sparse):
+            out = tmp_path / f"{source.stem}.csv"
+            assert main(["--command", "apply", "--alpha", "1.3", "--N", "4",
+                         "--r", "1", "--input", str(source),
+                         "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_determinism(self, tmp_path):
         for profile in ("rational", "erf"):
             for fmt in ("csv", "json"):
@@ -423,6 +448,29 @@ class TestConfigErrors:
         code = main(["--command", "apply", "--alpha", "0.5,0.7", "--N", "8",
                      "--r", "1", "--output", str(tmp_path / "o.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("alpha, n, message", [
+        ("1.3,x", "8", "could not parse --alpha"),
+        ("1.3", ",", "must be nonempty"),
+    ])
+    def test_bad_list_exits_2(self, tmp_path, capsys, alpha, n, message):
+        code = main(["--command", "apply", "--alpha", alpha, "--N", n,
+                     "--r", "1", "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+class TestNumericFailure:
+    def test_arithmetic_error_exits_5(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArithmeticError("series did not converge")
+
+        monkeypatch.setattr(cli, "error_norms", fail)
+        code = main(["--command", "apply", "--alpha", "1.3", "--N", "8",
+                     "--r", "1", "--input", "builtin:rational",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 5
+        assert "numeric failure: series did not converge" in capsys.readouterr().err
 
 
 class TestSweep:

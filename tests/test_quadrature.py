@@ -123,6 +123,8 @@ class TestModifiedMidpoint:
         assert scaled_2[1] / scaled_2[2] == pytest.approx(2.0, rel=1e-3)
 
     def test_parameter_errors(self):
+        with pytest.raises(ParameterError, match="nonempty"):
+            modified_midpoint([], 0.0, 1.0, 0.5)
         with pytest.raises(ParameterError):
             modified_midpoint(np.ones(4), 0.0, 1.0, -1.0)
         with pytest.raises(ParameterError):

@@ -84,6 +84,11 @@ class TestExactErf:
         assert got[0] == 0.0 and got[3] == 0.0
         assert np.array_equal(got[1:3], exact_erf(alpha, x[1:3]))
 
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_alpha_outside_range_rejected(self, alpha):
+        with pytest.raises(ParameterError, match="alpha"):
+            exact_erf(alpha, 1.0)
+
     @pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])])
     def test_nan_argument_rejected(self, x):
         with pytest.raises(ParameterError):

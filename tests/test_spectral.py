@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraclap.errors import SampleShapeError
+from fraclap.errors import ParameterError, SampleShapeError
 from fraclap.grid import GridSpec, map_to_real, midpoint_nodes, output_nodes
 from fraclap.profiles import ERF, mapped_derivatives
 from fraclap.spectral import (coefficients_from_samples,
                               derivatives_at_midpoints, f_from_analytic,
-                              f_from_samples)
+                              f_from_samples, sine_pairs, sine_twiddles)
 
 from .oracles import (cosine_coefficients_direct, integrand_direct,
                       sine_series_long)
@@ -186,6 +186,24 @@ class TestDerivativesAtMidpoints:
             finally:
                 tracemalloc.stop()
             assert peak <= 2.1 * f.nbytes
+
+
+class TestSinePairs:
+    def test_twiddles_carry_the_dst_factor(self):
+        # Row c, mode m: i·e^{iπm(4c+1)/(2M)}/r with M = 2rN; the i is the
+        # DST-III's, so a real u's bins stay real.
+        g = GridSpec(N=5, r=3, L=1.0)
+        c, m = np.arange(g.r)[:, None], np.arange(1, g.N + 1)
+        exact = 1j * np.exp(1j * np.pi * m * (4 * c + 1)
+                            / (2 * g.num_midpoints)) / g.r
+        table = sine_twiddles(g)
+        assert np.max(np.abs(table - exact)) <= 1e-15
+        assert np.array_equal(sine_twiddles(g, 1, 2), table[1:2])
+
+    def test_index_guard_before_any_allocation(self):
+        # 2M = 2^53 leaves float64's exact integers; no length-M array exists.
+        with pytest.raises(ParameterError, match="exact index"):
+            sine_pairs(np.zeros(1), GridSpec(N=1, r=2**51, L=1.0))
 
 
 def _shared_bin_examples(test):
