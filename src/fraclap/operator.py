@@ -103,7 +103,9 @@ class FractionalLaplacian:
         """
         if F.grid != self.params.grid:
             raise ParameterError("samples were built for a different grid")
-        return self._pref * self._conv.apply(F.values)
+        values = self._conv.apply(F.values)
+        values *= self._pref  # in place: the result is a fresh array
+        return values
 
     def apply_to_samples(self, u_nodes) -> np.ndarray:
         """Operator values from u at the N output nodes alone.
@@ -119,6 +121,8 @@ class FractionalLaplacian:
         if self._twiddles is None and self._conv.cache_kernels:
             self._twiddles = sine_twiddles(g)
         # No name holds the coefficients: the row function keeps its bins.
-        return self._pref * self._conv.convolve(
+        values = self._conv.convolve(
             sine_pairs(spectral.coefficients_from_samples(u_nodes), g,
                        self._twiddles), real=not np.iscomplexobj(u_nodes))
+        values *= self._pref
+        return values

@@ -92,8 +92,9 @@ def mapped_derivatives(profile: Profile, L: float):
     def uss(s):
         s = np.asarray(s, dtype=float)
         x = L / np.tan(s)
-        xs = -L / np.sin(s) ** 2
-        xss = 2.0 * L * np.cos(s) / np.sin(s) ** 3
+        sin = np.sin(s)
+        xs = -L / sin**2
+        xss = 2.0 * L * np.cos(s) / sin**3
         return profile.uxx(x) * xs**2 + profile.ux(x) * xss
 
     return us, uss

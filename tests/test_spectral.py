@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from fraclap.errors import ParameterError, SampleShapeError
 from fraclap.grid import GridSpec, map_to_real, midpoint_nodes, output_nodes
-from fraclap.profiles import ERF, mapped_derivatives
+from fraclap import spectral
+from fraclap.profiles import ERF, GAUSSIAN, RATIONAL, mapped_derivatives
 from fraclap.spectral import (coefficients_from_samples,
                               derivatives_at_midpoints, f_from_analytic,
                               f_from_samples, sine_pairs, sine_twiddles)
@@ -332,3 +334,46 @@ class TestIntegrandConstruction:
         assert f_from_samples(u.astype(complex), g).values.dtype == np.complex128
         us, uss = mapped_derivatives(ERF, 2.1)
         assert f_from_analytic(us, uss, g).values.dtype == np.float64
+
+
+# 2rN runs below, onto and past a block boundary (and off its multiples).
+_BLOCK_NS = (1, 2, 3, 7, 13, 41, 101, 1024, 4097)
+_BLOCK_RS = (1, 2, 3, 7, 32)
+
+
+class TestBlockwiseAnalytic:
+    def test_grids_straddle_the_block(self):
+        sizes = {2 * r * n for n in _BLOCK_NS for r in _BLOCK_RS}
+        block = spectral._ANALYTIC_BLOCK
+        assert min(sizes) < block and block in sizes
+        assert any(k > block and k % block for k in sizes)
+
+    @pytest.mark.parametrize("n", _BLOCK_NS)
+    @pytest.mark.parametrize("profile", [RATIONAL, ERF, GAUSSIAN],
+                             ids=lambda p: p.name)
+    def test_matches_whole_array_bitwise(self, profile, n):
+        us, uss = mapped_derivatives(profile, 1.3)
+        for r in _BLOCK_RS:
+            g = GridSpec(N=n, r=r, L=1.3)
+            s = midpoint_nodes(g)
+            whole = np.sin(s) * uss(s) + 2 * np.cos(s) * us(s)
+            values = f_from_analytic(us, uss, g).values
+            assert values.dtype == whole.dtype
+            assert values.dtype == (np.complex128 if profile is RATIONAL
+                                    else np.float64)
+            assert np.array_equal(values, whole)
+
+    @pytest.mark.parametrize("profile", [RATIONAL, ERF], ids=lambda p: p.name)
+    def test_peak_memory_near_output(self, profile):
+        # Whole-array evaluation peaked at 5.5x (rational) and 8.0x (erf)
+        # the output's bytes: its derivative temporaries were 2rN long.
+        g = GridSpec(N=2**16, r=1, L=1.0)
+        us, uss = mapped_derivatives(profile, 1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            F = f_from_analytic(us, uss, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * F.values.nbytes
