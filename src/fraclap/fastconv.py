@@ -19,27 +19,30 @@ P = 2r·m, m ≥ 2N−1, does not alias; m is the smallest 5-smooth such
 integer, which keeps the FFTs fast.  Only every 2r-th entry of c is read,
 so c splits into 2r polyphase parts: with n = 2rq + ρ, a^ρ_q = a_{2rq+ρ}
 and κ_ρ[q] = κ[(2rq − ρ) mod P], A_j = Σ_ρ (a^ρ ⊛_m κ_ρ)[j], ρ = 0..2r−1.
-The plan is the table of the length-m FFTs of the κ_ρ, one row each.  The
-rows go in pairs, residues 2c and 2r−1−2c, whose kernel rows are each
-other's mirror, and the convolution takes every odd row as −f:
-:func:`_pair_rows` views f in pairs and :func:`fraclap.spectral.sine_pairs`
-sums them.  A batch of pairs, about 2^14 points, is weighted, transformed,
-multiplied by its table rows and summed into one row before the next
-batch, so only one batch of weighted rows is held at a time.  The row FFTs
-run batched, at most 2^17 points per call: pocketfft's scratch grows with
-the points of a call, and batching keeps many short rows fast.
+The rows go in pairs, residues 2c and 2r−1−2c, and the convolution takes
+every odd row as −f: :func:`_pair_rows` views f in pairs and
+:func:`fraclap.spectral.sine_pairs` sums them.  A batch of pairs, about
+2^14 points, is weighted, transformed, multiplied by its kernel rows and
+summed into one row before the next batch, so only one batch of weighted
+rows is held at a time.  The row FFTs run batched, at most 2^17 points per
+call: pocketfft's scratch grows with the points of a call, and batching
+keeps many short rows fast.
 
-M is real, so every κ_ρ is real and its spectrum Hermitian: the table keeps
-the m//2+1 ``rfft`` bins of each row, half the bytes of the full spectra
-(the real-input FFT of Sorensen, Jones, Heideman & Burrus, IEEE Trans. ASSP
-35, 1987).  M(a) = M(−a−1) also gives κ_{2r−1−ρ}[q] = κ_ρ[−q], so rows
-0..r−1 of the table are the conjugates of rows r..2r−1 and only those r
-rows are transformed.  Real samples stay real: their rows go through
-``rfft``, the products with the half table are summed into one row, and one
-``irfft`` of length m gives A.  Complex samples keep complex row FFTs
-against the same half table: T_ρ[m − k] = conj T_ρ[k] = T_{2r−1−ρ}[k], so
-a row's upper bins are the table with rows and columns reversed.  A
-real/imaginary split through the real path measured slower.
+M is real, so every κ_ρ is real and its spectrum T_ρ Hermitian: the plan
+keeps m//2+1 ``rfft`` bins per row, half the bytes of the full spectra (the
+real-input FFT of Sorensen, Jones, Heideman & Burrus, IEEE Trans. ASSP 35,
+1987).  M(a) = M(−a−1) also gives κ_{2r−1−ρ}[q] = κ_ρ[−q], so the two rows
+of a pair are conjugates, T_{2r−1−2c} = conj T_{2c}: the plan's table is
+one row per pair, row c = T_{2c}, and its odd rows are multiplied by the
+conjugate.  A kept table is conjugated a batch at a time into scratch; a
+one-shot plan builds each batch's rows when the batch needs them and
+conjugates them in place, so it never holds the rows of all pairs.  Real
+samples stay real: their rows go through ``rfft``, the products with the
+half spectra are summed into one row, and one ``irfft`` of length m gives
+A.  Complex samples keep complex row FFTs against the same rows:
+T_ρ[m − k] = conj T_ρ[k], so a row's upper bins are its pair partner's
+lower bins reversed.  A real/imaginary split through the real path
+measured slower.
 """
 
 from __future__ import annotations
@@ -91,21 +94,24 @@ class FastConvolver:
     """Fast-convolution plan for fixed (grid, β, γ).
 
     The plan is the pair (sample weights, kernel table); it depends only on
-    the grid and the exponents and is built on the first call.  The
-    weights are kept as the (r, N) polyphase rows of the even residues: the
-    weights are a palindrome, so the row of residue 2r−1−2c is that of 2c
-    reversed.  Row ρ of the table is the spectrum of the real κ_ρ, kept as
-    its m//2+1 ``rfft`` bins for real and complex samples alike; rows
-    0..r−1 are the conjugates of rows r..2r−1 (from M(a) = M(−a−1)).
+    the grid and the exponents.  Both are kept per row pair: the weights as
+    the (r, N) polyphase rows of the even residues (the weights are a
+    palindrome, so the row of residue 2r−1−2c is that of 2c reversed), the
+    table as r rows of m//2+1 ``rfft`` bins, row c the spectrum T_{2c} of
+    the real κ_{2c}, for real and complex samples alike; the odd residue's
+    row is its conjugate, T_{2r−1−2c} = conj T_{2c} (from M(a) = M(−a−1)).
 
-    With ``cache_kernels=True`` the plan is kept and reused by every later
-    call, which is what makes repeated application inside a time stepper
-    affordable; it is all a kept convolver holds.  Each call allocates one
-    batch buffer of row pairs (``_BATCH_POINTS``, 256 KiB of complex rows)
-    and lends its rows, at least 2N+2 floats or 2N complex wide, to the
-    producer of the pairs, so a warm call allocates only arrays of length
-    O(N).  With ``cache_kernels=False`` nothing is retained, which keeps
-    the memory footprint flat for very large one-shot evaluations.
+    With ``cache_kernels=True`` the plan is built on the first call and
+    reused by every later one, which is what makes repeated application
+    inside a time stepper affordable; it is all a kept convolver holds.
+    Each call allocates one batch buffer of row pairs (``_BATCH_POINTS``,
+    256 KiB of complex rows), lends its rows, two of at least 2N+2 floats or
+    2N complex per pair, to the producer of the pairs, and conjugates a
+    batch of table rows into scratch of that batch's size, so a warm call
+    allocates only arrays of length O(N).  With ``cache_kernels=False``
+    nothing is retained: each batch's table rows are built when it needs
+    them and dropped after it, which keeps the memory footprint flat for
+    very large one-shot evaluations.
     """
 
     def __init__(self, grid: GridSpec, params: SingularParams,
@@ -119,53 +125,84 @@ class FastConvolver:
             (params.beta + 1) * (params.gamma + 1))
         self._plan = None
 
-    def _kernel_table(self) -> np.ndarray:
-        """Row ρ is the rfft of κ_ρ[q] = κ[(2rq − ρ) mod P], κ[t] = M(t+r−1).
+    def _kernel_rows(self, c0: int, c1: int) -> np.ndarray:
+        """Rows c0..c1−1 of the table: row c is T_{2c}, the rfft of κ_{2c}.
 
-        Only rows r..2r−1 are transformed: with σ = ρ − r they read
-        M(2rq − 1 − σ), which is M(σ) at q = 0, and by M(a) = M(−a−1) are
-        M(2r(q−1) + 2r−1−σ) for 1 ≤ q < N and M(2r(m−q) + σ) for m−N < q < m,
-        zero between.  κ_{2r−1−ρ}[q] = κ_ρ[−q], so the other rows are the
-        conjugates T_{2r−1−ρ} = conj T_ρ.
+        κ_ρ[q] = κ[(2rq − ρ) mod P] with κ[t] = M(t+r−1).  Only residues
+        ρ = r + σ, σ = 0..r−1, are transformed: they read M(σ) at q = 0,
+        and by M(a) = M(−a−1) M(2r(q−1) + 2r−1−σ) for 1 ≤ q < N and
+        M(2r(m−q) + σ) for m−N < q < m, zero between.  Pair c's row is that
+        of ρ = 2c for c ≥ r/2 (σ = 2c − r), and for c < r/2 the conjugate of
+        that of ρ = 2r−1−2c (σ = r−1−2c), since κ_{2r−1−ρ}[q] = κ_ρ[−q].
         """
         g, gamma = self.grid, self.params.gamma
         n, r, two_rn = g.N, g.r, g.num_midpoints
         m = self.fft_length // (2 * r)
-        moving = np.diff(np.arange(two_rn + 1, dtype=float) ** (gamma + 1.0))
-        # sin(h(a+½)) is a palindrome over a ∈ [0, 2rN): the lower half's
-        # sin, mirrored, is never evaluated near π.
-        sinc = g.h * (np.arange(two_rn) + 0.5)  # h(a+½), divided in place
-        lower = np.sin(sinc[:r * n])
-        np.divide(lower, sinc[:r * n], out=sinc[:r * n])
-        np.divide(lower[::-1], sinc[r * n:], out=sinc[r * n:])
+        c = np.arange(c0, c1)[:, None]
+        sigma = np.where(2 * c < r, r - 1 - 2 * c, 2 * c - r)
+        # Pair c reads M at a = 2rq + σ and 2rq + 2r−1−σ, interleaved: the
+        # shifts a[2N−1−i] = 2rN−1−a[i] mirror the first N, which are below
+        # rN, so sin is evaluated on them only, never near π.  Their array
+        # has room for m floats a row, where the real rows go once M is
+        # formed: the rfft then reads them out of place, without a copy.
+        width = max(2 * n, m)
+        if r == 1:  # a = 0..2N−1: the powers at a + 1 are those at a, shifted
+            power = np.arange(two_rn + 1, dtype=float)
+            power **= gamma + 1.0
+            moving = np.diff(power)[None]
+            del power
+            a = np.arange(width, dtype=float)[None]
+        else:
+            a = np.empty((c1 - c0, width))
+            np.add(np.arange(0, two_rn, 2 * r, dtype=float)[:, None],
+                   np.hstack((sigma, 2 * r - 1 - sigma))[:, None],
+                   out=a[:, :2 * n].reshape(c1 - c0, n, 2))
+            moving = a[:, :2 * n] + 1.0
+            moving **= gamma + 1.0
+            moving -= a[:, :2 * n] ** (gamma + 1.0)
+        x = a[:, :2 * n]
+        x += 0.5
+        x *= g.h  # h(a+½), divided in place
+        lower = np.sin(x[:, :n])
+        np.divide(lower, x[:, :n], out=x[:, :n])
+        np.divide(lower[:, ::-1], x[:, n:], out=x[:, n:])
         del lower
-        moving *= np.power(sinc, gamma, out=sinc)  # M(a ≥ 0)
-        del sinc
-        moving = moving.reshape(n, 2 * r)  # moving[q, c] = M(2rq + c)
-        # The real rows sit in the first m floats of their table rows and
-        # are transformed in place.
-        table = np.zeros((2 * r, m // 2 + 1), dtype=complex)
-        rows = table[r:].view(float)[:, :m]
-        rows[:, 0] = moving[0, :r]
-        rows[:, 1:n] = moving[:n - 1, :r - 1:-1].T
-        rows[:, m - n + 1:] = moving[n - 1:0:-1, :r].T
-        del moving
-        _transform_rows(np.fft.rfft, rows, table[r:])
-        np.conjugate(table[:r - 1:-1], out=table[:r])
+        moving *= np.power(x, gamma, out=x)  # M(a)
+        rows = a[:, :m]
+        rows[:, 0] = moving[:, 0]
+        rows[:, 1:n] = moving[:, 1:2 * n - 2:2]
+        rows[:, n:m - n + 1] = 0.0
+        rows[:, m - n + 1:] = moving[:, 2 * n - 2:0:-2]
+        del moving, x
+        table = np.empty((c1 - c0, m // 2 + 1), dtype=complex)
+        _transform_rows(np.fft.rfft, rows, table)
+        conjugated = table[:max(0, (r + 1) // 2 - c0)]  # the pairs c < r/2
+        np.conjugate(conjugated, out=conjugated)
         return table
 
     def _weights(self) -> np.ndarray:
-        """The sin^β weight of every midpoint, lower half then upper half.
+        """The sin^β weights of the even residues, as (r, N) rows.
 
-        sin(h(rN + k + ½)) = sin(h(rN − k − ½)), so the upper half is the
-        lower one reversed; evaluating sin near π instead would lose up to
-        1.6e-10 relative accuracy at N = 2^20.
+        Row c holds the weights of the midpoints 2rq + 2c.  The weight of
+        midpoint n ≥ rN is that of 2rN−1−n, because sin(h(rN + k + ½)) =
+        sin(h(rN − k − ½)): only the lower half is evaluated, and evaluating
+        sin near π instead would lose up to 1.6e-10 relative accuracy at
+        N = 2^20.  The rows are that half permuted: midpoint 2rq + 2c with
+        q ≥ N/2 is the mirror of 2r(N−1−q) + 2r−1−2c.
         """
         g, beta = self.grid, self.params.beta
-        h, rn = g.h, g.r * g.N
+        h, n, r, rn = g.h, g.N, g.r, g.r * g.N
         w = _sinc(h * (np.arange(rn) + 0.5)) ** beta
         w *= np.diff(np.arange(rn + 1, dtype=float) ** (beta + 1.0))
-        return np.concatenate((w, w[::-1]))
+        h2 = n // 2
+        lower = w[:2 * r * h2].reshape(h2, 2 * r)  # the rows q < N/2
+        even = np.empty((r, n))
+        even[:, :h2] = lower[:, 0::2].T
+        even[:, n - h2:] = lower[::-1, ::-2].T
+        if n % 2:  # row (N−1)/2 straddles rN: residue ρ ≥ r mirrors 2r−1−ρ
+            middle = w[2 * r * h2:]
+            even[:, h2] = np.concatenate((middle, middle[::-1]))[0::2]
+        return even
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Evaluate the singular quadrature for midpoint samples ``values``.
@@ -184,7 +221,8 @@ class FastConvolver:
         even, odd = _pair_rows(values, g)
 
         def pairs(c0, c1, work):  # −f of the odd rows, in work's free half
-            return even[c0:c1], np.negative(odd[c0:c1], out=work[:, g.N:2 * g.N])
+            return even[c0:c1], np.negative(
+                odd[c0:c1], out=work[:c1 - c0, g.N:2 * g.N])
 
         return self.convolve(pairs, real=not np.iscomplexobj(values))
 
@@ -192,42 +230,37 @@ class FastConvolver:
         """The N quadrature values from the polyphase rows of f.
 
         Pair c is the rows of residues 2c and 2r−1−2c, whose kernel rows are
-        each other's mirror.  ``pairs(c0, c1, work)`` returns (even, odd),
+        each other's conjugate.  ``pairs(c0, c1, work)`` returns (even, odd),
         two (c1−c0, N) arrays holding f at the midpoints 2rq + 2c and −f at
         the midpoints 2rq + 2r−1−2c, q = 0..N−1, for c0 ≤ c < c1 (from
         :meth:`apply`, or :func:`fraclap.spectral.sine_pairs`); they may be
-        views of ``work``, the (c1−c0) scratch rows this call lends, at least
-        2N+2 floats wide when ``real``, else at least 2N complex, whose
-        contents are used up by the call.  The producer allocates nothing.
-        The pairs are transformed, multiplied by the table and summed a
-        batch at a time, the odd products subtracted; the result never
-        shares memory with the plan.
+        views of the first c1−c0 rows of ``work``, the 2(c1−c0) scratch rows
+        this call lends, each at least 2N+2 floats wide when ``real``, else
+        at least 2N complex, whose contents are used up by the call.  The
+        producer allocates nothing.  The pairs are transformed, multiplied
+        by the table and summed a batch at a time, the odd products
+        subtracted; the result never shares memory with the plan.
         """
         g = self.grid
         n, r = g.N, g.r
         m = self.fft_length // (2 * r)
         half = m // 2 + 1
         rev = slice((m - 1) // 2, 0, -1)
-        if self._plan is not None:
-            weights, table = self._plan
-        else:
-            # Without a cache, every array is dropped once used.  Weights
-            # first: at N = 2^20, r = 1 this order measured 252 MiB peak RSS
-            # against 272 MiB, because it decides which freed temporaries
-            # glibc's heap keeps resident.
-            weights = self._weights().reshape(n, 2 * r).T[0::2]
-            table = self._kernel_table()
-            if self.cache_kernels:
-                # Kept weights only: a contiguous one-shot copy raised the
-                # peak RSS at N = 2^20, r = 1 from 252 to 268 MiB.
-                weights = np.ascontiguousarray(weights)
-                self._plan = weights, table
         # Row pairs per batch.  A row has room for m transform points and
         # for a scratch row, 2N+2 floats or 2N complex; real rows are the
         # floats of their half-spectrum rows and are transformed in place
         # (numpy copies the overlapping input).
         width = max(half, n + 1) if real else max(m, 2 * n)
         k = max(1, min(r, _BATCH_POINTS // (2 * width)))
+        if self._plan is not None:
+            weights, table = self._plan
+        else:
+            weights, table = self._weights(), None
+            if self.cache_kernels:
+                table = self._kernel_rows(0, r)
+                self._plan = weights, table
+        # A kept table is never written: its batch is conjugated into here.
+        scratch = None if table is None else np.empty((k, half), dtype=complex)
         buf = np.zeros((2 * k, width), dtype=complex)
         rows = buf.view(float) if real else buf
         spectra = buf[:, :half] if real else buf[:, :m]
@@ -235,22 +268,31 @@ class FastConvolver:
         for c0 in range(0, r, k):
             c1 = min(c0 + k, r)
             j = c1 - c0
-            even, odd = pairs(c0, c1, rows[:j])
-            # Odd rows first: ``even`` may share a scratch row with them.
+            even, odd = pairs(c0, c1, rows[:2 * j])
             np.multiply(weights[c0:c1, ::-1], odd, out=rows[j:2 * j, :n])
             np.multiply(weights[c0:c1], even, out=rows[:j, :n])
-            if c1 == r:  # a one-shot plan drops its weights, then its table
+            if c1 == r:  # a one-shot plan drops its weights
                 del weights
             rows[:2 * j, n:m] = 0.0
             _transform_rows(np.fft.rfft if real else np.fft.fft,
                             rows[:2 * j, :m], spectra[:2 * j])
-            spectra[:j, :half] *= table[0::2][c0:c1]
-            spectra[j:2 * j, :half] *= table[::-2][c0:c1]
-            if not real:  # T_ρ[m − k] = conj T_ρ[k] = T_{2r−1−ρ}[k]
-                spectra[:j, half:] *= table[::-2][c0:c1, rev]
-                spectra[j:2 * j, half:] *= table[0::2][c0:c1, rev]
-            if c1 == r:
-                del table
+            # A one-shot batch builds its table rows here, once the
+            # transform's scratch is freed.  At N = 2^20, r = 1 this order
+            # read 252 MiB peak RSS in 29 of 29 benchmark workers; building
+            # them before the batch buffer read 260 or 268 MiB in 9 of 9,
+            # as glibc's heap kept other freed temporaries resident.
+            kernel = self._kernel_rows(c0, c1) if table is None else table[c0:c1]
+            # Even rows take T, odd rows conj T.  T_ρ[m − k] = conj T_ρ[k]
+            # gives a complex row's upper bins: the other kernel, reversed.
+            spectra[:j, :half] *= kernel
+            if not real:
+                spectra[j:2 * j, half:] *= kernel[:, rev]
+            kernel = np.conjugate(
+                kernel, out=kernel if table is None else scratch[:j])
+            spectra[j:2 * j, :half] *= kernel
+            if not real:
+                spectra[:j, half:] *= kernel[:, rev]
+            del kernel
             for i in range(1, j):  # sum the batch's products in place
                 spectra[0] += spectra[i]
             for i in range(j, 2 * j):  # the odd rows carry −f

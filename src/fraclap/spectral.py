@@ -139,10 +139,12 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
 
     Returns ``pairs(c0, c1, work)``, the (even, odd) pair rows c0..c1−1
     that :meth:`fraclap.fastconv.FastConvolver.convolve` takes, f and −f,
-    two (c1−c0, N) views of ``work``, the caller's scratch rows: at least
-    2N+2 floats wide for real ``a``, at least 2N complex otherwise.  A row's
-    bins are built in its own scratch (a real row's N+1 bins read as
-    complex) and its IFFT writes f over them.  ``twiddles`` is the (r, N)
+    two (c1−c0, N) views of the first c1−c0 rows of ``work``, the caller's
+    2(c1−c0) scratch rows: at least 2N+2 floats wide for real ``a``, at
+    least 2N complex otherwise.  The bins of pair c are built in scratch
+    row c1−c0+c (a real row's N+1 bins read as complex), and its IFFT
+    writes f into row c, so no transform copies its input; the bins are
+    used up, and the rows past c1−c0 are free again.  ``twiddles`` is the (r, N)
     table of :func:`sine_twiddles`; without it the twiddles of rows
     c0..c1−1 are computed in place in the bins they multiply.
     """
@@ -161,7 +163,11 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     real = not np.iscomplexobj(a)
 
     def pairs(c0: int, c1: int, work):
-        spectra = work[:, :2 * n + 2].view(complex) if real else work[:, :2 * n]
+        # The bins go in the odd rows, f in the even ones: an input that
+        # overlapped its output would be copied by the transform first.
+        j = c1 - c0
+        spectra = (work[j:2 * j, :2 * n + 2].view(complex) if real
+                   else work[j:2 * j, :2 * n])
         spectra[:, 0] = 0.0
         if twiddles is None:  # computed into the bins they multiply
             tw = sine_twiddles(g, c0, c1, out=spectra[:, 1:n + 1])
@@ -173,11 +179,8 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
             spectra[:, :n:-1] *= bins[:-1]
         np.multiply(bins, tw, out=spectra[:, 1:n + 1])
         spectra[:, n] += shared
-        if real:  # f overwrites the bins
-            w = _transform_rows(partial(np.fft.irfft, n=2 * n), spectra,
-                                work[:, :2 * n])
-        else:
-            w = _transform_rows(np.fft.ifft, spectra, spectra)
+        w = _transform_rows(partial(np.fft.irfft, n=2 * n) if real
+                            else np.fft.ifft, spectra, work[:j, :2 * n])
         return w[:, :n], w[:, :n - 1:-1]
 
     return pairs
@@ -194,14 +197,16 @@ def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
     benchmark's tracer wraps the function by it.
     """
     real = not np.iscomplexobj(a)
-    work = np.empty((g.r, 2 * g.N + 2 if real else 2 * g.N),
+    pairs = sine_pairs(a, g)
+    work = np.empty((2, 2 * g.N + 2 if real else 2 * g.N),
                     dtype=float if real else complex)
-    # The row function goes before f is allocated, and its bins with it.
-    even, odd = sine_pairs(a, g)(0, g.r, work)
-    f = np.empty(g.num_midpoints, dtype=even.dtype)
-    f_even, f_odd = _pair_rows(f, g)
-    f_even[...] = even
-    np.negative(odd, out=f_odd)
+    for c in range(g.r):  # one pair at a time, through one pair of rows
+        even, odd = pairs(c, c + 1, work)
+        if c == 0:  # f goes where the first transform's scratch was freed
+            f = np.empty(g.num_midpoints, dtype=work.dtype)
+            f_even, f_odd = _pair_rows(f, g)
+        f_even[c] = even[0]
+        np.negative(odd[0], out=f_odd[c])
     return f
 
 

@@ -54,14 +54,23 @@ class TestFftLength:
         assert length == 2 * r * _smooth5_oracle(2 * n - 1)
 
 
-def _kernel(conv: FastConvolver) -> np.ndarray:
-    """κ on its cyclic length-P layout, rebuilt from the plan's row table.
+def _pair_sigma(c, r):
+    """σ of pair c: its table row is transformed from M(2rq + σ) and the
+    mirrored M(2rq + 2r−1−σ), and conjugated when 2c < r."""
+    return r - 1 - 2 * c if 2 * c < r else 2 * c - r
 
-    Row ρ of the table is the rfft of κ_ρ[q] = κ[(2rq − ρ) mod P], so its
-    irfft puts κ back at those indices.
+
+def _kernel(conv: FastConvolver) -> np.ndarray:
+    """κ on its cyclic length-P layout, rebuilt from the plan's pair table.
+
+    Row c of the table is T_{2c}, the rfft of κ_{2c}, and T_{2r−1−2c} is its
+    conjugate; the irfft of T_ρ puts κ back at the indices (2rq − ρ) mod P.
     """
-    table = conv._kernel_table()
-    two_r = table.shape[0]
+    pairs = conv._kernel_rows(0, conv.grid.r)
+    two_r = 2 * conv.grid.r
+    table = np.empty((two_r, pairs.shape[1]), dtype=complex)
+    table[0::2] = pairs
+    table[::-2] = pairs.conj()
     m = conv.fft_length // two_r
     rows = np.fft.irfft(table, n=m, axis=1)
     q, rho = np.meshgrid(np.arange(m), np.arange(two_r))
@@ -142,8 +151,9 @@ class TestKernelLayout:
 
     @pytest.mark.parametrize("n, r", [(2**16, 1), (4096, 3), (1024, 32)])
     def test_far_shift_sinc_matches_mpmath(self, n, r, monkeypatch):
-        # Row r + σ reads M(2r(N−1) + σ) at q = m − N + 1; at σ = r − 1 that
-        # is the far shift a = 2rN − r − 1, where h(a+½) is close to π.  At
+        # The real row of pair c reads M(2r(N−1) + σ) at q = m − N + 1; at
+        # σ = r − 1 (pair 0) that is the far shift a = 2rN − r − 1, where
+        # h(a+½) is close to π.  At
         # γ = 1 the power difference 2a + 1 is exact, so only the sinc
         # rounds; sin evaluated near π would lose ~eps·2rN relative.
         rows = []
@@ -156,27 +166,36 @@ class TestKernelLayout:
         monkeypatch.setattr(fastconv, "_transform_rows", keep_rows)
         g = GridSpec(N=n, r=r, L=1.0)
         conv = FastConvolver(g, SingularParams(beta=1.0, gamma=1.0))
-        conv._kernel_table()
+        conv._kernel_rows(0, r)
         m = conv.fft_length // (2 * r)
         got = np.concatenate(rows)[:, m - n + 1]
         with mpmath.workdps(40):
-            for sigma in range(r):
-                a = 2 * r * (n - 1) + sigma
+            for c in range(r):
+                a = 2 * r * (n - 1) + _pair_sigma(c, r)
                 z = mpmath.pi * (a + mpmath.mpf(1) / 2) / g.num_midpoints
                 exact = mpmath.sin(z) / z * (2 * a + 1)
-                assert abs(got[sigma] - exact) <= 1e-15 * exact
+                assert abs(got[c] - exact) <= 1e-15 * exact
 
 
 class TestWeights:
-    @pytest.mark.parametrize("n, r", [(2**16, 1), (1024, 32)])
+    @pytest.mark.parametrize("n, r", [(2**16, 1), (1024, 32), (1, 1), (1, 5),
+                                      (13, 3), (101, 32)])
     def test_weights_are_a_palindrome(self, n, r):
         # sin(h(rN + k + ½)) = sin(h(rN − k − ½)) and the power differences
         # mirror too, so the upper half is the lower one reversed, exactly;
-        # sin evaluated near π would lose ~1e-11 relative at N = 2^16.
-        conv = FastConvolver(GridSpec(N=n, r=r, L=1.0),
-                             SingularParams(beta=1.3, gamma=-0.3))
-        w = conv._weights()
-        assert np.array_equal(w, w[::-1])
+        # sin evaluated near π would lose ~1e-11 relative at N = 2^16.  The
+        # plan keeps the even residues' rows of that palindrome, and the odd
+        # residue 2r−1−2c reads row c reversed.
+        g = GridSpec(N=n, r=r, L=1.0)
+        beta = 1.3
+        k = np.arange(r * n)
+        lower = (np.sin(g.h * (k + 0.5)) / (g.h * (k + 0.5))) ** beta * np.diff(
+            np.arange(r * n + 1, dtype=float) ** (beta + 1.0))
+        w = np.concatenate((lower, lower[::-1])).reshape(n, 2 * r)
+        rows = FastConvolver(g, SingularParams(beta=beta, gamma=-0.3))._weights()
+        assert rows.shape == (r, n)
+        assert np.array_equal(rows, w[:, 0::2].T)
+        assert np.array_equal(rows[:, ::-1], w[:, ::-2].T)
 
 
 class TestFastAgainstDirect:
@@ -250,7 +269,7 @@ _PEAK_RSS_CODE = textwrap.dedent("""
             return next(int(line.split()[1]) * 1024 for line in f
                         if line.startswith("VmHWM:"))
 
-    g = GridSpec(N=2**18, r=1, L=1.0)
+    g = GridSpec(N=int(sys.argv[2]), r=int(sys.argv[3]), L=1.0)
     rng = np.random.default_rng(31)
     v = np.empty(g.num_midpoints, dtype=sys.argv[1])
     v.real = rng.standard_normal(g.num_midpoints)
@@ -263,10 +282,11 @@ _PEAK_RSS_CODE = textwrap.dedent("""
 """)
 
 
-def _fresh_apply_peak_rss(dtype: str) -> float:
-    """Peak-RSS rise of one apply at N = 2^18, r = 1 in a fresh interpreter,
-    over the bytes of its ``dtype`` samples."""
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CODE, dtype],
+def _fresh_apply_peak_rss(dtype: str, n: int = 2**18, r: int = 1) -> float:
+    """Peak-RSS rise of one apply at (N, r) in a fresh interpreter, over
+    the bytes of its ``dtype`` samples."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CODE, dtype,
+                           str(n), str(r)],
                           capture_output=True, text=True, check=True)
     return float(proc.stdout)
 
@@ -287,28 +307,61 @@ class TestConvolverReuse:
     @pytest.mark.parametrize("n", [1, 2, 5, 13, 64, 101])  # odd and even m
     @pytest.mark.parametrize("r", [1, 3, 32])
     def test_one_shot_half_table_equals_kept_full_table(self, n, r):
-        # The half table stands for the full spectra: with rows and columns
-        # reversed it gives their upper bins, T_ρ[m − k] = T_{2r−1−ρ}[k],
-        # which complex rows read.  Kept and one-shot plans hold the same
-        # (2r, m//2+1) table and agree bit for bit in any order of calls.
+        # A kept plan holds one half-spectrum row per pair, T_{2c}; a
+        # one-shot plan builds the same rows batch by batch, to the bit.
+        # With T_{2r−1−2c} = conj T_{2c} and the upper bins T_ρ[m − k] =
+        # conj T_ρ[k], which complex rows read reversed, the r rows stand
+        # for the full spectra of all 2r rows.
         g = GridSpec(N=n, r=r, L=1.0)
-        p = SingularParams(beta=0.6, gamma=0.1)
-        kept = FastConvolver(g, p)
-        m = kept.fft_length // (2 * r)
-        for i, real in enumerate((False, True, False)):
-            F = _random_samples(g, 100 * n + r + i, real)
-            out = kept.apply(F.values)
-            assert kept._plan[1].shape == (2 * r, m // 2 + 1)
-            assert np.array_equal(fast_singular_integral(F, p), out)
+        kept = FastConvolver(g, SingularParams(beta=0.6, gamma=0.1))
+        kept.apply(_random_samples(g, 100 * n + r).values)
         table = kept._plan[1]
-        full = np.fft.fft(np.fft.irfft(table, n=m, axis=1), axis=1)
-        assert _rel(np.concatenate((table, table[::-1, (m - 1) // 2:0:-1]),
+        m = kept.fft_length // (2 * r)
+        assert table.shape == (r, m // 2 + 1)
+        for k in (1, 2, 5):
+            for c0 in range(0, r, k):
+                rows = kept._kernel_rows(c0, min(c0 + k, r))
+                assert np.array_equal(rows, table[c0:c0 + k])
+        rows = np.empty((2 * r, m // 2 + 1), dtype=complex)  # by residue
+        rows[0::2], rows[::-2] = table, table.conj()
+        full = np.fft.fft(np.fft.irfft(rows, n=m, axis=1), axis=1)
+        assert _rel(np.concatenate((rows, rows[::-1, (m - 1) // 2:0:-1]),
                                    axis=1), full) < 1e-13
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 64, 101])
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 32])
+    def test_kept_and_one_shot_agree_in_any_call_order(self, n, r):
+        # A kept plan conjugates a batch of its rows into scratch, a one-shot
+        # plan its own rows in place: the same bits in every order of real
+        # and complex calls, cold and warm.
+        g = GridSpec(N=n, r=r, L=1.0)
+        p = SingularParams(beta=0.6, gamma=0.1)
+        samples = {real: _random_samples(g, 10 * n + r + real, real).values
+                   for real in (False, True)}
+        once = {real: fast_singular_integral(MidpointSamples(values=v, grid=g), p)
+                for real, v in samples.items()}
+        for order in ((False, True, False), (True, False, True)):
+            kept = FastConvolver(g, p)
+            for real in order:
+                assert np.array_equal(kept.apply(samples[real]), once[real])
+
+    def test_kept_plan_is_never_written(self):
+        # Real and complex calls read the kept weights and table; the odd
+        # rows' conjugate goes into scratch, never into the plan.
+        g = GridSpec(N=64, r=5, L=1.0)
+        kept = FastConvolver(g, SingularParams(beta=0.6, gamma=0.1))
+        kept.apply(_random_samples(g, 1, real=True).values)
+        saved = [a.copy() for a in kept._plan]
+        for seed, real in ((2, False), (3, True), (4, False)):
+            kept.apply(_random_samples(g, seed, real).values)
+            for a, b in zip(kept._plan, saved):
+                assert np.array_equal(a, b)
+
     def test_one_shot_memory_is_a_few_sample_arrays(self):
-        # Without a cache, one call holds at most the half kernel table (1x
-        # the samples at this size, P = 4rN), the weights (0.5x) and one
-        # transform buffer (2x).
+        # Without a cache, one call holds at most one transform buffer (2x
+        # the samples at this size, P = 4rN) and the temporaries of the
+        # pair's kernel row, built once the buffer is transformed (1.25x);
+        # the weights (0.25x) are dropped by then.  Measured 3.25x.
         import tracemalloc
 
         g = GridSpec(N=2**16, r=1, L=1.0)
@@ -321,7 +374,7 @@ class TestConvolverReuse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * F.values.nbytes
+        assert peak <= 3.4 * F.values.nbytes
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak RSS from /proc/self/status")
@@ -344,6 +397,17 @@ class TestConvolverReuse:
         # (2x); with the weights and one row's scratch that is about 7x.
         # The same samples cast to complex need about 12x their float bytes.
         assert _fresh_apply_peak_rss("float") <= 11.0
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak RSS from /proc/self/status")
+    @pytest.mark.parametrize("dtype, bound", [("complex", 0.8), ("float", 1.2)])
+    def test_one_shot_peak_rss_streams_the_table(self, dtype, bound):
+        # At N = 2^16, r = 8 a batch holds one pair, so a one-shot call
+        # builds one kernel row at a time; the weights (1/4 of the complex
+        # samples' bytes) are the only plan array of all pairs.  Measured
+        # 0.47x (complex) and 0.67x (float), against 1.83x and 3.65x with
+        # the whole two-row-per-pair table.
+        assert _fresh_apply_peak_rss(dtype, 2**16, 8) <= bound
 
     def test_wrong_length_rejected(self):
         g = GridSpec(N=4, r=1, L=1.0)
