@@ -195,14 +195,13 @@ def _validate(args: argparse.Namespace) -> list[FracLapParams]:
     return params
 
 
-def _load_samples(path: str, expected: int,
-                  finite: bool = False) -> np.ndarray:
+def _load_samples(path: str, expected: int) -> np.ndarray:
     """Read 're im' per line; the line count must equal the node count.
 
     A file whose imaginary column is exactly zero loads as float, so real
     data takes the real-arithmetic path, as a real builtin profile does.
-    With ``finite``, a NaN or infinite sample is a ParameterError naming
-    its line: the spectral route would spread it to every output node.
+    A NaN or infinite sample is a ParameterError naming its line: the
+    spectral route would spread it to every output node.
     """
     rows = []
     with open(path) as fh:
@@ -220,7 +219,7 @@ def _load_samples(path: str, expected: int,
                 raise SampleShapeError(
                     f"{path}:{line_no}: could not parse floats"
                 ) from None
-            if finite and not cmath.isfinite(value):
+            if not cmath.isfinite(value):
                 raise ParameterError(
                     f"{path}:{line_no}: sample is not finite: {line.strip()!r}"
                 )
@@ -242,7 +241,7 @@ def _integrand(args: argparse.Namespace, p: FracLapParams):
     """
     g = p.grid
     if args.profile is None:
-        return f_from_samples(_load_samples(args.input, g.N, finite=True), g)
+        return f_from_samples(_load_samples(args.input, g.N), g)
     if args.profile.name == "rational":
         us, uss = mapped_derivatives(args.profile, g.L)
         return f_from_analytic(us, uss, g)
@@ -311,15 +310,13 @@ def cmd_sweep(args: argparse.Namespace, params: list[FracLapParams]) -> int:
         args.output.write_text(json.dumps({"command": "sweep", "rows": rows},
                                           indent=1) + "\n")
     else:
-        lines = ["alpha,N,r,l2,linf,runtime_ms,order_vs_r"]
-        for row in rows:
-            order = "" if row["order_vs_r"] is None else _fmt(row["order_vs_r"])
-            lines.append(
-                f"{_fmt(row['alpha'])},{row['N']},{row['r']},"
-                f"{_fmt(row['l2'])},{_fmt(row['linf'])},"
-                f"{_fmt(row['runtime_ms'])},{order}"
-            )
-        args.output.write_text("\n".join(lines) + "\n")
+        keys = list(rows[0])
+        columns = [np.array([row[k] for row in rows]) for k in keys[:-1]]
+        columns.append(np.array(["" if row["order_vs_r"] is None
+                                 else _fmt(row["order_vs_r"]) for row in rows]))
+        with open(args.output, "w") as fh:
+            fh.write(",".join(keys) + "\n")
+            _write_rows(fh, "%.17g,%d,%d,%.17g,%.17g,%.17g,%s\n", columns)
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ integer arithmetic (see :func:`index_sign`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,29 @@ def _reject_bool(name: str, value) -> None:
         raise ParameterError(f"{name} must be a number, not a bool, got {value!r}")
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an ``int`` ≥ 1; a Python or numpy integer, not a bool."""
+    _reject_bool(name, value)
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _finite_real(name: str, value, low: float = -math.inf,
+                 high: float = math.inf, low_closed: bool = False) -> float:
+    """A Python or numpy real, not a bool, as a finite ``float`` in (low, high).
+
+    ``low_closed`` admits ``low`` itself.
+    """
+    _reject_bool(name, value)
+    x = float(value) if isinstance(value, numbers.Real) else math.nan
+    if not (math.isfinite(x) and (low <= x if low_closed else low < x) and x < high):
+        raise ParameterError(
+            f"{name} must be a finite number in {'[' if low_closed else '('}"
+            f"{low}, {high}), got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Discretization record: N output nodes, refinement r, map scale L.
@@ -48,12 +72,11 @@ class GridSpec:
     Parameters
     ----------
     N : int
-        Number of output nodes, ≥ 1.  A Python or numpy integer (not
-        ``bool``), stored as ``int``; the same holds for ``r``.
+        Number of output nodes, ≥ 1, stored as ``int`` (as is ``r``).
     r : int
         Refinement factor, ≥ 1; the quadrature uses 2rN midpoints.
     L : float
-        Map scale of x = L·cot(s), > 0 (not ``bool``).
+        Map scale of x = L·cot(s), > 0 and finite, stored as ``float``.
     """
 
     N: int
@@ -61,16 +84,9 @@ class GridSpec:
     L: float
 
     def __post_init__(self):
-        for name in ("N", "r"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                    or value < 1:
-                raise ParameterError(
-                    f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        _reject_bool("L", self.L)
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise ParameterError(f"L must be positive and finite, got {self.L!r}")
+        object.__setattr__(self, "N", _positive_int("N", self.N))
+        object.__setattr__(self, "r", _positive_int("r", self.r))
+        object.__setattr__(self, "L", _finite_real("L", self.L, 0.0))
 
     @property
     def h(self) -> float:
@@ -104,6 +120,7 @@ def map_to_real(s, L: float):
 
     Accepts scalars or arrays.  Raises ParameterError outside (0, π).
     """
+    L = _finite_real("L", L, 0.0)
     s = np.asarray(s, dtype=float)
     if not np.all((s > 0.0) & (s < np.pi)):  # NaN fails too
         raise ParameterError("s must lie strictly inside (0, pi)")
@@ -113,6 +130,7 @@ def map_to_real(s, L: float):
 
 def map_from_real(x, L: float):
     """Inverse map: the unique s ∈ (0, π) with x = L·cot(s)."""
+    L = _finite_real("L", L, 0.0)
     x = np.asarray(x, dtype=float)
     s = np.arctan2(L, x)
     return s if s.ndim else float(s)

@@ -19,14 +19,13 @@ errors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BlowUpError, ParameterError, SampleShapeError
-from .grid import _reject_bool, output_nodes
+from .grid import _finite_real, _positive_int, output_nodes
 from .operator import FracLapParams, FractionalLaplacian
 
 __all__ = [
@@ -61,9 +60,7 @@ class EvolutionState:
             raise SampleShapeError(
                 f"psi must have length N={self.params.grid.N}, got {self.psi.shape}"
             )
-        _reject_bool("dt", self.dt)
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
+        self.dt = _finite_real("dt", self.dt, 0.0)
         if self.operator is None or self.operator.params != self.params:
             self.operator = FractionalLaplacian(self.params)
 
@@ -126,14 +123,9 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
     """
     state = EvolutionState(psi=np.asarray(psi0, dtype=complex), t=0.0,
                            params=p, dt=dt)
-    _reject_bool("t_end", t_end)
-    if not (t_end >= 0 and math.isfinite(t_end)):
-        raise ParameterError(f"t_end must be nonnegative and finite, got {t_end!r}")
-    if isinstance(snapshot_every, bool) \
-            or not isinstance(snapshot_every, (int, np.integer)) \
-            or snapshot_every < 1:
-        raise ParameterError(
-            f"snapshot_every must be a positive integer, got {snapshot_every!r}")
+    dt = state.dt
+    t_end = _finite_real("t_end", t_end, 0.0, low_closed=True)
+    snapshot_every = _positive_int("snapshot_every", snapshot_every)
     if not t_end / dt < 2**53:  # also rejects a quotient that overflows
         raise ParameterError(f"t_end/dt = {t_end / dt:g} steps is too many")
     n_steps = int(round(t_end / dt))

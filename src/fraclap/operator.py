@@ -28,7 +28,7 @@ import numpy as np
 from . import spectral
 from .errors import ParameterError
 from .fastconv import FastConvolver
-from .grid import GridSpec, _reject_bool, output_nodes
+from .grid import GridSpec, _finite_real, output_nodes
 from .quadrature import MidpointSamples, SingularParams
 # The benchmark's tracer wraps f_from_samples here, and
 # coefficients_from_samples in spectral (looked up at call time), by name.
@@ -53,9 +53,7 @@ class FracLapParams:
     grid: GridSpec
 
     def __post_init__(self):
-        _reject_bool("alpha", self.alpha)
-        if not (0.0 < self.alpha < 2.0):
-            raise ParameterError(f"alpha must lie in (0, 2), got {self.alpha}")
+        object.__setattr__(self, "alpha", _finite_real("alpha", self.alpha, 0.0, 2.0))
         if abs(self.alpha - 1.0) < _ALPHA_ONE_MARGIN:
             raise ParameterError(
                 "alpha = 1 (the Hilbert-transform case) is not supported"

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .grid import map_from_real
+from .grid import _finite_real, map_from_real
 from .reference import exact_erf, exact_rational
 
 __all__ = ["Profile", "RATIONAL", "ERF", "GAUSSIAN", "builtin_profile",
@@ -83,6 +83,7 @@ def builtin_profile(name: str) -> Profile:
 
 def mapped_derivatives(profile: Profile, L: float):
     """(u_s, u_ss) as callables of s ∈ (0, π), from x-space derivatives."""
+    L = _finite_real("L", L, 0.0)
 
     def us(s):
         s = np.asarray(s, dtype=float)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SampleShapeError
-from .grid import GridSpec, _reject_bool, index_sign
+from .grid import GridSpec, _finite_real, index_sign
 
 __all__ = [
     "SingularParams",
@@ -61,19 +61,15 @@ class SingularParams:
     """Exponent pair of the kernel sin^β(η)·|sin(η−s)|^γ.
 
     Requires finite β > 0 and γ > −1, the range in which the two-sided
-    quadrature converges; neither may be a ``bool``.
+    quadrature converges.
     """
 
     beta: float
     gamma: float
 
     def __post_init__(self):
-        for name in ("beta", "gamma"):
-            _reject_bool(name, getattr(self, name))
-        if not (self.beta > 0 and np.isfinite(self.beta)):
-            raise ParameterError(f"beta must be finite and > 0, got {self.beta}")
-        if not (self.gamma > -1 and np.isfinite(self.gamma)):
-            raise ParameterError(f"gamma must be finite and > -1, got {self.gamma}")
+        object.__setattr__(self, "beta", _finite_real("beta", self.beta, 0.0))
+        object.__setattr__(self, "gamma", _finite_real("gamma", self.gamma, -1.0))
 
 
 @dataclass(frozen=True)
@@ -112,10 +108,9 @@ def modified_midpoint(f_mid, a: float, b: float, beta: float) -> complex:
     f_mid = np.asarray(f_mid)
     if f_mid.ndim != 1 or len(f_mid) == 0:
         raise ParameterError("f_mid must be a nonempty vector")
-    if not np.isfinite((a, b, beta)).all():
-        raise ParameterError(f"need finite a, b, beta, got {a}, {b}, {beta}")
-    if not (a >= 0 and b > a):
-        raise ParameterError(f"need 0 <= a < b, got a={a}, b={b}")
+    a = _finite_real("a", a, 0.0, low_closed=True)
+    b = _finite_real("b", b, a)  # a < b
+    beta = _finite_real("beta", beta)
     if beta == -1:
         raise ParameterError("beta = -1 is outside the supported family")
     if a == 0 and beta <= -1:
@@ -137,6 +132,7 @@ def signed_power_difference(x_next, x_prev, gamma: float, sign_next, sign_prev):
     contributes an exact zero here.  Finite for γ > −1 even when one
     argument vanishes.  Accepts scalars or arrays.
     """
+    gamma = _finite_real("gamma", gamma)
     if gamma == -1:
         raise ParameterError("gamma = -1 is outside the supported family")
     x_next = np.asarray(x_next, dtype=float)

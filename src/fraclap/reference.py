@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SampleShapeError
+from .grid import _finite_real, map_to_real
 
 __all__ = ["ErrorReport", "exact_rational", "exact_erf", "kummer_1f1", "error_norms"]
 
@@ -43,21 +44,15 @@ def exact_rational(alpha: float, s) -> np.ndarray | complex:
     profile equals e^{2is}, so this doubles as the exact image of a single
     trigonometric mode.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    s_arr = np.asarray(s, dtype=float)
-    if not np.all((s_arr > 0.0) & (s_arr < np.pi)):  # NaN fails too
-        raise ParameterError("s must lie strictly inside (0, pi)")
-    out = np.asarray(
-        -2.0 * math.gamma(1.0 + alpha) / (1j / np.tan(s_arr) + 1.0) ** (1.0 + alpha)
-    )
+    alpha = _finite_real("alpha", alpha, 0.0, 2.0)
+    x = map_to_real(s, 1.0)  # cot(s); raises outside (0, π)
+    out = np.asarray(-2.0 * math.gamma(1.0 + alpha) / (1j * x + 1.0) ** (1.0 + alpha))
     return out if out.ndim else complex(out)
 
 
 def exact_erf(alpha: float, x) -> np.ndarray | float:
     """(−Δ)^{α/2} of erf at x: (2^{1+α}/π)·Γ((1+α)/2)·x·₁F₁((1+α)/2; 3/2; −x²)."""
-    if not 0.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    alpha = _finite_real("alpha", alpha, 0.0, 2.0)
     # x·₁F₁ decays like |x|^{−α}, so its limit 0 at x = ±∞ is that at x = 0.
     x_arr = np.where(np.isinf(x), 0.0, np.asarray(x, dtype=float))
     factor = 2.0 ** (1.0 + alpha) / math.pi * math.gamma((1.0 + alpha) / 2.0)
@@ -94,8 +89,8 @@ def kummer_1f1(a: float, b: float, z) -> np.ndarray | float:
     b ≥ a > 0, and ArithmeticError if neither regime reaches the target
     accuracy (~1e-12 relative) for some entry.
     """
-    if not (b >= a > 0):
-        raise ParameterError(f"need b >= a > 0, got a={a}, b={b}")
+    a = _finite_real("a", a, 0.0)
+    b = _finite_real("b", b, a, low_closed=True)  # b >= a
     z_arr = np.asarray(z, dtype=float)
     if not np.all(z_arr <= 0):  # NaN fails too
         raise ParameterError("only z <= 0 is supported, and not NaN")

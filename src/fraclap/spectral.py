@@ -239,8 +239,8 @@ def f_from_samples(u_nodes, g: GridSpec) -> MidpointSamples:
     """Build f at the midpoints from u sampled at the N output nodes only.
 
     Composition of :func:`coefficients_from_samples` and
-    :func:`derivatives_at_midpoints`; this is the route used when no
-    analytic derivatives are available (e.g. inside a time stepper).
+    :func:`derivatives_at_midpoints`, the CLI's route for sampled u; a time
+    stepper calls ``FractionalLaplacian.apply_to_samples`` instead.
     """
     a = coefficients_from_samples(u_nodes)
     return MidpointSamples(values=derivatives_at_midpoints(a, g), grid=g)

@@ -580,7 +580,8 @@ class TestNls:
                      "--r", "1", "--L", "10.0", "--dt", "0.01",
                      "--t-end", "0.02", "--input", str(samples),
                      "--format", fmt, "--output", str(out)]) == 2
-        assert "psi0 is not finite at index 2" in capsys.readouterr().err
+        # Rejected at load, as for apply: the message names the file's line.
+        assert "psi0.txt:3: sample is not finite: 'nan 0'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["psi0.txt"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from fraclap.errors import ParameterError
+from fraclap.fastconv import fast_singular_integral
 from fraclap.grid import (GridSpec, index_sign, map_from_real, map_to_real,
                           midpoint_nodes, output_nodes)
+from fraclap.nls import EvolutionState, rk4_step, simulate
+from fraclap.operator import FracLapParams, FractionalLaplacian
+from fraclap.profiles import ERF, mapped_derivatives
+from fraclap.quadrature import (MidpointSamples, SingularParams, modified_midpoint,
+                                signed_power_difference)
+from fraclap.reference import exact_erf, exact_rational, kummer_1f1
 
 
 class TestGridSpec:
@@ -125,3 +132,107 @@ class TestIndexSign:
     def test_vectorized(self):
         n = np.array([0, 3, 6])
         assert list(index_sign(n, 1, 1)) == [-1, 0, 1]
+
+
+def _grid(name, value):
+    g = GridSpec(**{"N": 24, "r": 2, "L": 1.0, name: value})
+    return getattr(g, name), midpoint_nodes(g)
+
+
+def _operator(name, value):
+    """The stored α or L, and the sampled-route operator values of erf."""
+    kw = {"alpha": 0.9, "L": 2.1, name: value}
+    p = FracLapParams(alpha=kw["alpha"], grid=GridSpec(N=64, r=4, L=kw["L"]))
+    x = map_to_real(output_nodes(p.grid), p.grid.L)
+    stored = p.alpha if name == "alpha" else p.grid.L
+    return stored, FractionalLaplacian(p).apply_to_samples(ERF.u(x))
+
+
+def _singular(name, value):
+    p = SingularParams(**{"beta": 0.9, "gamma": 0.1, name: value})
+    g = GridSpec(N=8, r=2, L=1.0)
+    F = MidpointSamples(np.cos(midpoint_nodes(g)), g)
+    return getattr(p, name), fast_singular_integral(F, p)
+
+
+def _state(dt):
+    p = FracLapParams(alpha=1.3, grid=GridSpec(N=16, r=2, L=4.0))
+    psi = np.exp(-map_to_real(output_nodes(p.grid), 4.0) ** 2)
+    return EvolutionState(psi=psi, t=0.0, params=p, dt=dt)
+
+
+def _step(dt):
+    state = _state(dt)
+    return state.dt, rk4_step(state).psi
+
+
+def _simulate(t_end=0.02, snapshot_every=1):
+    snaps = []
+    state = _state(0.01)
+    result = simulate(state.psi, state.params, 0.01, t_end, snapshot_every,
+                      lambda *snap: snaps.append(snap))
+    return None, (result.times, result.energies, snaps)
+
+
+_S = np.linspace(0.1, 3.0, 7)
+
+
+def _function(f, *args):
+    """A function site: nothing stored, one output."""
+    return None, f(*args)
+
+
+# Every site that takes a scalar parameter: (valid value, call).  A call
+# returns (what a record stores, or None for a function; an output).
+_SITES = {
+    "GridSpec.N": (24, lambda v: _grid("N", v)),
+    "GridSpec.r": (3, lambda v: _grid("r", v)),
+    "GridSpec.L": (2.1, lambda v: _operator("L", v)),
+    "FracLapParams.alpha": (0.9, lambda v: _operator("alpha", v)),
+    "SingularParams.beta": (0.9, lambda v: _singular("beta", v)),
+    "SingularParams.gamma": (0.1, lambda v: _singular("gamma", v)),
+    "EvolutionState.dt": (0.01, _step),
+    "simulate.t_end": (0.02, lambda v: _simulate(t_end=v)),
+    "simulate.snapshot_every": (2, lambda v: _simulate(snapshot_every=v)),
+    "exact_rational.alpha": (0.9, lambda v: _function(exact_rational, v, _S)),
+    "exact_erf.alpha": (0.9, lambda v: _function(exact_erf, v, _S - 1.5)),
+    "kummer_1f1.a": (0.95, lambda v: _function(kummer_1f1, v, 1.5, -_S**3)),
+    "kummer_1f1.b": (1.5, lambda v: _function(kummer_1f1, 0.95, v, -_S**3)),
+    "modified_midpoint.a": (
+        0.5, lambda v: _function(modified_midpoint, _S, v, 2.0, 0.5)),
+    "modified_midpoint.b": (
+        2.0, lambda v: _function(modified_midpoint, _S, 0.5, v, 0.5)),
+    "modified_midpoint.beta": (
+        0.5, lambda v: _function(modified_midpoint, _S, 0.5, 2.0, v)),
+    "signed_power_difference.gamma": (0.3, lambda v: _function(
+        signed_power_difference, _S, _S - 1.0, v, 1, np.sign(_S - 1.0))),
+    "map_to_real.L": (2.1, lambda v: _function(map_to_real, _S, v)),
+    "map_from_real.L": (2.1, lambda v: _function(map_from_real, _S - 1.5, v)),
+    "mapped_derivatives.L": (2.1, lambda v: _function(
+        lambda: [f(_S) for f in mapped_derivatives(ERF, v)])),
+}
+
+
+def _bits(x):
+    """x's types and bytes, nested, so that equality means bit-identical."""
+    if isinstance(x, (tuple, list)):
+        return [_bits(item) for item in x]
+    return type(x), np.asarray(x).dtype, np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("site", list(_SITES))
+def test_parameter_rule(site):
+    """bool, NaN and ±inf are rejected; numpy scalars act as Python numbers."""
+    value, call = _SITES[site]
+    for bad in (True, np.True_):
+        with pytest.raises(ParameterError, match="bool"):
+            call(bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            call(bad)
+    kinds = (np.int64,) if isinstance(value, int) else (np.float64, np.float32)
+    for kind in kinds:
+        python = type(value)(kind(value))
+        stored, out = call(kind(value))
+        assert stored is None or type(stored) is type(value)
+        assert _bits((stored, out)) == _bits(call(python))
