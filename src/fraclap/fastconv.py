@@ -26,26 +26,36 @@ every odd row as −f: :func:`_pair_rows` views f in pairs and
 summed into one row before the next batch, so only one batch of weighted
 rows is held at a time.  The row FFTs run batched, at most 2^17 points per
 call: pocketfft's scratch grows with the points of a call, and batching
-keeps many short rows fast.
+keeps many short rows fast.  A longer row is transformed as its (m1, m2)
+grid, m1 the largest divisor of m at most √m, by the four-step FFT
+(Bailey, J. Supercomputing 4, 1990): FFTs down the columns, the twiddles
+w^{k1·j2}, FFTs along the rows.  Its spectrum stays in that order, bin
+k1 + m1·k2 at k1·m2 + k2, through the kernel product and back through the
+inverse steps, so no call is longer than a grid axis and nothing is
+transposed.  A whole row is the grid m1 = m, m2 = 1.
 
 M is real, so every κ_ρ is real and its spectrum T_ρ Hermitian: the plan
-keeps m//2+1 ``rfft`` bins per row, half the bytes of the full spectra (the
-real-input FFT of Sorensen, Jones, Heideman & Burrus, IEEE Trans. ASSP 35,
-1987).  M(a) = M(−a−1) also gives κ_{2r−1−ρ}[q] = κ_ρ[−q], so the two rows
-of a pair are conjugates, T_{2r−1−2c} = conj T_{2c}: the plan's table is
-one row per pair, row c = T_{2c}, and its odd rows are multiplied by the
-conjugate.  A kept table is conjugated a batch at a time into scratch; a
-one-shot plan builds each batch's rows when the batch needs them and
-conjugates them in place, so it never holds the rows of all pairs.  Real
-samples stay real: their rows go through ``rfft``, the products with the
-half spectra are summed into one row, and one ``irfft`` of length m gives
-A.  Complex samples keep complex row FFTs against the same rows:
-T_ρ[m − k] = conj T_ρ[k], so a row's upper bins are its pair partner's
-lower bins reversed.  A real/imaginary split through the real path
+keeps the ``rfft`` bins of each row, its grid rows k1 ≤ m1/2, half the
+bytes of the full spectra (the real-input FFT of Sorensen, Jones, Heideman
+& Burrus, IEEE Trans. ASSP 35, 1987).  M(a) = M(−a−1) also gives
+κ_{2r−1−ρ}[q] = κ_ρ[−q], so the two rows of a pair are conjugates,
+T_{2r−1−2c} = conj T_{2c}: the plan's table is one row per pair, row
+c = T_{2c}, and its odd rows are multiplied by the conjugate.  A kept table
+is conjugated a batch at a time into scratch; a one-shot plan builds each
+batch's rows when the batch needs them and conjugates them in place, so it
+never holds the rows of all pairs.  Real samples stay real: their rows go
+through ``rfft``, the products with the half spectra are summed into one
+row, and one inverse of length m, ``irfft`` last, gives A.  Complex
+samples keep complex row FFTs against the same rows: T_ρ[m − k] =
+conj T_ρ[k], so a row's upper bins are its pair partner's lower bins
+reversed; in the grid, its rows k1 > m1/2 are the partner's rows m1 − k1
+with both axes reversed.  A real/imaginary split through the real path
 measured slower.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -76,12 +86,98 @@ def _pair_rows(values: np.ndarray, g: GridSpec) -> tuple:
     return rows[0::2], rows[::-2]
 
 
+# Points of one pocketfft call.  Its scratch grows with the points of a
+# call: shorter rows are batched up to this, and a longer row is
+# transformed as a grid of short ones (:func:`_row_grid`).
+_CALL_POINTS = 1 << 17
+# Points of a grid's rows twiddled and transformed while in cache: at
+# m = 2^21 blocks of 2^14 measured 5% faster than 2^12 or 2^16.
+_TWIDDLE_POINTS = 1 << 14
+
+
 def _transform_rows(transform, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``transform`` every row of ``a`` into ``out``, at most 2^17 points per call."""
-    rows = max(1, (1 << 17) // a.shape[1])
+    """``transform`` along axis 1 of ``a`` into ``out``, at most
+    ``_CALL_POINTS`` points of ``a`` per call."""
+    rows = max(1, _CALL_POINTS // a[0].size)
     for i in range(0, a.shape[0], rows):
         transform(a[i:i + rows], axis=1, out=out[i:i + rows])
     return out
+
+
+def _divisor_below_root(n: int) -> int:
+    """The largest divisor of n that is at most √n."""
+    return next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+
+
+def _row_grid(m: int) -> tuple:
+    """The grid of a row of length m: m1 = m, m2 = 1 and no twiddles up to
+    ``_CALL_POINTS``, else m1 the largest divisor of m that is at most √m."""
+    if m <= _CALL_POINTS:
+        return m, 1, None
+    m1 = _divisor_below_root(m)
+    return _grid(m1, m // m1)
+
+
+def _grid(m1: int, m2: int) -> tuple:
+    """(m1, m2, twiddles) of the (m1, m2) grid of a row of length m = m1·m2.
+
+    With w = e^{−2πi/m} and j2 = b·p + q, b the largest divisor of m2 at
+    most √m2, the twiddle w^{k1·j2} is the product of two factors,
+    w^{k1·b·p} (m1, m2/b, 1) and w^{k1·q} (m1, 1, b): no (m1, m2) table is
+    formed.  Their exponents are below m, exact in int64.
+    """
+    m = m1 * m2
+    b = _divisor_below_root(m2)
+    k1 = np.arange(m1)[:, None]
+    outer = np.exp(k1 * np.arange(0, m2, b) * (-2j * np.pi / m))
+    inner = np.exp(k1 * np.arange(b) * (-2j * np.pi / m))
+    return m1, m2, (outer[:, :, None], inner[:, None, :])
+
+
+def _twiddle_block(twiddles, k0: int, rows: int) -> np.ndarray:
+    """The twiddles w^{k1·j2} of grid rows k0 ≤ k1 < k0 + rows, (rows, m2)."""
+    outer, inner = twiddles
+    product = outer[k0:k0 + rows] * inner[k0:k0 + rows]
+    return product.reshape(len(product), -1)
+
+
+def _grid_forward(rows: np.ndarray, out: np.ndarray, real: bool, grid) -> None:
+    """The spectra of ``rows`` (length m) into ``out``, in grid order.
+
+    Each row is read as its (m1, m2) grid, x[j1·m2 + j2]; bin k1 + m1·k2
+    of its spectrum lands at ``out``'s k1·m2 + k2 (four-step, Bailey
+    1990): an FFT down every column, the twiddles w^{k1·j2}, an FFT along
+    every row.  A real row keeps the columns' ``rfft`` bins k1 ≤ m1/2,
+    which hold its whole spectrum, X[m − k] = conj X[k].
+    """
+    m1, m2, twiddles = grid
+    spectra = out.reshape(len(out), -1, m2)
+    _transform_rows(np.fft.rfft if real else np.fft.fft,
+                    rows.reshape(len(rows), m1, m2), spectra)
+    if twiddles is not None:  # blocks of grid rows, while they are cached
+        step = max(1, _TWIDDLE_POINTS // m2)
+        for k0 in range(0, spectra.shape[1], step):
+            block = spectra[:, k0:k0 + step]
+            block *= _twiddle_block(twiddles, k0, block.shape[1])
+            np.fft.fft(block, axis=2, out=block)
+
+
+def _grid_inverse(spectrum: np.ndarray, out: np.ndarray, real: bool,
+                  grid) -> np.ndarray:
+    """The inverse of :func:`_grid_forward` for one spectrum, into ``out``
+    (m floats) when ``real``, else in place; returns the row."""
+    m1, m2, twiddles = grid
+    spectra = spectrum.reshape(1, -1, m2)
+    if twiddles is not None:
+        step = max(1, _TWIDDLE_POINTS // m2)
+        for k0 in range(0, spectra.shape[1], step):
+            block = spectra[:, k0:k0 + step]
+            np.fft.ifft(block, axis=2, out=block)
+            block *= _twiddle_block(twiddles, k0, block.shape[1]).conj()
+    if real:
+        return np.fft.irfft(spectra[0], n=m1, axis=0,
+                            out=out.reshape(m1, m2)).reshape(-1)
+    return np.fft.ifft(spectra[0], axis=0, out=spectra[0]).reshape(-1)
 
 
 # Points of one batch of row pairs.  At N = 1024, r = 32 a warm sampled
@@ -97,9 +193,13 @@ class FastConvolver:
     the grid and the exponents.  Both are kept per row pair: the weights as
     the (r, N) polyphase rows of the even residues (the weights are a
     palindrome, so the row of residue 2r−1−2c is that of 2c reversed), the
-    table as r rows of m//2+1 ``rfft`` bins, row c the spectrum T_{2c} of
-    the real κ_{2c}, for real and complex samples alike; the odd residue's
-    row is its conjugate, T_{2r−1−2c} = conj T_{2c} (from M(a) = M(−a−1)).
+    table as r rows of (m1//2+1)·m2 ``rfft`` bins, row c the spectrum
+    T_{2c} of the real κ_{2c}, for real and complex samples alike; the odd
+    residue's row is its conjugate, T_{2r−1−2c} = conj T_{2c} (from
+    M(a) = M(−a−1)).  A row of m points is an (m1, m2) grid: m1 = m,
+    m2 = 1 up to 2^17 points, where a row is m//2+1 bins in index order;
+    a longer row has m1 ≈ √m, and its spectrum, bin k1 + m1·k2 at
+    k1·m2 + k2, is never put back into index order (:func:`_grid_forward`).
 
     With ``cache_kernels=True`` the plan is built on the first call and
     reused by every later one, which is what makes repeated application
@@ -126,7 +226,8 @@ class FastConvolver:
         self._plan = None
 
     def _kernel_rows(self, c0: int, c1: int) -> np.ndarray:
-        """Rows c0..c1−1 of the table: row c is T_{2c}, the rfft of κ_{2c}.
+        """Rows c0..c1−1 of the table: row c is T_{2c}, the rfft of κ_{2c},
+        in the grid order of :func:`_grid_forward`.
 
         κ_ρ[q] = κ[(2rq − ρ) mod P] with κ[t] = M(t+r−1).  Only residues
         ρ = r + σ, σ = 0..r−1, are transformed: they read M(σ) at q = 0,
@@ -174,8 +275,9 @@ class FastConvolver:
         rows[:, n:m - n + 1] = 0.0
         rows[:, m - n + 1:] = moving[:, 2 * n - 2:0:-2]
         del moving, x
-        table = np.empty((c1 - c0, m // 2 + 1), dtype=complex)
-        _transform_rows(np.fft.rfft, rows, table)
+        m1, m2, _ = grid = _row_grid(m)
+        table = np.empty((c1 - c0, (m1 // 2 + 1) * m2), dtype=complex)
+        _grid_forward(rows, table, True, grid)
         conjugated = table[:max(0, (r + 1) // 2 - c0)]  # the pairs c < r/2
         np.conjugate(conjugated, out=conjugated)
         return table
@@ -244,8 +346,10 @@ class FastConvolver:
         g = self.grid
         n, r = g.N, g.r
         m = self.fft_length // (2 * r)
-        half = m // 2 + 1
-        rev = slice((m - 1) // 2, 0, -1)
+        m1, m2, _ = grid = _row_grid(m)
+        h1 = m1 // 2 + 1
+        half = h1 * m2
+        rev = (slice(None), slice((m1 - 1) // 2, 0, -1), slice(None, None, -1))
         # Row pairs per batch.  A row has room for m transform points and
         # for a scratch row, 2N+2 floats or 2N complex; real rows are the
         # floats of their half-spectrum rows and are transformed in place
@@ -274,24 +378,26 @@ class FastConvolver:
             if c1 == r:  # a one-shot plan drops its weights
                 del weights
             rows[:2 * j, n:m] = 0.0
-            _transform_rows(np.fft.rfft if real else np.fft.fft,
-                            rows[:2 * j, :m], spectra[:2 * j])
+            _grid_forward(rows[:2 * j, :m], spectra[:2 * j], real, grid)
             # A one-shot batch builds its table rows here, once the
             # transform's scratch is freed.  At N = 2^20, r = 1 this order
             # read 252 MiB peak RSS in 29 of 29 benchmark workers; building
             # them before the batch buffer read 260 or 268 MiB in 9 of 9,
             # as glibc's heap kept other freed temporaries resident.
-            kernel = self._kernel_rows(c0, c1) if table is None else table[c0:c1]
+            kernel = (self._kernel_rows(c0, c1) if table is None
+                      else table[c0:c1]).reshape(j, h1, m2)
             # Even rows take T, odd rows conj T.  T_ρ[m − k] = conj T_ρ[k]
-            # gives a complex row's upper bins: the other kernel, reversed.
-            spectra[:j, :half] *= kernel
+            # gives a complex row's grid rows k1 > m1/2: those of the other
+            # kernel at m1 − k1, m2 − 1 − k2, both grid axes reversed.
+            grids = spectra[:2 * j].reshape(2 * j, -1, m2)
+            grids[:j, :h1] *= kernel
             if not real:
-                spectra[j:2 * j, half:] *= kernel[:, rev]
-            kernel = np.conjugate(
-                kernel, out=kernel if table is None else scratch[:j])
-            spectra[j:2 * j, :half] *= kernel
+                grids[j:, h1:] *= kernel[rev]
+            kernel = np.conjugate(kernel, out=kernel if table is None
+                                  else scratch[:j].reshape(j, h1, m2))
+            grids[j:, :h1] *= kernel
             if not real:
-                spectra[:j, half:] *= kernel[:, rev]
+                grids[:j, h1:] *= kernel[rev]
             del kernel
             for i in range(1, j):  # sum the batch's products in place
                 spectra[0] += spectra[i]
@@ -301,11 +407,8 @@ class FastConvolver:
                 total = spectra[0] if c1 == r else spectra[0].copy()
             else:
                 total += spectra[0]
-        if real:  # into row 1, which has room for m floats
-            out = np.fft.irfft(total, n=m, out=rows[1, :m])
-        else:
-            out = np.fft.ifft(total, out=total)
-        return out[:n] * self.scale
+        # A real row goes into row 1, which has room for m floats.
+        return _grid_inverse(total, rows[1, :m], real, grid)[:n] * self.scale
 
 
 def fast_singular_integral(F: MidpointSamples, p: SingularParams) -> np.ndarray:

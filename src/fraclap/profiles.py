@@ -6,7 +6,7 @@ the x-space derivatives into the s-space ones the integrand needs, via
 x = L·cot(s):
 
     u_s  = u_x · x_s,              x_s  = −L/sin²(s),
-    u_ss = u_xx · x_s² + u_x · x_ss,   x_ss = 2L·cos(s)/sin³(s).
+    u_ss = u_xx · x_s² + u_x · x_ss,   x_ss = 2L·cos(s)/sin³(s) = 2x/sin²(s).
 """
 
 from __future__ import annotations
@@ -41,11 +41,16 @@ def _erf_vec(x) -> np.ndarray:
     return np.fromiter(map(math.erf, x.flat), float, x.size).reshape(x.shape)
 
 
+def _cube(z: np.ndarray) -> np.ndarray:
+    """z³ as two products: a complex ``** 3`` measured 4x slower."""
+    return z * z * z
+
+
 RATIONAL = Profile(
     name="rational",
     u=lambda x: (1j * np.asarray(x) - 1.0) / (1j * np.asarray(x) + 1.0),
     ux=lambda x: 2j / (1j * np.asarray(x) + 1.0) ** 2,
-    uxx=lambda x: 4.0 / (1j * np.asarray(x) + 1.0) ** 3,
+    uxx=lambda x: 4.0 / _cube(1j * np.asarray(x) + 1.0),
     # The closed form lives in s-coordinates; cot(map_from_real(x)) == x.
     exact=lambda alpha, x: exact_rational(alpha, map_from_real(x, 1.0)),
 )
@@ -93,9 +98,9 @@ def mapped_derivatives(profile: Profile, L: float):
     def uss(s):
         s = np.asarray(s, dtype=float)
         x = L / np.tan(s)
-        sin = np.sin(s)
-        xs = -L / sin**2
-        xss = 2.0 * L * np.cos(s) / sin**3
+        sin2 = np.sin(s) ** 2
+        xs = -L / sin2
+        xss = 2.0 * x / sin2
         return profile.uxx(x) * xs**2 + profile.ux(x) * xss
 
     return us, uss

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -291,6 +292,88 @@ def _fresh_apply_peak_rss(dtype: str, n: int = 2**18, r: int = 1) -> float:
     return float(proc.stdout)
 
 
+class TestRowGrid:
+    @pytest.mark.parametrize("m", [1, 2, 2**17, 131220, 2**19, 2**21, 20000000])
+    def test_grid_shape(self, m):
+        # Rows up to the per-call budget stay whole; a longer one is an
+        # (m1, m2) grid, m1 the largest divisor of m that is at most √m.
+        m1, m2, twiddles = fastconv._row_grid(m)
+        assert m1 * m2 == m
+        if m <= 1 << 17:
+            assert (m2, twiddles) == (1, None)
+        else:
+            assert m1 * m1 <= m
+            assert not any(m % d == 0 for d in range(m1 + 1, math.isqrt(m) + 1))
+        assert fastconv._row_grid(2**21)[:2] == (1024, 2048)
+
+    @pytest.mark.parametrize("m1, m2", [(1, 1), (1, 5), (3, 5), (5, 5), (6, 10),
+                                        (9, 8), (12, 18), (15, 4), (2, 27)])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_grid_transforms_match_numpy(self, m1, m2, real):
+        # Bin k1 + m1·k2 of a row's spectrum sits at k1·m2 + k2, and a real
+        # row keeps the grid rows k1 ≤ m1/2; the inverse gives the row back.
+        m = m1 * m2
+        grid = fastconv._grid(m1, m2)
+        rng = np.random.default_rng(100 * m1 + m2)
+        rows = rng.standard_normal((3, m))
+        if not real:
+            rows = rows + 1j * rng.standard_normal((3, m))
+        kept = m1 // 2 + 1 if real else m1
+        out = np.empty((3, kept * m2), dtype=complex)
+        fastconv._grid_forward(rows, out, real, grid)
+        spectra = np.fft.fft(rows, axis=1).reshape(3, m2, m1).transpose(0, 2, 1)
+        assert _rel(out, spectra[:, :kept].reshape(3, -1)) < 1e-14
+        for row, spectrum in zip(rows, out):
+            back = fastconv._grid_inverse(spectrum, np.empty(m), real, grid)
+            assert back.dtype == row.dtype
+            assert _rel(back, row) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 41, 101])
+    @pytest.mark.parametrize("r", [1, 2, 3, 7])
+    def test_every_row_split_matches_direct(self, n, r, monkeypatch):
+        # With no call budget every row is a grid, m = 1 included, with
+        # odd factors and odd m1 (N = 7: 3 × 5, N = 13: 5 × 5, N = 41: 9 × 9).
+        monkeypatch.setattr(fastconv, "_CALL_POINTS", 0)
+        g = GridSpec(N=n, r=r, L=1.0)
+        p = SingularParams(beta=0.6, gamma=0.1)
+        kept = FastConvolver(g, p)
+        for real in (False, True, False):
+            F = _random_samples(g, 10 * n + r + real, real)
+            direct = singular_integral_direct(F, p)
+            assert _rel(fast_singular_integral(F, p), direct) <= 1e-11
+            assert _rel(kept.apply(F.values), direct) <= 1e-11
+
+    @pytest.mark.parametrize("n, r", [(65537, 1), (2**17, 1), (2**17, 3)])
+    def test_split_route_matches_whole_route(self, n, r, monkeypatch):
+        # m = 131220 (N = 65537) and 2^18 split; a budget above m keeps
+        # the rows whole, as length-m pocketfft calls.
+        g = GridSpec(N=n, r=r, L=1.0)
+        p = SingularParams(beta=1.3, gamma=-0.3)
+        samples = [_random_samples(g, n + r, real) for real in (False, True)]
+        split = [fast_singular_integral(F, p) for F in samples]
+        monkeypatch.setattr(fastconv, "_CALL_POINTS", 1 << 20)
+        for F, got in zip(samples, split):
+            assert _rel(got, fast_singular_integral(F, p)) <= 1e-13
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_no_transform_axis_longer_than_the_call_budget(self, real,
+                                                           monkeypatch):
+        # At N = 2^18, r = 1 a row has m = 2^19 points: every pocketfft call
+        # of a one-shot apply (rows, kernel row, inverse) runs along a grid
+        # axis of at most 1024 points.
+        lengths = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def record(a, n=None, axis=-1, norm=None, out=None,
+                       transform=getattr(np.fft, name)):
+                lengths.append(max(np.shape(a)[axis], n or 0))
+                return transform(a, n=n, axis=axis, norm=norm, out=out)
+            monkeypatch.setattr(np.fft, name, record)
+        g = GridSpec(N=2**18, r=1, L=1.0)
+        fast_singular_integral(_random_samples(g, 40, real),
+                               SingularParams(beta=1.3, gamma=-0.3))
+        assert lengths and max(lengths) <= 1 << 17
+
+
 class TestConvolverReuse:
     def test_cached_plan_matches_one_shot(self):
         g = GridSpec(N=9, r=4, L=1.0)
@@ -345,6 +428,23 @@ class TestConvolverReuse:
             for real in order:
                 assert np.array_equal(kept.apply(samples[real]), once[real])
 
+    @pytest.mark.parametrize("n, r", [(65537, 1), (65537, 2), (2**17, 1)])
+    def test_split_rows_kept_and_one_shot_agree(self, n, r):
+        # Rows of m = 131220 and 2^18 points are grids: a kept plan and a
+        # one-shot one give the same bits, and the kept plan is never
+        # written, in real and complex calls.
+        g = GridSpec(N=n, r=r, L=1.0)
+        p = SingularParams(beta=0.6, gamma=0.1)
+        kept = FastConvolver(g, p)
+        saved = None
+        for real in (True, False, True):
+            v = _random_samples(g, n + r + real, real).values
+            once = fast_singular_integral(MidpointSamples(values=v, grid=g), p)
+            assert np.array_equal(kept.apply(v), once)
+            saved = saved or [a.copy() for a in kept._plan]
+            for a, b in zip(kept._plan, saved):
+                assert np.array_equal(a, b)
+
     def test_kept_plan_is_never_written(self):
         # Real and complex calls read the kept weights and table; the odd
         # rows' conjugate goes into scratch, never into the plan.
@@ -379,24 +479,31 @@ class TestConvolverReuse:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak RSS from /proc/self/status")
     def test_one_shot_peak_rss_is_a_few_sample_arrays(self):
-        # pocketfft's scratch (2 copies of the points of one call) is
-        # invisible to tracemalloc, so this reads the peak RSS of a fresh
-        # interpreter around one apply.  VmHWM, unlike ru_maxrss, does not
-        # inherit the launching process's peak across exec.  At r = 1 the
-        # half kernel table is 1x the samples, the buffer 2x, and the
-        # scratch of one row's FFT 2x: about 5x.  A mirrored full table
-        # would add 1x, and one FFT over all P points would need 4x for its
-        # scratch alone, about 9x in all.
-        assert _fresh_apply_peak_rss("complex") <= 5.6
+        # pocketfft's scratch is invisible to tracemalloc, so this reads the
+        # peak RSS of a fresh interpreter around one apply.  VmHWM, unlike
+        # ru_maxrss, does not inherit the launching process's peak across
+        # exec.  At N = 2^18, r = 1 a row has m = 2^19 points and is
+        # transformed as a 512 × 1024 grid, whose calls need scratch for a
+        # few columns only: measured 3.02x, against 4.37x with one length-m
+        # pocketfft call per row, which faults scratch of 2x for each.
+        assert _fresh_apply_peak_rss("complex") <= 3.4
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak RSS from /proc/self/status")
     def test_one_shot_peak_rss_real_samples(self):
-        # Real samples build only the half table (2x the float samples) and
-        # transform their rows in place inside the half-spectrum buffer
-        # (2x); with the weights and one row's scratch that is about 7x.
-        # The same samples cast to complex need about 12x their float bytes.
-        assert _fresh_apply_peak_rss("float") <= 11.0
+        # Real samples build only the half table and transform their rows
+        # inside the half-spectrum buffer (numpy copies a row's input
+        # first).  Measured 4.05x the float samples' bytes as grids, 5.31x
+        # with length-m row FFTs.
+        assert _fresh_apply_peak_rss("float") <= 4.6
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak RSS from /proc/self/status")
+    def test_one_shot_peak_rss_split_pairs(self):
+        # N = 2^19, r = 2: one pair per batch, rows of m = 2^20 points as
+        # 1024 × 1024 grids.  Measured 2.19x, against 3.07x with length-m
+        # row FFTs.
+        assert _fresh_apply_peak_rss("float", 2**19, 2) <= 2.5
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak RSS from /proc/self/status")

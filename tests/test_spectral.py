@@ -376,3 +376,19 @@ class TestBlockwiseAnalytic:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * F.values.nbytes
+
+
+class TestMappedDerivatives:
+    @pytest.mark.parametrize("L", [0.4, 1.0, 2.1])
+    @pytest.mark.parametrize("profile", [RATIONAL, ERF, GAUSSIAN],
+                             ids=lambda p: p.name)
+    def test_integrand_chain_rule(self, profile, L):
+        # With x = L·cot s, sin·u_ss + 2cos·u_s = L²·u_xx(x)/sin³ s: the
+        # u_x terms of the two cancel.  The bound is relative to the size
+        # of those cancelling terms.
+        us, uss = mapped_derivatives(profile, L)
+        s = np.linspace(0.05, math.pi - 0.05, 401)
+        first, second = np.sin(s) * uss(s), 2.0 * np.cos(s) * us(s)
+        expected = L**2 * profile.uxx(L / np.tan(s)) / np.sin(s) ** 3
+        scale = np.abs(first) + np.abs(second)
+        assert np.all(np.abs(first + second - expected) <= 1e-14 * scale)
