@@ -90,8 +90,9 @@ def _pair_rows(values: np.ndarray, g: GridSpec) -> tuple:
 # call: shorter rows are batched up to this, and a longer row is
 # transformed as a grid of short ones (:func:`_row_grid`).
 _CALL_POINTS = 1 << 17
-# Points of a grid's rows twiddled and transformed while in cache: at
-# m = 2^21 blocks of 2^14 measured 5% faster than 2^12 or 2^16.
+# Points of a grid's rows twiddled and transformed while in cache: two
+# complex rows of m = 2^21 took 120 ms with blocks of 2^14, 148 ms with
+# 2^12 and 125 ms with 2^16.
 _TWIDDLE_POINTS = 1 << 14
 
 
@@ -141,19 +142,18 @@ def _twiddle_block(twiddles, k0: int, rows: int) -> np.ndarray:
     return product.reshape(len(product), -1)
 
 
-def _grid_forward(rows: np.ndarray, out: np.ndarray, real: bool, grid) -> None:
-    """The spectra of ``rows`` (length m) into ``out``, in grid order.
+def _grid_forward(rows: np.ndarray, spectra: np.ndarray, real: bool,
+                  grid) -> None:
+    """The spectra of ``rows`` into ``spectra``, both (rows, ·, m2) grids.
 
-    Each row is read as its (m1, m2) grid, x[j1·m2 + j2]; bin k1 + m1·k2
-    of its spectrum lands at ``out``'s k1·m2 + k2 (four-step, Bailey
-    1990): an FFT down every column, the twiddles w^{k1·j2}, an FFT along
-    every row.  A real row keeps the columns' ``rfft`` bins k1 ≤ m1/2,
-    which hold its whole spectrum, X[m − k] = conj X[k].
+    Row x of length m is read as its (m1, m2) grid, x[j1·m2 + j2]; bin
+    k1 + m1·k2 of its spectrum lands at [k1, k2] (four-step, Bailey 1990):
+    an FFT down every column, the twiddles w^{k1·j2}, an FFT along every
+    row.  A real row keeps the columns' ``rfft`` bins k1 ≤ m1/2, which hold
+    its whole spectrum, X[m − k] = conj X[k].
     """
-    m1, m2, twiddles = grid
-    spectra = out.reshape(len(out), -1, m2)
-    _transform_rows(np.fft.rfft if real else np.fft.fft,
-                    rows.reshape(len(rows), m1, m2), spectra)
+    m2, twiddles = grid[1:]
+    _transform_rows(np.fft.rfft if real else np.fft.fft, rows, spectra)
     if twiddles is not None:  # blocks of grid rows, while they are cached
         step = max(1, _TWIDDLE_POINTS // m2)
         for k0 in range(0, spectra.shape[1], step):
@@ -277,7 +277,8 @@ class FastConvolver:
         del moving, x
         m1, m2, _ = grid = _row_grid(m)
         table = np.empty((c1 - c0, (m1 // 2 + 1) * m2), dtype=complex)
-        _grid_forward(rows, table, True, grid)
+        _grid_forward(rows.reshape(-1, m1, m2),
+                      table.reshape(-1, m1 // 2 + 1, m2), True, grid)
         conjugated = table[:max(0, (r + 1) // 2 - c0)]  # the pairs c < r/2
         np.conjugate(conjugated, out=conjugated)
         return table
@@ -364,10 +365,14 @@ class FastConvolver:
                 table = self._kernel_rows(0, r)
                 self._plan = weights, table
         # A kept table is never written: its batch is conjugated into here.
-        scratch = None if table is None else np.empty((k, half), dtype=complex)
+        if table is not None:
+            table = table.reshape(r, h1, m2)
+            scratch = np.empty((k, h1, m2), dtype=complex)
         buf = np.zeros((2 * k, width), dtype=complex)
         rows = buf.view(float) if real else buf
         spectra = buf[:, :half] if real else buf[:, :m]
+        grids = spectra.reshape(2 * k, -1, m2)
+        row_grids = rows[:, :m].reshape(2 * k, m1, m2)
         total = None
         for c0 in range(0, r, k):
             c1 = min(c0 + k, r)
@@ -378,24 +383,23 @@ class FastConvolver:
             if c1 == r:  # a one-shot plan drops its weights
                 del weights
             rows[:2 * j, n:m] = 0.0
-            _grid_forward(rows[:2 * j, :m], spectra[:2 * j], real, grid)
+            _grid_forward(row_grids[:2 * j], grids[:2 * j], real, grid)
             # A one-shot batch builds its table rows here, once the
             # transform's scratch is freed.  At N = 2^20, r = 1 this order
             # read 252 MiB peak RSS in 29 of 29 benchmark workers; building
             # them before the batch buffer read 260 or 268 MiB in 9 of 9,
             # as glibc's heap kept other freed temporaries resident.
-            kernel = (self._kernel_rows(c0, c1) if table is None
-                      else table[c0:c1]).reshape(j, h1, m2)
+            kernel = (self._kernel_rows(c0, c1).reshape(j, h1, m2)
+                      if table is None else table[c0:c1])
             # Even rows take T, odd rows conj T.  T_ρ[m − k] = conj T_ρ[k]
             # gives a complex row's grid rows k1 > m1/2: those of the other
             # kernel at m1 − k1, m2 − 1 − k2, both grid axes reversed.
-            grids = spectra[:2 * j].reshape(2 * j, -1, m2)
             grids[:j, :h1] *= kernel
             if not real:
-                grids[j:, h1:] *= kernel[rev]
-            kernel = np.conjugate(kernel, out=kernel if table is None
-                                  else scratch[:j].reshape(j, h1, m2))
-            grids[j:, :h1] *= kernel
+                grids[j:2 * j, h1:] *= kernel[rev]
+            kernel = np.conjugate(
+                kernel, out=kernel if table is None else scratch[:j])
+            grids[j:2 * j, :h1] *= kernel
             if not real:
                 grids[:j, h1:] *= kernel[rev]
             del kernel

@@ -320,7 +320,8 @@ class TestRowGrid:
             rows = rows + 1j * rng.standard_normal((3, m))
         kept = m1 // 2 + 1 if real else m1
         out = np.empty((3, kept * m2), dtype=complex)
-        fastconv._grid_forward(rows, out, real, grid)
+        fastconv._grid_forward(rows.reshape(3, m1, m2),
+                               out.reshape(3, kept, m2), real, grid)
         spectra = np.fft.fft(rows, axis=1).reshape(3, m2, m1).transpose(0, 2, 1)
         assert _rel(out, spectra[:, :kept].reshape(3, -1)) < 1e-14
         for row, spectrum in zip(rows, out):
