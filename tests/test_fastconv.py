@@ -304,7 +304,8 @@ class TestRowGrid:
         else:
             assert m1 * m1 <= m
             assert not any(m % d == 0 for d in range(m1 + 1, math.isqrt(m) + 1))
-        assert fastconv._row_grid(2**21)[:2] == (1024, 2048)
+        if m == 2**21:
+            assert (m1, m2) == (1024, 2048)
 
     @pytest.mark.parametrize("m1, m2", [(1, 1), (1, 5), (3, 5), (5, 5), (6, 10),
                                         (9, 8), (12, 18), (15, 4), (2, 27)])
