@@ -225,9 +225,9 @@ class FastConvolver:
             (params.beta + 1) * (params.gamma + 1))
         self._plan = None
 
-    def _kernel_rows(self, c0: int, c1: int) -> np.ndarray:
+    def _kernel_rows(self, c0: int, c1: int, grid: tuple) -> np.ndarray:
         """Rows c0..c1−1 of the table: row c is T_{2c}, the rfft of κ_{2c},
-        in the grid order of :func:`_grid_forward`.
+        in the order of ``grid``, the row grid of :func:`_row_grid`.
 
         κ_ρ[q] = κ[(2rq − ρ) mod P] with κ[t] = M(t+r−1).  Only residues
         ρ = r + σ, σ = 0..r−1, are transformed: they read M(σ) at q = 0,
@@ -275,7 +275,7 @@ class FastConvolver:
         rows[:, n:m - n + 1] = 0.0
         rows[:, m - n + 1:] = moving[:, 2 * n - 2:0:-2]
         del moving, x
-        m1, m2, _ = grid = _row_grid(m)
+        m1, m2, _ = grid
         table = np.empty((c1 - c0, (m1 // 2 + 1) * m2), dtype=complex)
         _grid_forward(rows.reshape(-1, m1, m2),
                       table.reshape(-1, m1 // 2 + 1, m2), True, grid)
@@ -291,19 +291,28 @@ class FastConvolver:
         sin(h(rN − k − ½)): only the lower half is evaluated, and evaluating
         sin near π instead would lose up to 1.6e-10 relative accuracy at
         N = 2^20.  The rows are that half permuted: midpoint 2rq + 2c with
-        q ≥ N/2 is the mirror of 2r(N−1−q) + 2r−1−2c.
+        q ≥ N/2 is the mirror of 2r(N−1−q) + 2r−1−2c.  The half is evaluated
+        in blocks of whole rows q, about ``_BATCH_POINTS`` midpoints each,
+        so no temporary is rN long.
         """
         g, beta = self.grid, self.params.beta
-        h, n, r, rn = g.h, g.N, g.r, g.r * g.N
-        w = _sinc(h * (np.arange(rn) + 0.5)) ** beta
-        w *= np.diff(np.arange(rn + 1, dtype=float) ** (beta + 1.0))
+        h, n, r = g.h, g.N, g.r
+
+        def lower(k0: int, k1: int) -> np.ndarray:  # midpoints k0..k1−1
+            w = _sinc(h * (np.arange(k0, k1) + 0.5)) ** beta
+            w *= np.diff(np.arange(k0, k1 + 1, dtype=float) ** (beta + 1.0))
+            return w
+
         h2 = n // 2
-        lower = w[:2 * r * h2].reshape(h2, 2 * r)  # the rows q < N/2
         even = np.empty((r, n))
-        even[:, :h2] = lower[:, 0::2].T
-        even[:, n - h2:] = lower[::-1, ::-2].T
+        step = max(1, _BATCH_POINTS // (2 * r))
+        for q0 in range(0, h2, step):  # the rows q < N/2 and their mirrors
+            q1 = min(q0 + step, h2)
+            block = lower(2 * r * q0, 2 * r * q1).reshape(q1 - q0, 2 * r)
+            even[:, q0:q1] = block[:, 0::2].T
+            even[:, n - q1:n - q0] = block[::-1, ::-2].T
         if n % 2:  # row (N−1)/2 straddles rN: residue ρ ≥ r mirrors 2r−1−ρ
-            middle = w[2 * r * h2:]
+            middle = lower(2 * r * h2, r * n)
             even[:, h2] = np.concatenate((middle, middle[::-1]))[0::2]
         return even
 
@@ -362,7 +371,7 @@ class FastConvolver:
         else:
             weights, table = self._weights(), None
             if self.cache_kernels:
-                table = self._kernel_rows(0, r)
+                table = self._kernel_rows(0, r, grid)
                 self._plan = weights, table
         # A kept table is never written: its batch is conjugated into here.
         if table is not None:
@@ -389,7 +398,7 @@ class FastConvolver:
             # read 252 MiB peak RSS in 29 of 29 benchmark workers; building
             # them before the batch buffer read 260 or 268 MiB in 9 of 9,
             # as glibc's heap kept other freed temporaries resident.
-            kernel = (self._kernel_rows(c0, c1).reshape(j, h1, m2)
+            kernel = (self._kernel_rows(c0, c1, grid).reshape(j, h1, m2)
                       if table is None else table[c0:c1])
             # Even rows take T, odd rows conj T.  T_ρ[m − k] = conj T_ρ[k]
             # gives a complex row's grid rows k1 > m1/2: those of the other

@@ -3,10 +3,12 @@
 Each profile bundles u and its first two x-derivatives with the exact
 fractional Laplacian where one is known.  ``mapped_derivatives`` converts
 the x-space derivatives into the s-space ones the integrand needs, via
-x = L·cot(s):
+x = L·cot(s).  Since 1/sin²(s) = 1 + cot²(s) = 1 + x²/L², both factors
+come from the x that each callable forms by one tan, and no sin is
+evaluated:
 
-    u_s  = u_x · x_s,              x_s  = −L/sin²(s),
-    u_ss = u_xx · x_s² + u_x · x_ss,   x_ss = 2L·cos(s)/sin³(s) = 2x/sin²(s).
+    u_s  = u_x · x_s,                  x_s  = −L/sin²(s) = −(L + x²/L),
+    u_ss = u_xx · x_s² + u_x · x_ss,   x_ss = 2x/sin²(s) = 2x·(1 + x²/L²).
 """
 
 from __future__ import annotations
@@ -91,16 +93,12 @@ def mapped_derivatives(profile: Profile, L: float):
     L = _finite_real("L", L, 0.0)
 
     def us(s):
-        s = np.asarray(s, dtype=float)
-        x = L / np.tan(s)
-        return profile.ux(x) * (-L / np.sin(s) ** 2)
+        x = L / np.tan(np.asarray(s, dtype=float))
+        return profile.ux(x) * (-L * (1.0 + (x / L) ** 2))
 
     def uss(s):
-        s = np.asarray(s, dtype=float)
-        x = L / np.tan(s)
-        sin2 = np.sin(s) ** 2
-        xs = -L / sin2
-        xss = 2.0 * x / sin2
-        return profile.uxx(x) * xs**2 + profile.ux(x) * xss
+        x = L / np.tan(np.asarray(s, dtype=float))
+        csc2 = 1.0 + (x / L) ** 2  # 1/sin²(s)
+        return profile.uxx(x) * (L * csc2) ** 2 + profile.ux(x) * (2.0 * x * csc2)
 
     return us, uss

@@ -57,12 +57,14 @@ __all__ = [
     "sine_twiddles",
 ]
 
-# Midpoints per block of f_from_analytic.  Smaller blocks pay more for the
-# per-block calls.  The peak RSS of a one-shot apply at N = 2^20, r = 1
-# sits at 252 MiB with 2^11 or 2^12, but reads 268 MiB with 2^13 or 2^14,
-# and also when the block's index array is freed before its s is used:
-# glibc's heap keeps the freed temporaries resident in a layout that
-# depends on the order of these small allocations.
+# Lower-half midpoints per block of f_from_analytic, whose mirror block
+# follows.  Smaller blocks pay more for the per-block calls.  The peak RSS
+# of a one-shot apply at N = 2^20, r = 1 sat at 252 MiB with 2^11 or 2^12,
+# but read 268 MiB with 2^13 or 2^14, and also when the block's index
+# array was freed before its s was used: glibc's heap keeps the freed
+# temporaries resident in a layout that depends on the order of these
+# small allocations.  Scaling the block's cos in place for its mirror read
+# 199 MiB, against 204.5 MiB when the mirror formed −2cos anew.
 _ANALYTIC_BLOCK = 2**12
 
 
@@ -213,25 +215,35 @@ def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
 def f_from_analytic(us: Callable, uss: Callable, g: GridSpec) -> MidpointSamples:
     """Sample f(s) = sin(s)·u_ss(s) + 2cos(s)·u_s(s) from analytic derivatives.
 
-    ``us`` and ``uss`` are callables on (0, π).  They are evaluated on
-    consecutive blocks of at most ``_ANALYTIC_BLOCK`` midpoints, so they
-    must be pointwise: a value may depend only on its own s, and every
-    block must give the dtype of the first, which sets that of f.  Each
-    block's s is formed as :func:`fraclap.grid.midpoint_nodes` forms all
-    of them, integer first, so f is the same to the bit as one evaluation
-    on all 2rN midpoints; but neither those midpoints nor the callables'
-    temporaries on them ever exist at full length.  Real derivatives give
-    float64 samples.
+    ``us`` and ``uss`` are callables on (0, π).  sin and cos are evaluated
+    on the lower half of the midpoints only, in blocks of at most
+    ``_ANALYTIC_BLOCK``, and each block is reused for its mirror: midpoint
+    2rN−1−n takes sin(s_n) and −cos(s_n), since sin(π−s) = sin(s) and
+    cos(π−s) = −cos(s), as the plan's weights do.  The callables see a lower
+    block, then its mirror (in reverse order), so they must be pointwise: a
+    value may depend only on its own s, and every block must give the dtype
+    of the first, which sets that of f.  Each block's s is formed as
+    :func:`fraclap.grid.midpoint_nodes` forms all of them, integer first, so
+    f is the same to the bit as one evaluation on all 2rN midpoints with
+    the lower half's sin and cos mirrored; but neither those midpoints nor
+    the callables' temporaries on them ever exist at full length.  Real
+    derivatives give float64 samples.
     """
     n_mid, half_h = g.num_midpoints, 0.5 * g.h
+    half = n_mid // 2
     values = None
-    for n0 in range(0, n_mid, _ANALYTIC_BLOCK):
-        n = np.arange(n0, min(n0 + _ANALYTIC_BLOCK, n_mid), dtype=np.int64)
+    for n0 in range(0, half, _ANALYTIC_BLOCK):
+        n = np.arange(n0, min(n0 + _ANALYTIC_BLOCK, half), dtype=np.int64)
         s = (2 * n + 1) * half_h
-        block = np.sin(s) * np.asarray(uss(s)) + 2.0 * np.cos(s) * np.asarray(us(s))
+        sin, cos = np.sin(s), np.cos(s)
+        block = sin * np.asarray(uss(s)) + 2.0 * cos * np.asarray(us(s))
         if values is None:
             values = np.empty(n_mid, dtype=block.dtype)
-        values[n0:n0 + len(s)] = block
+        values[n0:n0 + len(n)] = block
+        s = (2 * n_mid - 1 - 2 * n) * half_h  # the mirrors, 2rN−1−n
+        cos *= -2.0  # 2cos(π−s) = −2cos(s)
+        block = sin * np.asarray(uss(s)) + cos * np.asarray(us(s))
+        values[n_mid - n0 - len(n):n_mid - n0] = block[::-1]
     return MidpointSamples(values=values, grid=g)
 
 

@@ -67,12 +67,12 @@ def _kernel(conv: FastConvolver) -> np.ndarray:
     Row c of the table is T_{2c}, the rfft of κ_{2c}, and T_{2r−1−2c} is its
     conjugate; the irfft of T_ρ puts κ back at the indices (2rq − ρ) mod P.
     """
-    pairs = conv._kernel_rows(0, conv.grid.r)
     two_r = 2 * conv.grid.r
+    m = conv.fft_length // two_r
+    pairs = conv._kernel_rows(0, conv.grid.r, fastconv._row_grid(m))
     table = np.empty((two_r, pairs.shape[1]), dtype=complex)
     table[0::2] = pairs
     table[::-2] = pairs.conj()
-    m = conv.fft_length // two_r
     rows = np.fft.irfft(table, n=m, axis=1)
     q, rho = np.meshgrid(np.arange(m), np.arange(two_r))
     kappa = np.empty(conv.fft_length)
@@ -167,8 +167,8 @@ class TestKernelLayout:
         monkeypatch.setattr(fastconv, "_transform_rows", keep_rows)
         g = GridSpec(N=n, r=r, L=1.0)
         conv = FastConvolver(g, SingularParams(beta=1.0, gamma=1.0))
-        conv._kernel_rows(0, r)
         m = conv.fft_length // (2 * r)
+        conv._kernel_rows(0, r, fastconv._row_grid(m))
         got = np.concatenate(rows)[:, m - n + 1]
         with mpmath.workdps(40):
             for c in range(r):
@@ -180,13 +180,15 @@ class TestKernelLayout:
 
 class TestWeights:
     @pytest.mark.parametrize("n, r", [(2**16, 1), (1024, 32), (1, 1), (1, 5),
-                                      (13, 3), (101, 32)])
+                                      (13, 3), (101, 32), (4097, 7),
+                                      (65537, 3)])
     def test_weights_are_a_palindrome(self, n, r):
         # sin(h(rN + k + ½)) = sin(h(rN − k − ½)) and the power differences
         # mirror too, so the upper half is the lower one reversed, exactly;
         # sin evaluated near π would lose ~1e-11 relative at N = 2^16.  The
         # plan keeps the even residues' rows of that palindrome, and the odd
-        # residue 2r−1−2c reads row c reversed.
+        # residue 2r−1−2c reads row c reversed.  The plan evaluates the
+        # lower half in blocks of rows; the reference, all of it at once.
         g = GridSpec(N=n, r=r, L=1.0)
         beta = 1.3
         k = np.arange(r * n)
@@ -307,6 +309,20 @@ class TestRowGrid:
         if m == 2**21:
             assert (m1, m2) == (1024, 2048)
 
+    @pytest.mark.parametrize("cache_kernels", [False, True])
+    def test_one_grid_per_call(self, cache_kernels, monkeypatch):
+        # convolve forms the row grid once and builds the kernel rows in
+        # it: every _grid call evaluates its two twiddle exp tables anew.
+        calls = []
+        grid = fastconv._grid
+        monkeypatch.setattr(fastconv, "_grid",
+                            lambda m1, m2: calls.append(m1) or grid(m1, m2))
+        g = GridSpec(N=65537, r=1, L=1.0)  # m = 131220, a 324 × 405 grid
+        conv = FastConvolver(g, SingularParams(beta=1.3, gamma=-0.3),
+                             cache_kernels=cache_kernels)
+        conv.apply(np.ones(g.num_midpoints))
+        assert calls == [324]
+
     @pytest.mark.parametrize("m1, m2", [(1, 1), (1, 5), (3, 5), (5, 5), (6, 10),
                                         (9, 8), (12, 18), (15, 4), (2, 27)])
     @pytest.mark.parametrize("real", [False, True])
@@ -405,7 +421,8 @@ class TestConvolverReuse:
         assert table.shape == (r, m // 2 + 1)
         for k in (1, 2, 5):
             for c0 in range(0, r, k):
-                rows = kept._kernel_rows(c0, min(c0 + k, r))
+                rows = kept._kernel_rows(c0, min(c0 + k, r),
+                                         fastconv._row_grid(m))
                 assert np.array_equal(rows, table[c0:c0 + k])
         rows = np.empty((2 * r, m // 2 + 1), dtype=complex)  # by residue
         rows[0::2], rows[::-2] = table, table.conj()
@@ -517,6 +534,15 @@ class TestConvolverReuse:
         # 0.47x (complex) and 0.67x (float), against 1.83x and 3.65x with
         # the whole two-row-per-pair table.
         assert _fresh_apply_peak_rss(dtype, 2**16, 8) <= bound
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak RSS from /proc/self/status")
+    def test_one_shot_peak_rss_blocks_the_weights(self):
+        # At N = 2^17, r = 8 the peak was reached inside _weights, while its
+        # rN-long temporaries (indices, sinc, powers, their differences)
+        # coexisted: measured 0.62x the float samples' bytes.  Evaluated in
+        # blocks of rows, 0.35x.
+        assert _fresh_apply_peak_rss("float", 2**17, 8) <= 0.5
 
     def test_wrong_length_rejected(self):
         g = GridSpec(N=4, r=1, L=1.0)

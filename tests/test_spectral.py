@@ -335,14 +335,24 @@ class TestIntegrandConstruction:
         assert f_from_analytic(us, uss, g).values.dtype == np.float64
 
 
-# 2rN runs below, onto and past a block boundary (and off its multiples).
+# rN, the half whose blocks are evaluated, runs below, onto and past a
+# block boundary (and off its multiples).
 _BLOCK_NS = (1, 2, 3, 7, 13, 41, 101, 1024, 4097)
-_BLOCK_RS = (1, 2, 3, 7, 32)
+_BLOCK_RS = (1, 2, 3, 4, 7, 32)
+
+
+def _sin_rule(profile, L, s) -> np.ndarray:
+    """f at every s by the chain rule through sin(s) and cos(s) of each s."""
+    x = L / np.tan(s)
+    sin2 = np.sin(s) ** 2
+    us = profile.ux(x) * (-L / sin2)
+    uss = profile.uxx(x) * (L / sin2) ** 2 + profile.ux(x) * (2.0 * x / sin2)
+    return np.sin(s) * uss + 2.0 * np.cos(s) * us
 
 
 class TestBlockwiseAnalytic:
     def test_grids_straddle_the_block(self):
-        sizes = {2 * r * n for n in _BLOCK_NS for r in _BLOCK_RS}
+        sizes = {r * n for n in _BLOCK_NS for r in _BLOCK_RS}
         block = spectral._ANALYTIC_BLOCK
         assert min(sizes) < block and block in sizes
         assert any(k > block and k % block for k in sizes)
@@ -351,16 +361,36 @@ class TestBlockwiseAnalytic:
     @pytest.mark.parametrize("profile", [RATIONAL, ERF, GAUSSIAN],
                              ids=lambda p: p.name)
     def test_matches_whole_array_bitwise(self, profile, n):
+        # The reference evaluates all 2rN midpoints at once, with the lower
+        # half's sin and cos mirrored onto the upper half.
         us, uss = mapped_derivatives(profile, 1.3)
         for r in _BLOCK_RS:
             g = GridSpec(N=n, r=r, L=1.3)
             s = midpoint_nodes(g)
-            whole = np.sin(s) * uss(s) + 2 * np.cos(s) * us(s)
+            sin, cos = np.sin(s[:r * n]), np.cos(s[:r * n])
+            whole = (np.concatenate((sin, sin[::-1])) * uss(s)
+                     + 2 * np.concatenate((cos, -cos[::-1])) * us(s))
             values = f_from_analytic(us, uss, g).values
             assert values.dtype == whole.dtype
             assert values.dtype == (np.complex128 if profile is RATIONAL
                                     else np.float64)
             assert np.array_equal(values, whole)
+
+    @pytest.mark.parametrize("L", [0.4, 1.0, 2.1])
+    @pytest.mark.parametrize("profile", [RATIONAL, ERF, GAUSSIAN],
+                             ids=lambda p: p.name)
+    def test_close_to_the_sin_rule(self, profile, L):
+        # The tan-only chain rule and the mirrored sin and cos move f by
+        # round-off only, also next to the poles: at rN = 2^20 the outer
+        # midpoints lie 7.5e-7 from 0 and from π.
+        g = GridSpec(N=2**18, r=4, L=L)
+        s = midpoint_nodes(g)
+        assert s[0] < 1e-6 and math.pi - s[-1] < 1e-6
+        us, uss = mapped_derivatives(profile, L)
+        new = f_from_analytic(us, uss, g).values
+        old = np.concatenate([_sin_rule(profile, L, part)
+                              for part in np.array_split(s, 64)])
+        assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
 
     @pytest.mark.parametrize("profile", [RATIONAL, ERF], ids=lambda p: p.name)
     def test_peak_memory_near_output(self, profile):
