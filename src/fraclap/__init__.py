@@ -5,11 +5,11 @@ singular integral is discretized with a midpoint rule that integrates the
 singular kernel factors exactly, and the quadrature is evaluated either
 directly (O(rN²), the permanent correctness oracle) or as 2r polyphase
 cyclic convolutions of length m ≥ 2N−1, one per residue of the midpoint
-index mod 2r, against the kernel rows' half spectra, one row per pair of
-conjugate rows (O(rN log N)).  A pseudospectral route builds the integrand when u is
-known only through node samples, closed-form reference solutions support
-validation, and a Runge-Kutta driver evolves the focusing fractional cubic
-Schrödinger equation.
+index mod 2r, against the kernel rows' spectra, which one half spectrum
+per pair of conjugate rows fixes (O(rN log N)).  A pseudospectral route
+builds the integrand when u is known only through node samples,
+closed-form reference solutions support validation, and a Runge-Kutta
+driver evolves the focusing fractional cubic Schrödinger equation.
 
 Typical use::
 

@@ -34,15 +34,17 @@ k1 + m1·k2 at k1·m2 + k2, through the kernel product and back through the
 inverse steps, so no call is longer than a grid axis and nothing is
 transposed.  A whole row is the grid m1 = m, m2 = 1.
 
-M is real, so every κ_ρ is real and its spectrum T_ρ Hermitian: the plan
-keeps the ``rfft`` bins of each row, its grid rows k1 ≤ m1/2, half the
-bytes of the full spectra (the real-input FFT of Sorensen, Jones, Heideman
-& Burrus, IEEE Trans. ASSP 35, 1987).  M(a) = M(−a−1) also gives
-κ_{2r−1−ρ}[q] = κ_ρ[−q], so the two rows of a pair are conjugates,
-T_{2r−1−2c} = conj T_{2c}: the plan's table is one row per pair, row
-c = T_{2c}, and its odd rows are multiplied by the conjugate.  A kept table
-is conjugated a batch at a time into scratch; a one-shot plan builds each
-batch's rows when the batch needs them and conjugates them in place, so it
+M is real, so every κ_ρ is real and its spectrum T_ρ Hermitian: the
+``rfft`` bins of a row, its grid rows k1 ≤ m1/2, fix its whole spectrum
+(the real-input FFT of Sorensen, Jones, Heideman & Burrus, IEEE Trans.
+ASSP 35, 1987).  M(a) = M(−a−1) also gives κ_{2r−1−ρ}[q] = κ_ρ[−q], so
+the two rows of a pair are conjugates, T_{2r−1−2c} = conj T_{2c}: the
+half spectra of T_{2c}, one row per pair, fix all 2r spectra.  A kept
+plan mirrors them once into the full spectra of all 2r rows, stored in
+the order a batch multiplies them, so each batch's even and odd rows take
+one contiguous product each.  A one-shot plan builds each batch's half
+rows when the batch needs them, multiplies the odd rows by their
+conjugate and the upper bins of complex rows by the mirrored rows, so it
 never holds the rows of all pairs.  Real samples stay real: their rows go
 through ``rfft``, the products with the half spectra are summed into one
 row, and one inverse of length m, ``irfft`` last, gives A.  Complex
@@ -182,36 +184,50 @@ def _grid_inverse(spectrum: np.ndarray, out: np.ndarray, real: bool,
 
 # Points of one batch of row pairs.  At N = 1024, r = 32 a warm sampled
 # apply measured the same for 2^14 to 2^17 points and a third slower at
-# 2^12; the smaller batch keeps each call's batch buffer at 256 KiB.
+# 2^12; the smaller batch keeps each call's batch buffer at 256 KiB.  The
+# batch size also sets the order in which the products are summed into one
+# row, so changing it changes the low bits of every result: 2^15 moved a
+# 400-step NLS mass drift from 9.501821773838515e-09 to 9.50182243997233e-09.
 _BATCH_POINTS = 1 << 14
+
+
+def _mirrored(half: np.ndarray, m1: int) -> np.ndarray:
+    """Grid rows m1 − k1, m1/2 < k1 < m1, both axes reversed, of the half
+    spectra ``half`` (·, m1//2+1, m2): by T_ρ[m − k] = conj T_ρ[k], the
+    conjugates of the upper grid rows of their full spectra."""
+    return half[:, (m1 - 1) // 2:0:-1, ::-1]
 
 
 class FastConvolver:
     """Fast-convolution plan for fixed (grid, β, γ).
 
     The plan is the pair (sample weights, kernel table); it depends only on
-    the grid and the exponents.  Both are kept per row pair: the weights as
-    the (r, N) polyphase rows of the even residues (the weights are a
-    palindrome, so the row of residue 2r−1−2c is that of 2c reversed), the
-    table as r rows of (m1//2+1)·m2 ``rfft`` bins, row c the spectrum
-    T_{2c} of the real κ_{2c}, for real and complex samples alike; the odd
-    residue's row is its conjugate, T_{2r−1−2c} = conj T_{2c} (from
-    M(a) = M(−a−1)).  A row of m points is an (m1, m2) grid: m1 = m,
-    m2 = 1 up to 2^17 points, where a row is m//2+1 bins in index order;
-    a longer row has m1 ≈ √m, and its spectrum, bin k1 + m1·k2 at
-    k1·m2 + k2, is never put back into index order (:func:`_grid_forward`).
+    the grid and the exponents.  The weights are kept per row pair, as the
+    (r, N) polyphase rows of the even residues (the weights are a
+    palindrome, so the row of residue 2r−1−2c is that of 2c reversed).  The
+    (m1//2+1)·m2 ``rfft`` bins of T_{2c}, the spectrum of the real κ_{2c},
+    fix both full spectra of pair c, as T_{2r−1−2c} = conj T_{2c}.  A row of
+    m points is an (m1, m2) grid: m1 = m, m2 = 1 up to 2^17 points, where a
+    row is in index order; a longer row has m1 ≈ √m, and its spectrum, bin
+    k1 + m1·k2 at k1·m2 + k2, is never put back into index order
+    (:func:`_grid_forward`).
 
     With ``cache_kernels=True`` the plan is built on the first call and
     reused by every later one, which is what makes repeated application
-    inside a time stepper affordable; it is all a kept convolver holds.
-    Each call allocates one batch buffer of row pairs (``_BATCH_POINTS``,
-    256 KiB of complex rows), lends its rows, two of at least 2N+2 floats or
-    2N complex per pair, to the producer of the pairs, and conjugates a
-    batch of table rows into scratch of that batch's size, so a warm call
-    allocates only arrays of length O(N).  With ``cache_kernels=False``
-    nothing is retained: each batch's table rows are built when it needs
-    them and dropped after it, which keeps the memory footprint flat for
-    very large one-shot evaluations.
+    inside a time stepper affordable; it is all a kept convolver holds.  A
+    kept table is stored as a batch multiplies it, the full spectra of all
+    2r rows, (2, r, m): row [0, c] = T_{2c}, row [1, c] = conj T_{2c}.  Four
+    times the bytes of the half rows (2 MiB at N = 1024, r = 32) buy
+    contiguous products, which numpy ran 2.7 and 3.6 times faster per
+    element than products on half rows and on their reversed mirror.  Each
+    call allocates one batch buffer of row pairs (``_BATCH_POINTS``, 256 KiB
+    of complex rows) and lends its rows, two of at least 2N+2 floats or 2N
+    complex per pair, to the producer of the pairs, so a warm call allocates
+    only arrays of length O(N).  With ``cache_kernels=False`` nothing is
+    retained: each batch builds the half rows of its pairs when it needs
+    them and drops them after it, which keeps the memory footprint flat for
+    very large one-shot evaluations (full rows would add about 48 MiB at
+    N = 2^20, r = 1).
     """
 
     def __init__(self, grid: GridSpec, params: SingularParams,
@@ -282,6 +298,19 @@ class FastConvolver:
         conjugated = table[:max(0, (r + 1) // 2 - c0)]  # the pairs c < r/2
         np.conjugate(conjugated, out=conjugated)
         return table
+
+    def _kernel_table(self, grid: tuple) -> np.ndarray:
+        """The kept table, (2, r, m): rows [0, c] = T_{2c} and
+        [1, c] = conj T_{2c}, full spectra in the order of ``grid``."""
+        r = self.grid.r
+        m1, m2, _ = grid
+        h1 = m1 // 2 + 1
+        half = self._kernel_rows(0, r, grid).reshape(r, h1, m2)
+        table = np.empty((2, r, m1, m2), dtype=complex)
+        table[0, :, :h1] = half
+        np.conjugate(_mirrored(half, m1), out=table[0, :, h1:])
+        np.conjugate(table[0], out=table[1])
+        return table.reshape(2, r, m1 * m2)
 
     def _weights(self) -> np.ndarray:
         """The sin^β weights of the even residues, as (r, N) rows.
@@ -359,7 +388,6 @@ class FastConvolver:
         m1, m2, _ = grid = _row_grid(m)
         h1 = m1 // 2 + 1
         half = h1 * m2
-        rev = (slice(None), slice((m1 - 1) // 2, 0, -1), slice(None, None, -1))
         # Row pairs per batch.  A row has room for m transform points and
         # for a scratch row, 2N+2 floats or 2N complex; real rows are the
         # floats of their half-spectrum rows and are transformed in place
@@ -371,17 +399,15 @@ class FastConvolver:
         else:
             weights, table = self._weights(), None
             if self.cache_kernels:
-                table = self._kernel_rows(0, r, grid)
+                table = self._kernel_table(grid)
                 self._plan = weights, table
-        # A kept table is never written: its batch is conjugated into here.
-        if table is not None:
-            table = table.reshape(r, h1, m2)
-            scratch = np.empty((k, h1, m2), dtype=complex)
         buf = np.zeros((2 * k, width), dtype=complex)
         rows = buf.view(float) if real else buf
         spectra = buf[:, :half] if real else buf[:, :m]
         grids = spectra.reshape(2 * k, -1, m2)
         row_grids = rows[:, :m].reshape(2 * k, m1, m2)
+        if table is not None:  # the bins a row multiplies
+            table = table[:, :, :spectra.shape[1]]
         total = None
         for c0 in range(0, r, k):
             c1 = min(c0 + k, r)
@@ -393,25 +419,28 @@ class FastConvolver:
                 del weights
             rows[:2 * j, n:m] = 0.0
             _grid_forward(row_grids[:2 * j], grids[:2 * j], real, grid)
-            # A one-shot batch builds its table rows here, once the
-            # transform's scratch is freed.  At N = 2^20, r = 1 this order
-            # read 252 MiB peak RSS in 29 of 29 benchmark workers; building
-            # them before the batch buffer read 260 or 268 MiB in 9 of 9,
-            # as glibc's heap kept other freed temporaries resident.
-            kernel = (self._kernel_rows(c0, c1, grid).reshape(j, h1, m2)
-                      if table is None else table[c0:c1])
-            # Even rows take T, odd rows conj T.  T_ρ[m − k] = conj T_ρ[k]
-            # gives a complex row's grid rows k1 > m1/2: those of the other
-            # kernel at m1 − k1, m2 − 1 − k2, both grid axes reversed.
-            grids[:j, :h1] *= kernel
-            if not real:
-                grids[j:2 * j, h1:] *= kernel[rev]
-            kernel = np.conjugate(
-                kernel, out=kernel if table is None else scratch[:j])
-            grids[j:2 * j, :h1] *= kernel
-            if not real:
-                grids[:j, h1:] *= kernel[rev]
-            del kernel
+            if table is not None:  # even rows take T, odd rows conj T
+                spectra[:j] *= table[0, c0:c1]
+                spectra[j:2 * j] *= table[1, c0:c1]
+            else:
+                # A one-shot batch builds its half rows here, once the
+                # transform's scratch is freed.  At N = 2^20, r = 1 this
+                # order read 252 MiB peak RSS in 29 of 29 benchmark
+                # workers; building them before the batch buffer read 260
+                # or 268 MiB in 9 of 9, as glibc's heap kept other freed
+                # temporaries resident.
+                kernel = self._kernel_rows(c0, c1, grid).reshape(j, h1, m2)
+                # T_ρ[m − k] = conj T_ρ[k] gives a complex row's grid rows
+                # k1 > m1/2: those of the other kernel at m1 − k1,
+                # m2 − 1 − k2, both grid axes reversed.
+                grids[:j, :h1] *= kernel
+                if not real:
+                    grids[j:2 * j, h1:] *= _mirrored(kernel, m1)
+                np.conjugate(kernel, out=kernel)
+                grids[j:2 * j, :h1] *= kernel
+                if not real:
+                    grids[:j, h1:] *= _mirrored(kernel, m1)
+                del kernel
             for i in range(1, j):  # sum the batch's products in place
                 spectra[0] += spectra[i]
             for i in range(j, 2 * j):  # the odd rows carry −f

@@ -32,7 +32,7 @@ from .grid import GridSpec, _finite_real, output_nodes
 from .quadrature import MidpointSamples, SingularParams
 # The benchmark's tracer wraps f_from_samples here, and
 # coefficients_from_samples in spectral (looked up at call time), by name.
-from .spectral import f_from_samples, sine_pairs, sine_twiddles
+from .spectral import bin_twiddles, f_from_samples, sine_pairs
 
 __all__ = [
     "FracLapParams",
@@ -58,6 +58,13 @@ class FracLapParams:
             raise ParameterError(
                 "alpha = 1 (the Hilbert-transform case) is not supported"
             )
+        scale = _prefactor_scale(self.alpha, self.grid.L)
+        if not (0.0 < abs(scale) < math.inf and abs(1.0 / scale) < math.inf):
+            raise ParameterError(
+                f"alpha = {self.alpha!r} with L = {self.grid.L!r} puts the "
+                "prefactor's L^alpha*2*Gamma(2-alpha)*cos(pi*alpha/2) "
+                "outside the float range"
+            )
 
     @property
     def singular_params(self) -> SingularParams:
@@ -65,13 +72,19 @@ class FracLapParams:
         return SingularParams(beta=self.alpha, gamma=1.0 - self.alpha)
 
 
+def _prefactor_scale(a: float, L: float) -> float:
+    """L^α·2Γ(2−α)·cos(πα/2), the prefactor's divisor; inf if L^α overflows."""
+    try:
+        power = L**a
+    except OverflowError:
+        return math.inf
+    return power * 2.0 * math.gamma(2.0 - a) * math.cos(math.pi * a / 2.0)
+
+
 def prefactors(p: FracLapParams) -> np.ndarray:
     """The prefactor at every output node, as one vector."""
     s = output_nodes(p.grid)
-    a = p.alpha
-    return np.sin(s) ** (a - 1.0) / (
-        p.grid.L**a * 2.0 * math.gamma(2.0 - a) * math.cos(math.pi * a / 2.0)
-    )
+    return np.sin(s) ** (p.alpha - 1.0) / _prefactor_scale(p.alpha, p.grid.L)
 
 
 class FractionalLaplacian:
@@ -80,8 +93,10 @@ class FractionalLaplacian:
     Holds the fast-convolution plan, so repeated applications (e.g. the
     four stage evaluations of every time step) reuse the transformed
     sample-independent kernel.  With ``cache_kernels`` (the default) the
-    sampled route also keeps the (r, N) fold twiddles of
-    :func:`fraclap.spectral.sine_twiddles`, built on its first call.
+    sampled route also keeps its fold twiddles, built on its first call, as
+    the (r, 2N) full rows of bin multipliers of
+    :func:`fraclap.spectral.bin_twiddles`, so each batch of
+    :func:`fraclap.spectral.sine_pairs` multiplies contiguous rows.
     """
 
     def __init__(self, params: FracLapParams, cache_kernels: bool = True):
@@ -117,7 +132,7 @@ class FractionalLaplacian:
         """
         g = self.params.grid
         if self._twiddles is None and self._conv.cache_kernels:
-            self._twiddles = sine_twiddles(g)
+            self._twiddles = bin_twiddles(g)
         # No name holds the coefficients: the row function keeps its bins.
         values = self._conv.convolve(
             sine_pairs(spectral.coefficients_from_samples(u_nodes), g,

@@ -49,6 +49,7 @@ from .grid import GridSpec
 from .quadrature import MidpointSamples, _float_or_complex
 
 __all__ = [
+    "bin_twiddles",
     "coefficients_from_samples",
     "derivatives_at_midpoints",
     "f_from_analytic",
@@ -116,6 +117,26 @@ def sine_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None,
     return out
 
 
+def bin_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None,
+                 out=None) -> np.ndarray:
+    """The folded bins' multipliers of rows c0..c1−1, as full rows.
+
+    Slot k of a row multiplies bin k of its IFFT of length 2N: t_k of
+    :func:`sine_twiddles` for 1 ≤ k ≤ N, conj t_m at 2N − m for m < N, and
+    conj t_N at slot 0, whose bin is zero, for mode N's second term, which
+    folds onto bin N too.  Returns a (c1−c0, 2N) table (in ``out``); an
+    ``out`` of N+1 columns gets slots 0..N only, all a real row reads.
+    """
+    n, c1 = g.N, g.r if c1 is None else c1
+    if out is None:
+        out = np.empty((c1 - c0, 2 * n), dtype=complex)
+    t = sine_twiddles(g, c0, c1, out=out[:, 1:n + 1])
+    np.conjugate(t[:, -1], out=out[:, 0])
+    if out.shape[1] > n + 1:
+        np.conjugate(t[:, -2::-1], out=out[:, n + 1:])
+    return out
+
+
 def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     """The convolution's row pairs of f, as a function that sums them.
 
@@ -130,7 +151,7 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     with stride r, bin m going to bin m mod 2N with the twiddle t_m of
     :func:`sine_twiddles` (which carries the i and the 1/r of the shorter
     IFFT).  Bins m and M − m land on bins m and 2N − m, as B_m·t_m and
-    B_m·conj(t_m) with B_m = −(M/2)·b_m, which has the dtype of ``a``;
+    conj(t_m)·B_m with B_m = −(M/2)·b_m, which has the dtype of ``a``;
     bin N takes both.  Row c is the convolution's row pair c: its first
     half is f at the midpoints 2rq + 2c and its second half, reversed, −f
     at 2rq + 2r−1−2c, q = 0..N−1.
@@ -146,9 +167,11 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     least 2N complex otherwise.  The bins of pair c are built in scratch
     row c1−c0+c (a real row's N+1 bins read as complex), and its IFFT
     writes f into row c, so no transform copies its input; the bins are
-    used up, and the rows past c1−c0 are free again.  ``twiddles`` is the (r, N)
-    table of :func:`sine_twiddles`; without it the twiddles of rows
-    c0..c1−1 are computed in place in the bins they multiply.
+    used up, and the rows past c1−c0 are free again.  ``twiddles`` is the
+    (r, 2N) table of :func:`bin_twiddles`, whose rows hold each bin's
+    multiplier in bin order, so the lower and the upper bins each take one
+    forward product, B_m·t_m and conj(t_m)·B_m; without it the twiddles of
+    rows c0..c1−1 are computed in place in the bins they multiply.
     """
     a = _float_or_complex(a)
     if a.shape != (g.N,):
@@ -163,6 +186,9 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     bins[:-2] -= a[2:]  # a_{m−1} − a_{m+1}
     bins *= 0.25 * n_mid * (m * m - 1.0)  # B_m = −(M/2)·b_m
     real = not np.iscomplexobj(a)
+    mirrored = bins[-2::-1]  # B_m at bin 2N − m
+    if twiddles is not None and not real:  # read contiguously in kept calls;
+        mirrored = mirrored.copy()  # a one-shot call spares the N values
 
     def pairs(c0: int, c1: int, work):
         # The bins go in the odd rows, f in the even ones: an input that
@@ -170,17 +196,13 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
         j = c1 - c0
         spectra = (work[j:2 * j, :2 * n + 2].view(complex) if real
                    else work[j:2 * j, :2 * n])
-        spectra[:, 0] = 0.0
-        if twiddles is None:  # computed into the bins they multiply
-            tw = sine_twiddles(g, c0, c1, out=spectra[:, 1:n + 1])
-        else:
-            tw = twiddles[c0:c1]
-        shared = bins[-1] * tw[:, -1].conj()  # before bin N is overwritten
+        tw = (bin_twiddles(g, c0, c1, out=spectra) if twiddles is None
+              else twiddles[c0:c1])
         if not real:  # bins 2N − m; a real row's are implied
-            np.conjugate(tw[:, :n - 1], out=spectra[:, :n:-1])
-            spectra[:, :n:-1] *= bins[:-1]
-        np.multiply(bins, tw, out=spectra[:, 1:n + 1])
-        spectra[:, n] += shared
+            np.multiply(tw[:, n + 1:], mirrored, out=spectra[:, n + 1:])
+        np.multiply(bins, tw[:, 1:n + 1], out=spectra[:, 1:n + 1])
+        spectra[:, n] += bins[-1] * tw[:, 0]  # bin N takes both terms
+        spectra[:, 0] = 0.0
         w = _transform_rows(partial(np.fft.irfft, n=2 * n) if real
                             else np.fft.ifft, spectra, work[:j, :2 * n])
         return w[:, :n], w[:, :n - 1:-1]

@@ -406,6 +406,20 @@ class TestConfigErrors:
                      "--output", str(tmp_path / "o.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("command, L", [("apply", "1e-250"),
+                                            ("nls", "1e-250"),
+                                            ("apply", "1e300")])
+    def test_prefactor_out_of_range_exits_2(self, tmp_path, capsys, command,
+                                            L):
+        # 1e-250 wrote inf values and exited 0 (nls: a blow-up); 1e300
+        # raised a bare OverflowError.
+        code = main(["--command", command, "--alpha", "1.3", "--N", "8",
+                     "--r", "1", "--L", L, "--dt", "0.01", "--t-end", "0.02",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"L = {float(L)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_builtin(self, tmp_path):
         code = main(["--command", "apply", "--alpha", "1.3", "--N", "8",
                      "--r", "1", "--input", "builtin:nope",

@@ -408,27 +408,30 @@ class TestConvolverReuse:
     @pytest.mark.parametrize("n", [1, 2, 5, 13, 64, 101])  # odd and even m
     @pytest.mark.parametrize("r", [1, 3, 32])
     def test_one_shot_half_table_equals_kept_full_table(self, n, r):
-        # A kept plan holds one half-spectrum row per pair, T_{2c}; a
-        # one-shot plan builds the same rows batch by batch, to the bit.
-        # With T_{2r−1−2c} = conj T_{2c} and the upper bins T_ρ[m − k] =
-        # conj T_ρ[k], which complex rows read reversed, the r rows stand
-        # for the full spectra of all 2r rows.
+        # A kept plan holds the full spectra of all 2r rows, (2, r, m): row
+        # [0, c] = T_{2c} and row [1, c] = conj T_{2c} = T_{2r−1−2c}.  A
+        # one-shot plan builds the half rows T_{2c} batch by batch, which
+        # are the kept rows' first m//2+1 bins to the bit, and the upper
+        # bins, T_ρ[m − k] = conj T_ρ[k], are their mirrored conjugates.
         g = GridSpec(N=n, r=r, L=1.0)
         kept = FastConvolver(g, SingularParams(beta=0.6, gamma=0.1))
         kept.apply(_random_samples(g, 100 * n + r).values)
         table = kept._plan[1]
         m = kept.fft_length // (2 * r)
-        assert table.shape == (r, m // 2 + 1)
+        h1 = m // 2 + 1
+        assert table.shape == (2, r, m)
         for k in (1, 2, 5):
             for c0 in range(0, r, k):
                 rows = kept._kernel_rows(c0, min(c0 + k, r),
                                          fastconv._row_grid(m))
-                assert np.array_equal(rows, table[c0:c0 + k])
-        rows = np.empty((2 * r, m // 2 + 1), dtype=complex)  # by residue
-        rows[0::2], rows[::-2] = table, table.conj()
-        full = np.fft.fft(np.fft.irfft(rows, n=m, axis=1), axis=1)
-        assert _rel(np.concatenate((rows, rows[::-1, (m - 1) // 2:0:-1]),
-                                   axis=1), full) < 1e-13
+                assert np.array_equal(rows, table[0, c0:c0 + k, :h1])
+        assert np.array_equal(table[1], table[0].conj())
+        assert np.array_equal(table[0, :, h1:],
+                              table[0, :, (m - 1) // 2:0:-1].conj())
+        rows = np.empty((2 * r, m), dtype=complex)  # by residue
+        rows[0::2], rows[::-2] = table
+        full = np.fft.fft(np.fft.irfft(rows[:, :h1], n=m, axis=1), axis=1)
+        assert _rel(rows, full) < 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 5, 13, 64, 101])
     @pytest.mark.parametrize("r", [1, 2, 3, 5, 32])

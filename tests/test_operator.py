@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from fraclap.operator import FracLapParams, FractionalLaplacian, prefactors
 from fraclap.profiles import ERF, RATIONAL, mapped_derivatives
 from fraclap.quadrature import MidpointSamples
 from fraclap.reference import exact_rational
-from fraclap.spectral import f_from_analytic, f_from_samples
+from fraclap.spectral import f_from_analytic, f_from_samples, sine_twiddles
 
 from .oracles import c_alpha
 
@@ -32,6 +33,22 @@ class TestParams:
         # True is 1 and would be misreported as the Hilbert-transform case.
         with pytest.raises(ParameterError, match="bool"):
             FracLapParams(alpha=alpha, grid=GridSpec(N=4, r=1, L=1.0))
+
+    @pytest.mark.parametrize("alpha, L", [
+        (1.3, 1e-250),  # L^α underflows to 0: the prefactors were inf
+        (1.3, 1e300),  # L^α overflows: Python raised OverflowError
+        (1.9, 1e-164),  # subnormal constant whose reciprocal overflows
+    ])
+    def test_prefactor_constant_out_of_range_rejected(self, alpha, L):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"alpha = {alpha} with L = {L!r}")):
+            FracLapParams(alpha=alpha, grid=GridSpec(N=8, r=1, L=L))
+
+    @pytest.mark.parametrize("alpha, L", [(1.3, 1e-100), (1.9, 1e-160),
+                                          (0.5, 1e300)])
+    def test_extreme_but_representable_L_accepted(self, alpha, L):
+        p = FracLapParams(alpha=alpha, grid=GridSpec(N=8, r=1, L=L))
+        assert np.all(np.isfinite(prefactors(p)))
 
     def test_kernel_exponents(self):
         p = FracLapParams(alpha=1.3, grid=GridSpec(N=4, r=1, L=1.0))
@@ -251,6 +268,42 @@ class TestSampledRoute:
                 got = kept.apply_to_samples(u)
                 assert got.dtype == ref.dtype
                 assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 1024])
+    @pytest.mark.parametrize("r", [1, 3, 32])
+    def test_kept_twiddles_are_full_rows_of_bin_multipliers(self, n, r):
+        # Slot k of a kept row multiplies bin k: t_k for 1 ≤ k ≤ N,
+        # conj t_m at 2N − m, and conj t_N, bin N's second term, at slot 0.
+        g = GridSpec(N=n, r=r, L=1.3)
+        op = FractionalLaplacian(FracLapParams(alpha=0.7, grid=g))
+        op.apply_to_samples(np.ones(n))
+        t = sine_twiddles(g)
+        rows = op._twiddles
+        assert rows.shape == (r, 2 * n)
+        assert np.array_equal(rows[:, 1:n + 1], t)
+        assert np.array_equal(rows[:, 0], t[:, -1].conj())
+        assert np.array_equal(rows[:, n + 1:], t[:, :n - 1][:, ::-1].conj())
+
+    @pytest.mark.parametrize("n, r", [(1024, 32), (65537, 1)])
+    def test_kept_plan_bytes(self, n, r):
+        # A kept plan holds the (r, N) float weights, the (2, r, m) complex
+        # full spectra and the (r, 2N) complex twiddle rows, and nothing
+        # else; N = 65537 has rows of m = 131220 points, split as grids.  A
+        # one-shot call keeps nothing.
+        g = GridSpec(N=n, r=r, L=200.0)
+        p = FracLapParams(alpha=1.99, grid=g)
+        u = np.random.default_rng(n).standard_normal(n) + 0j
+        kept = FractionalLaplacian(p)
+        kept.apply_to_samples(u)
+        m = kept._conv.fft_length // (2 * r)
+        weights, table = kept._conv._plan
+        for array, nbytes in ((weights, r * n * 8), (table, 2 * r * m * 16),
+                              (kept._twiddles, r * 2 * n * 16)):
+            assert array.nbytes == nbytes
+            assert array.base is None or array.base.nbytes == nbytes
+        once = FractionalLaplacian(p, cache_kernels=False)
+        once.apply_to_samples(u)
+        assert once._conv._plan is None and once._twiddles is None
 
     @pytest.mark.parametrize("dtype, bound", [(complex, 1.0), (float, 2.0)])
     def test_warm_call_allocates_little(self, dtype, bound):

@@ -10,7 +10,7 @@ from fraclap.errors import ParameterError, SampleShapeError
 from fraclap.grid import GridSpec, map_to_real, midpoint_nodes, output_nodes
 from fraclap import spectral
 from fraclap.profiles import ERF, GAUSSIAN, RATIONAL, mapped_derivatives
-from fraclap.spectral import (coefficients_from_samples,
+from fraclap.spectral import (bin_twiddles, coefficients_from_samples,
                               derivatives_at_midpoints, f_from_analytic,
                               f_from_samples, sine_pairs, sine_twiddles)
 
@@ -200,6 +200,15 @@ class TestSinePairs:
         table = sine_twiddles(g)
         assert np.max(np.abs(table - exact)) <= 1e-15
         assert np.array_equal(sine_twiddles(g, 1, 2), table[1:2])
+
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    def test_bin_twiddles_of_a_real_row(self, n):
+        # An out of N+1 columns, a real row's bins, gets slots 0..N of the
+        # full rows, and rows c0..c1−1 are those of the whole table.
+        g = GridSpec(N=n, r=3, L=1.0)
+        full = bin_twiddles(g)
+        half = bin_twiddles(g, 1, 3, out=np.empty((2, n + 1), dtype=complex))
+        assert np.array_equal(half, full[1:3, :n + 1])
 
     def test_index_guard_before_any_allocation(self):
         # 2M = 2^53 leaves float64's exact integers; no length-M array exists.
