@@ -45,6 +45,7 @@ from .grid import GridSpec, map_to_real, output_nodes
 from .nls import simulate
 from .operator import FracLapParams, FractionalLaplacian
 from .profiles import builtin_profile, mapped_derivatives
+from .quadrature import MidpointSamples
 from .reference import error_norms
 from .spectral import f_from_analytic, f_from_samples
 
@@ -233,7 +234,7 @@ def _load_samples(path: str, expected: int) -> np.ndarray:
 
 
 def _integrand(args: argparse.Namespace, p: FracLapParams):
-    """Integrand samples for one evaluation.
+    """The integrand for one evaluation.
 
     Builtin rational uses the analytic derivative route; the other builtins
     and sample files use the pseudospectral route (erf mirrors the workflow
@@ -286,6 +287,8 @@ def cmd_sweep(args: argparse.Namespace, params: list[FracLapParams]) -> int:
     rows = [None] * len(params)
     for indices in by_grid.values():
         F = _integrand(args, params[indices[0]])
+        # Evaluated once here: an analytic f would run its callables per α.
+        F = MidpointSamples(values=F.values, grid=F.grid)
         for i in indices:
             p = params[i]
             alpha, n, r = p.alpha, p.grid.N, p.grid.r

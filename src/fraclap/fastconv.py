@@ -20,19 +20,21 @@ integer, which keeps the FFTs fast.  Only every 2r-th entry of c is read,
 so c splits into 2r polyphase parts: with n = 2rq + ρ, a^ρ_q = a_{2rq+ρ}
 and κ_ρ[q] = κ[(2rq − ρ) mod P], A_j = Σ_ρ (a^ρ ⊛_m κ_ρ)[j], ρ = 0..2r−1.
 The rows go in pairs, residues 2c and 2r−1−2c, and the convolution takes
-every odd row as −f: :func:`_pair_rows` views f in pairs and
-:func:`fraclap.spectral.sine_pairs` sums them.  A batch of pairs, about
-2^14 points, is weighted, transformed, multiplied by its kernel rows and
-summed into one row before the next batch, so only one batch of weighted
-rows is held at a time.  The row FFTs run batched, at most 2^17 points per
-call: pocketfft's scratch grows with the points of a call, and batching
-keeps many short rows fast.  A longer row is transformed as its (m1, m2)
-grid, m1 the largest divisor of m at most √m, by the four-step FFT
-(Bailey, J. Supercomputing 4, 1990): FFTs down the columns, the twiddles
-w^{k1·j2}, FFTs along the rows.  Its spectrum stays in that order, bin
-k1 + m1·k2 at k1·m2 + k2, through the kernel product and back through the
-inverse steps, so no call is longer than a grid axis and nothing is
-transposed.  A whole row is the grid m1 = m, m2 = 1.
+every odd row as −f: :meth:`fraclap.quadrature.MidpointSamples.pairs`
+views f in pairs, and :func:`fraclap.spectral.sine_pairs` and
+:meth:`fraclap.spectral.AnalyticIntegrand.pairs` write them.  A batch of
+pairs, about 2^14 points, is weighted, transformed, multiplied by its
+kernel rows and summed into one row before the next batch, so only one
+batch of weighted rows is held at a time.  The row FFTs run batched, at
+most 2^17 points per call: pocketfft's scratch grows with the points of
+a call, and batching keeps many short rows fast.  A longer row is
+transformed as its (m1, m2) grid, m1 the largest divisor of m at most
+√m, by the four-step FFT (Bailey, J. Supercomputing 4, 1990): FFTs down
+the columns, the twiddles w^{k1·j2}, FFTs along the rows.  Its spectrum
+stays in that order, bin k1 + m1·k2 at k1·m2 + k2, through the kernel
+product and back through the inverse steps, so no call is longer than a
+grid axis and nothing is transposed.  A whole row is the grid m1 = m,
+m2 = 1.
 
 M is real, so every κ_ρ is real and its spectrum T_ρ Hermitian: the
 ``rfft`` bins of a row, its grid rows k1 ≤ m1/2, fix its whole spectrum
@@ -61,10 +63,8 @@ import math
 
 import numpy as np
 
-from .errors import SampleShapeError
 from .grid import GridSpec
-from .quadrature import (MidpointSamples, SingularParams, _float_or_complex,
-                         _sinc)
+from .quadrature import MidpointSamples, SingularParams, _sinc
 
 __all__ = ["FastConvolver", "fast_singular_integral"]
 
@@ -80,12 +80,6 @@ def _smooth5_at_least(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def _pair_rows(values: np.ndarray, g: GridSpec) -> tuple:
-    """The (even, odd) pair rows of f, as views."""
-    rows = values.reshape(g.N, 2 * g.r).T
-    return rows[0::2], rows[::-2]
 
 
 # Points of one pocketfft call.  Its scratch grows with the points of a
@@ -351,21 +345,11 @@ class FastConvolver:
         ``values`` must hold f at all 2rN midpoints.  Returns the length-N
         vector of quadrature values, equal to the direct double summation
         to near machine precision: float64 for real samples, complex128 for
-        complex ones.  :meth:`convolve` gets the odd rows negated.
+        complex ones.  :meth:`convolve` gets the row pairs of
+        :meth:`fraclap.quadrature.MidpointSamples.pairs`.
         """
-        g = self.grid
-        values = _float_or_complex(values)
-        if values.shape != (g.num_midpoints,):
-            raise SampleShapeError(
-                f"expected {g.num_midpoints} midpoint samples, got {values.shape}"
-            )
-        even, odd = _pair_rows(values, g)
-
-        def pairs(c0, c1, work):  # −f of the odd rows, in work's free half
-            return even[c0:c1], np.negative(
-                odd[c0:c1], out=work[:c1 - c0, g.N:2 * g.N])
-
-        return self.convolve(pairs, real=not np.iscomplexobj(values))
+        F = MidpointSamples(values=values, grid=self.grid)
+        return self.convolve(F.pairs, real=F.real)
 
     def convolve(self, pairs, real: bool) -> np.ndarray:
         """The N quadrature values from the polyphase rows of f.
@@ -374,13 +358,15 @@ class FastConvolver:
         each other's conjugate.  ``pairs(c0, c1, work)`` returns (even, odd),
         two (c1−c0, N) arrays holding f at the midpoints 2rq + 2c and −f at
         the midpoints 2rq + 2r−1−2c, q = 0..N−1, for c0 ≤ c < c1 (from
-        :meth:`apply`, or :func:`fraclap.spectral.sine_pairs`); they may be
+        :meth:`apply`, :func:`fraclap.spectral.sine_pairs` or
+        :meth:`fraclap.spectral.AnalyticIntegrand.pairs`); they may be
         views of the first c1−c0 rows of ``work``, the 2(c1−c0) scratch rows
         this call lends, each at least 2N+2 floats wide when ``real``, else
         at least 2N complex, whose contents are used up by the call.  The
-        producer allocates nothing.  The pairs are transformed, multiplied
-        by the table and summed a batch at a time, the odd products
-        subtracted; the result never shares memory with the plan.
+        producer allocates nothing as long as its rows.  The pairs are
+        transformed, multiplied by the table and summed a batch at a time,
+        the odd products subtracted; the result never shares memory with
+        the plan.
         """
         g = self.grid
         n, r = g.N, g.r

@@ -32,7 +32,8 @@ from .grid import GridSpec, _finite_real, output_nodes
 from .quadrature import MidpointSamples, SingularParams
 # The benchmark's tracer wraps f_from_samples here, and
 # coefficients_from_samples in spectral (looked up at call time), by name.
-from .spectral import bin_twiddles, f_from_samples, sine_pairs
+from .spectral import (AnalyticIntegrand, bin_twiddles, f_from_samples,
+                       sine_pairs)
 
 __all__ = [
     "FracLapParams",
@@ -107,16 +108,19 @@ class FractionalLaplacian:
         self._pref = prefactors(params)
         self._twiddles = None
 
-    def apply(self, F: MidpointSamples) -> np.ndarray:
-        """Operator values at all x_j from integrand midpoint samples F.
+    def apply(self, F: MidpointSamples | AnalyticIntegrand) -> np.ndarray:
+        """Operator values at all x_j from the integrand F.
 
-        F must sample f(s) = sin(s)·u_ss + 2cos(s)·u_s (either route of
-        :mod:`fraclap.spectral`).  The result approximates
+        F is f(s) = sin(s)·u_ss + 2cos(s)·u_s, as midpoint samples or as the
+        :class:`fraclap.spectral.AnalyticIntegrand` of
+        :func:`fraclap.spectral.f_from_analytic`; either says whether it is
+        real and hands the convolution its row pairs, so an analytic f is
+        never put in midpoint order.  The result approximates
         (−Δ)^{α/2}u(x_j) with an error that is O(1/r²) uniformly in j.
         """
         if F.grid != self.params.grid:
             raise ParameterError("samples were built for a different grid")
-        values = self._conv.apply(F.values)
+        values = self._conv.convolve(F.pairs, real=F.real)
         values *= self._pref  # in place: the result is a fresh array
         return values
 

@@ -46,6 +46,13 @@ def _float_or_complex(x) -> np.ndarray:
     return x.astype(complex if np.iscomplexobj(x) else float, copy=False)
 
 
+def _pair_rows(values: np.ndarray, g: GridSpec) -> tuple:
+    """The (even, odd) pair rows of f, as views: row c of each holds the
+    midpoints 2rq + 2c and 2rq + 2r−1−2c, q = 0..N−1."""
+    rows = values.reshape(g.N, 2 * g.r).T
+    return rows[0::2], rows[::-2]
+
+
 def _sinc(z: np.ndarray) -> np.ndarray:
     """sin(z)/z with the convention sin(0)/0 = 1, safe near z = 0."""
     z = np.asarray(z, dtype=float)
@@ -77,7 +84,9 @@ class MidpointSamples:
     """Integrand samples f at the 2rN fine midpoints of a grid.
 
     ``values`` is stored as float64 when it is real and as complex128 when
-    it is complex, so real samples take the real-arithmetic path.
+    it is complex, so real samples take the real-arithmetic path.  Like
+    :class:`fraclap.spectral.AnalyticIntegrand`, the samples say whether
+    they are ``real`` and hand the fast convolution their row ``pairs``.
     """
 
     values: np.ndarray
@@ -91,6 +100,19 @@ class MidpointSamples:
                 f"expected {self.grid.num_midpoints} midpoint samples "
                 f"(2rN for N={self.grid.N}, r={self.grid.r}), got {values.shape}"
             )
+
+    @property
+    def real(self) -> bool:
+        """Whether the samples are float64."""
+        return not np.iscomplexobj(self.values)
+
+    def pairs(self, c0: int, c1: int, work) -> tuple:
+        """Row pairs c0..c1−1 for :meth:`fraclap.fastconv.FastConvolver.convolve`:
+        f of the even rows as views, −f of the odd rows in ``work``'s free
+        half."""
+        n = self.grid.N
+        even, odd = _pair_rows(self.values, self.grid)
+        return even[c0:c1], np.negative(odd[c0:c1], out=work[:c1 - c0, n:2 * n])
 
 
 def modified_midpoint(f_mid, a: float, b: float, beta: float) -> complex:

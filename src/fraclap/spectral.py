@@ -5,7 +5,10 @@ into an integral over (0, π) whose smooth factor is
 f(s) = sin(s)·u_ss(s) + 2cos(s)·u_s(s).  This module produces f at the
 2rN quadrature midpoints by either of two routes:
 
-* :func:`f_from_analytic` — evaluate caller-supplied u_s, u_ss directly;
+* :func:`f_from_analytic` — evaluate caller-supplied u_s, u_ss directly.
+  It returns an :class:`AnalyticIntegrand`, which evaluates them only when
+  f is read: its row pairs go straight into the fast convolution, and f is
+  put in midpoint order only when ``.values`` is asked for;
 * :func:`f_from_samples` — given only u at the N output nodes, expand u in
   a cosine series and sum f, a sine series, at the midpoints.
 
@@ -44,11 +47,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, SampleShapeError
-from .fastconv import _pair_rows, _transform_rows
+from .fastconv import _transform_rows
 from .grid import GridSpec
-from .quadrature import MidpointSamples, _float_or_complex
+from .quadrature import MidpointSamples, _float_or_complex, _pair_rows
 
 __all__ = [
+    "AnalyticIntegrand",
     "bin_twiddles",
     "coefficients_from_samples",
     "derivatives_at_midpoints",
@@ -58,14 +62,10 @@ __all__ = [
     "sine_twiddles",
 ]
 
-# Lower-half midpoints per block of f_from_analytic, whose mirror block
-# follows.  Smaller blocks pay more for the per-block calls.  The peak RSS
-# of a one-shot apply at N = 2^20, r = 1 sat at 252 MiB with 2^11 or 2^12,
-# but read 268 MiB with 2^13 or 2^14, and also when the block's index
-# array was freed before its s was used: glibc's heap keeps the freed
-# temporaries resident in a layout that depends on the order of these
-# small allocations.  Scaling the block's cos in place for its mirror read
-# 199 MiB, against 204.5 MiB when the mirror formed −2cos anew.
+# Members per block of AnalyticIntegrand, each evaluated with its mirror.
+# Smaller blocks pay more for the per-block calls.  Alone in a process, a
+# one-shot apply at N = 2^20, r = 1 peaked at 150.6 MiB (VmHWM) with blocks
+# of 2^11 to 2^14 alike.
 _ANALYTIC_BLOCK = 2**12
 
 
@@ -234,39 +234,101 @@ def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
     return f
 
 
-def f_from_analytic(us: Callable, uss: Callable, g: GridSpec) -> MidpointSamples:
-    """Sample f(s) = sin(s)·u_ss(s) + 2cos(s)·u_s(s) from analytic derivatives.
+class AnalyticIntegrand:
+    """f(s) = sin(s)·u_ss(s) + 2cos(s)·u_s(s) from analytic u_s and u_ss.
 
-    ``us`` and ``uss`` are callables on (0, π).  sin and cos are evaluated
-    on the lower half of the midpoints only, in blocks of at most
-    ``_ANALYTIC_BLOCK``, and each block is reused for its mirror: midpoint
-    2rN−1−n takes sin(s_n) and −cos(s_n), since sin(π−s) = sin(s) and
-    cos(π−s) = −cos(s), as the plan's weights do.  The callables see a lower
-    block, then its mirror (in reverse order), so they must be pointwise: a
-    value may depend only on its own s, and every block must give the dtype
-    of the first, which sets that of f.  Each block's s is formed as
-    :func:`fraclap.grid.midpoint_nodes` forms all of them, integer first, so
-    f is the same to the bit as one evaluation on all 2rN midpoints with
-    the lower half's sin and cos mirrored; but neither those midpoints nor
-    the callables' temporaries on them ever exist at full length.  Real
-    derivatives give float64 samples.
+    Built by :func:`f_from_analytic`, which documents the callables' rules.
+    f is never stored: :meth:`pairs` writes the fast convolution's row pairs
+    into the rows it lends, and :attr:`values` puts f in midpoint order.
+    Both evaluate ``us`` and ``uss`` anew, on the same blocks of
+    :meth:`_fill`.  ``real`` tells whether f is float64.
     """
-    n_mid, half_h = g.num_midpoints, 0.5 * g.h
-    half = n_mid // 2
-    values = None
-    for n0 in range(0, half, _ANALYTIC_BLOCK):
-        n = np.arange(n0, min(n0 + _ANALYTIC_BLOCK, half), dtype=np.int64)
-        s = (2 * n + 1) * half_h
-        sin, cos = np.sin(s), np.cos(s)
-        block = sin * np.asarray(uss(s)) + 2.0 * cos * np.asarray(us(s))
-        if values is None:
-            values = np.empty(n_mid, dtype=block.dtype)
-        values[n0:n0 + len(n)] = block
-        s = (2 * n_mid - 1 - 2 * n) * half_h  # the mirrors, 2rN−1−n
-        cos *= -2.0  # 2cos(π−s) = −2cos(s)
-        block = sin * np.asarray(uss(s)) + cos * np.asarray(us(s))
-        values[n_mid - n0 - len(n):n_mid - n0] = block[::-1]
-    return MidpointSamples(values=values, grid=g)
+
+    def __init__(self, us: Callable, uss: Callable, grid: GridSpec):
+        self.us, self.uss, self.grid = us, uss, grid
+        s = np.array([0.5 * grid.h])  # the dtype of f at midpoint 0 decides f's
+        self.real = not any(np.iscomplexobj(d(s)) for d in (us, uss))
+
+    def _fill(self, c0: int, c1: int, even, mirror) -> None:
+        """f at the even members n = 2rq + 2c, c0 ≤ c < c1, into ``even`` and
+        −f at their mirrors 2rN−1−n into ``mirror``, both (c1−c0, N) with n
+        in column q, in blocks of whole columns of about ``_ANALYTIC_BLOCK``
+        points.
+
+        sin and cos are taken on the member below rN only: the other takes
+        sin(s) and −cos(s), since sin(π−s) = sin(s) and cos(π−s) = −cos(s),
+        as the plan's weights do.  Each s is formed integer first, as
+        :func:`fraclap.grid.midpoint_nodes` forms it.
+        """
+        g = self.grid
+        n_mid, half_h = g.num_midpoints, 0.5 * g.h
+        step = max(1, _ANALYTIC_BLOCK // (c1 - c0))
+        for q0 in range(0, g.N, step):
+            q1 = min(q0 + step, g.N)
+            n = (2 * g.r * np.arange(q0, q1, dtype=np.int64)
+                 + 2 * np.arange(c0, c1, dtype=np.int64)[:, None]).ravel()
+            upper = n >= n_mid // 2
+            s = (2 * n + 1) * half_h
+            t = (2 * n_mid - 1 - 2 * n) * half_h  # the mirrors
+            low = np.where(upper, t, s)
+            sin, cos = np.sin(low), np.cos(low)
+            del low
+            cos *= 2.0
+            np.negative(cos, out=cos, where=upper)  # 2cos(π−s) = −2cos(s)
+            shape = (c1 - c0, q1 - q0)
+            np.add((sin * np.asarray(self.uss(s))).reshape(shape),
+                   (cos * np.asarray(self.us(s))).reshape(shape),
+                   out=even[:, q0:q1])
+            np.negative(cos, out=cos)
+            block = mirror[:, q0:q1]
+            np.add((sin * np.asarray(self.uss(t))).reshape(shape),
+                   (cos * np.asarray(self.us(t))).reshape(shape), out=block)
+            np.negative(block, out=block)
+
+    def pairs(self, c0: int, c1: int, work) -> tuple:
+        """Row pairs c0..c1−1 for :meth:`fraclap.fastconv.FastConvolver.convolve`.
+
+        Row c of ``work`` takes f at the midpoints 2rq + 2c in its first N
+        slots and −f at their mirrors in the next N, so the odd row
+        2rq + 2r−1−2c is those slots reversed, as in :func:`sine_pairs`.
+        """
+        n = self.grid.N
+        w = work[:c1 - c0, :2 * n]
+        self._fill(c0, c1, w[:, :n], w[:, n:])
+        return w[:, :n], w[:, :n - 1:-1]
+
+    @property
+    def values(self) -> np.ndarray:
+        """f at all 2rN midpoints, in midpoint order (evaluated anew)."""
+        g = self.grid
+        f = np.empty(g.num_midpoints, dtype=float if self.real else complex)
+        even, odd = _pair_rows(f, g)
+        self._fill(0, g.r, even, odd[:, ::-1])  # column q: the mirrors
+        np.negative(odd, out=odd)  # the odd rows back from −f
+        return f
+
+
+def f_from_analytic(us: Callable, uss: Callable, g: GridSpec) -> AnalyticIntegrand:
+    """The integrand f(s) = sin(s)·u_ss(s) + 2cos(s)·u_s(s) of analytic
+    derivatives, as an :class:`AnalyticIntegrand` that evaluates it when read.
+
+    ``us`` and ``uss`` are callables on (0, π).  They run when f is read:
+    once over all 2rN midpoints per
+    :meth:`fraclap.operator.FractionalLaplacian.apply`, and once per read of
+    ``.values``, so a caller that reads f more than once keeps
+    ``MidpointSamples(values=F.values, grid=g)``.  Here they run only at
+    midpoint 0, and the dtype of f there decides that of f.  Later they see
+    blocks of about ``_ANALYTIC_BLOCK`` midpoints, each followed by their
+    mirrors about π/2, so they must be pointwise: a value may depend only
+    on its own s, and every block must give the dtype of the first.  sin
+    and cos are evaluated on the lower half of the midpoints
+    only, and each s is formed integer first, so f is the same to the bit
+    as one evaluation on all 2rN midpoints with the lower half's sin and
+    cos mirrored; but neither those midpoints nor the callables'
+    temporaries on them ever exist at full length.  Real derivatives give
+    float64 f.
+    """
+    return AnalyticIntegrand(us, uss, g)
 
 
 def f_from_samples(u_nodes, g: GridSpec) -> MidpointSamples:

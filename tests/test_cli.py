@@ -511,6 +511,31 @@ class TestSweep:
         _, rows, _ = _read_csv_rows(out)
         assert len(rows) == 1 and rows[0][6] == ""
 
+    def test_analytic_integrand_evaluated_once_per_grid(self, tmp_path,
+                                                         monkeypatch):
+        # An analytic f runs its callables whenever it is read: three α on
+        # four grids read each grid's f once.  A second read would add
+        # another 2rN points per callable.
+        points = {}
+        f_from_analytic = cli.f_from_analytic
+
+        def counted(us, uss, g):
+            def count(fn):
+                def evaluate(s):
+                    points[g] = points.get(g, 0) + np.size(s)
+                    return fn(s)
+                return evaluate
+            return f_from_analytic(count(us), count(uss), g)
+
+        monkeypatch.setattr(cli, "f_from_analytic", counted)
+        assert main(["--command", "sweep", "--alpha", "0.3,0.7,1.3",
+                     "--N", "16,24", "--r", "1,2", "--input", "builtin:rational",
+                     "--output", str(tmp_path / "sweep.csv")]) == 0
+        assert sorted((g.N, g.r) for g in points) == [(16, 1), (16, 2),
+                                                      (24, 1), (24, 2)]
+        for g, evaluated in points.items():
+            assert 2 * g.num_midpoints <= evaluated < 4 * g.num_midpoints
+
     def test_integrand_built_once_per_grid(self, tmp_path, monkeypatch):
         # Three α on four grids: one f_from_samples call per grid, and the
         # rows keep the sweep order (α, then N, then r).

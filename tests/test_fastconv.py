@@ -436,9 +436,10 @@ class TestConvolverReuse:
     @pytest.mark.parametrize("n", [1, 2, 5, 13, 64, 101])
     @pytest.mark.parametrize("r", [1, 2, 3, 5, 32])
     def test_kept_and_one_shot_agree_in_any_call_order(self, n, r):
-        # A kept plan conjugates a batch of its rows into scratch, a one-shot
-        # plan its own rows in place: the same bits in every order of real
-        # and complex calls, cold and warm.
+        # A kept plan multiplies each batch by its (2, r, m) table of full
+        # spectra, T_{2c} and conj T_{2c}; a one-shot plan builds each
+        # batch's half rows and conjugates them in place: the same bits in
+        # every order of real and complex calls, cold and warm.
         g = GridSpec(N=n, r=r, L=1.0)
         p = SingularParams(beta=0.6, gamma=0.1)
         samples = {real: _random_samples(g, 10 * n + r + real, real).values
@@ -468,8 +469,9 @@ class TestConvolverReuse:
                 assert np.array_equal(a, b)
 
     def test_kept_plan_is_never_written(self):
-        # Real and complex calls read the kept weights and table; the odd
-        # rows' conjugate goes into scratch, never into the plan.
+        # Real and complex calls read the kept weights and the (2, r, m)
+        # table, whose row [1, c] already holds conj T_{2c}: the products
+        # go into the batch's rows, never into the plan.
         g = GridSpec(N=64, r=5, L=1.0)
         kept = FastConvolver(g, SingularParams(beta=0.6, gamma=0.1))
         kept.apply(_random_samples(g, 1, real=True).values)

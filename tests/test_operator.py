@@ -7,7 +7,7 @@ import pytest
 from fraclap.errors import ParameterError, SampleShapeError
 from fraclap.grid import GridSpec, map_to_real, midpoint_nodes, output_nodes
 from fraclap.operator import FracLapParams, FractionalLaplacian, prefactors
-from fraclap.profiles import ERF, RATIONAL, mapped_derivatives
+from fraclap.profiles import ERF, GAUSSIAN, RATIONAL, mapped_derivatives
 from fraclap.quadrature import MidpointSamples
 from fraclap.reference import exact_rational
 from fraclap.spectral import f_from_analytic, f_from_samples, sine_twiddles
@@ -212,6 +212,48 @@ class TestApply:
         assert np.max(np.abs(from_samples - from_analytic)) < 1e-11 * scale
 
 
+class TestAnalyticRoute:
+    @pytest.mark.parametrize("n", [1, 2, 7, 101, 4097])
+    @pytest.mark.parametrize("r", [1, 2, 3, 7])
+    def test_streamed_equals_midpoint_order_bitwise(self, n, r):
+        # apply writes an analytic f straight into the convolution's row
+        # pairs; F.values puts the same f in midpoint order.  Odd N and odd
+        # r reach the row that straddles rN, where a pair's members below
+        # rN pass from its even row to its odd row.
+        for L in (1.0, 2.1):
+            g = GridSpec(N=n, r=r, L=L)
+            p = FracLapParams(alpha=1.3, grid=g)
+            for profile in (RATIONAL, ERF, GAUSSIAN):
+                F = f_from_analytic(*mapped_derivatives(profile, L), g)
+                samples = MidpointSamples(values=F.values, grid=g)
+                for keep in (True, False):
+                    op = FractionalLaplacian(p, cache_kernels=keep)
+                    got = op.apply(F)
+                    want = op.apply(samples)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+
+    def test_one_shot_apply_holds_no_integrand(self):
+        # At N = 2^16, r = 1 the batch buffer alone is twice the bytes of
+        # the 2rN complex f.  Streaming f, the apply peaked at 3.25x those
+        # bytes; holding f in midpoint order, at 4.25x.
+        import tracemalloc
+
+        g = GridSpec(N=2**16, r=1, L=1.0)
+        op = FractionalLaplacian(FracLapParams(alpha=1.3, grid=g),
+                                 cache_kernels=False)
+        us, uss = mapped_derivatives(RATIONAL, g.L)
+        op.apply(f_from_analytic(us, uss, g))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            op.apply(f_from_analytic(us, uss, g))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * g.num_midpoints * 16
+
+
 class TestSampledRoute:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 31, 41, 101, 1024])
     @pytest.mark.parametrize("r", [1, 2, 3, 7, 32])
@@ -253,9 +295,9 @@ class TestSampledRoute:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 31, 41, 101, 1024, 4097])
     @pytest.mark.parametrize("r", [1, 2, 3, 7, 32])
     def test_kept_and_one_shot_agree_bitwise(self, n, r):
-        # A kept operator folds with its (r, N) twiddle table, a one-shot
-        # one computes each batch's twiddles in place in its bins: the same
-        # numbers, cold and warm.
+        # A kept operator folds with its (r, 2N) rows of bin multipliers
+        # from bin_twiddles, a one-shot one computes each batch's twiddles
+        # in place in its bins: the same numbers, cold and warm.
         g = GridSpec(N=n, r=r, L=1.3)
         p = FracLapParams(alpha=0.7, grid=g)
         rng = np.random.default_rng(10 * n + r)

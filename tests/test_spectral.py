@@ -403,18 +403,19 @@ class TestBlockwiseAnalytic:
 
     @pytest.mark.parametrize("profile", [RATIONAL, ERF], ids=lambda p: p.name)
     def test_peak_memory_near_output(self, profile):
-        # Whole-array evaluation peaked at 5.5x (rational) and 8.0x (erf)
-        # the output's bytes: its derivative temporaries were 2rN long.
+        # Putting f in midpoint order evaluates it in blocks.  Whole-array
+        # evaluation peaked at 5.5x (rational) and 8.0x (erf) the output's
+        # bytes: its derivative temporaries were 2rN long.
         g = GridSpec(N=2**16, r=1, L=1.0)
-        us, uss = mapped_derivatives(profile, 1.0)
+        F = f_from_analytic(*mapped_derivatives(profile, 1.0), g)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            F = f_from_analytic(us, uss, g)
+            values = F.values
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * F.values.nbytes
+        assert peak <= 1.5 * values.nbytes
 
 
 class TestMappedDerivatives:
