@@ -118,17 +118,22 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
     :class:`fraclap.errors.BlowUpError` carrying the first bad index, the
     time it appeared and the energy log of the steps before it, after the
     sink has seen every earlier snapshot.  A non-finite ψ0 (naming its
-    first bad index), or a step count t_end/dt that overflows or whose
-    energy log does not fit in memory, is a ParameterError.
+    first bad index), a t_end that is not a whole number of steps dt (to a
+    relative 1e-6), or a step count t_end/dt that overflows or whose energy
+    log does not fit in memory, is a ParameterError.
     """
     state = EvolutionState(psi=np.asarray(psi0, dtype=complex), t=0.0,
                            params=p, dt=dt)
     dt = state.dt
     t_end = _finite_real("t_end", t_end, 0.0, low_closed=True)
     snapshot_every = _positive_int("snapshot_every", snapshot_every)
-    if not t_end / dt < 2**53:  # also rejects a quotient that overflows
-        raise ParameterError(f"t_end/dt = {t_end / dt:g} steps is too many")
-    n_steps = int(round(t_end / dt))
+    steps = t_end / dt
+    if not steps < 2**53:  # also rejects a quotient that overflows
+        raise ParameterError(f"t_end/dt = {steps:g} steps is too many")
+    n_steps = round(steps)
+    if abs(steps - n_steps) > 1e-6 * n_steps:  # admits float32 times
+        raise ParameterError(f"t_end = {t_end!r} is not a whole number of "
+                             f"steps of dt = {dt!r} (t_end/dt = {steps!r})")
     try:
         times = np.empty(n_steps + 1)
         energies = np.empty(n_steps + 1)

@@ -121,11 +121,11 @@ def bin_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None,
                  out=None) -> np.ndarray:
     """The folded bins' multipliers of rows c0..c1−1, as full rows.
 
-    Slot k of a row multiplies bin k of its IFFT of length 2N: t_k of
-    :func:`sine_twiddles` for 1 ≤ k ≤ N, conj t_m at 2N − m for m < N, and
-    conj t_N at slot 0, whose bin is zero, for mode N's second term, which
-    folds onto bin N too.  Returns a (c1−c0, 2N) table (in ``out``); an
-    ``out`` of N+1 columns gets slots 0..N only, all a real row reads.
+    Slot k of a row multiplies slot k of the bin row of :func:`sine_pairs`:
+    t_k of :func:`sine_twiddles` for 1 ≤ k ≤ N, conj t_m at 2N − m for
+    m < N, and conj t_N at slot 0 for mode N's second term, added into
+    bin N.  Returns a (c1−c0, 2N) table (in ``out``); an ``out`` of N+1
+    columns gets slots 0..N only, all a real row reads.
     """
     n, c1 = g.N, g.r if c1 is None else c1
     if out is None:
@@ -151,7 +151,7 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     with stride r, bin m going to bin m mod 2N with the twiddle t_m of
     :func:`sine_twiddles` (which carries the i and the 1/r of the shorter
     IFFT).  Bins m and M − m land on bins m and 2N − m, as B_m·t_m and
-    conj(t_m)·B_m with B_m = −(M/2)·b_m, which has the dtype of ``a``;
+    B_m·conj(t_m) with B_m = −(M/2)·b_m, which has the dtype of ``a``;
     bin N takes both.  Row c is the convolution's row pair c: its first
     half is f at the midpoints 2rq + 2c and its second half, reversed, −f
     at 2rq + 2r−1−2c, q = 0..N−1.
@@ -167,11 +167,12 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     least 2N complex otherwise.  The bins of pair c are built in scratch
     row c1−c0+c (a real row's N+1 bins read as complex), and its IFFT
     writes f into row c, so no transform copies its input; the bins are
-    used up, and the rows past c1−c0 are free again.  ``twiddles`` is the
-    (r, 2N) table of :func:`bin_twiddles`, whose rows hold each bin's
-    multiplier in bin order, so the lower and the upper bins each take one
-    forward product, B_m·t_m and conj(t_m)·B_m; without it the twiddles of
-    rows c0..c1−1 are computed in place in the bins they multiply.
+    used up, and the rows past c1−c0 are free again.  The B_m form one
+    row in :func:`bin_twiddles`' slot order (B_N at 0, B_m at m, and at
+    2N − m if kept and complex), which a batch multiplies by its rows of
+    ``twiddles``, that (r, 2N) table, in one product.  Without it the
+    twiddles are computed in place in the bins, and slots 0..N and their
+    reversed view multiply them, bins first as kept calls do: same bits.
     """
     a = _float_or_complex(a)
     if a.shape != (g.N,):
@@ -181,14 +182,16 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     n, n_mid = g.N, g.num_midpoints
     if 2 * n_mid > 2**52:
         raise ParameterError("r*N too large for exact index arithmetic")
-    m = np.arange(1, n + 1)
-    bins = a.copy()
-    bins[:-2] -= a[2:]  # a_{m−1} − a_{m+1}
-    bins *= 0.25 * n_mid * (m * m - 1.0)  # B_m = −(M/2)·b_m
     real = not np.iscomplexobj(a)
-    mirrored = bins[-2::-1]  # B_m at bin 2N − m
-    if twiddles is not None and not real:  # read contiguously in kept calls;
-        mirrored = mirrored.copy()  # a one-shot call spares the N values
+    row = np.empty(n + 1 if real or twiddles is None else 2 * n, a.dtype)
+    bins = row[1:n + 1]
+    bins[:] = a
+    bins[:-2] -= a[2:]  # a_{m−1} − a_{m+1}
+    m = np.arange(1, n + 1)
+    bins *= 0.25 * n_mid * (m * m - 1.0)  # B_m = −(M/2)·b_m
+    row[0] = bins[-1]
+    if len(row) > n + 1:
+        row[n + 1:] = bins[-2::-1]
 
     def pairs(c0: int, c1: int, work):
         # The bins go in the odd rows, f in the even ones: an input that
@@ -198,10 +201,10 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
                    else work[j:2 * j, :2 * n])
         tw = (bin_twiddles(g, c0, c1, out=spectra) if twiddles is None
               else twiddles[c0:c1])
-        if not real:  # bins 2N − m; a real row's are implied
-            np.multiply(tw[:, n + 1:], mirrored, out=spectra[:, n + 1:])
-        np.multiply(bins, tw[:, 1:n + 1], out=spectra[:, 1:n + 1])
-        spectra[:, n] += bins[-1] * tw[:, 0]  # bin N takes both terms
+        np.multiply(row, tw[:, :len(row)], out=spectra[:, :len(row)])
+        if len(row) < spectra.shape[1]:  # one-shot complex: bins 2N − m
+            np.multiply(bins[-2::-1], tw[:, n + 1:], out=spectra[:, n + 1:])
+        spectra[:, n] += spectra[:, 0]  # bin N takes both terms
         spectra[:, 0] = 0.0
         w = _transform_rows(partial(np.fft.irfft, n=2 * n) if real
                             else np.fft.ifft, spectra, work[:j, :2 * n])

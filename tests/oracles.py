@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity through a route that shares no code with
 the implementation it checks: transforms by direct O(M²) summation,
 convolutions by direct O(N²) summation, the pseudospectral integrand by
-direct summation of its cosine series (and its sine series in long double),
+direct summation of its cosine series (and its sine series in long double,
+and its folded bins by their defining products),
 the NLS standing wave by a fixed-point solve on the operator's dense
 matrix, and the fractional Laplacian by adaptive quadrature of its
 derivative-kernel form
@@ -88,6 +89,31 @@ def integrand_direct(a, num_midpoints: int) -> np.ndarray:
     uss = -(np.cos(ks) * k**2.0) @ a
     s = (2 * np.arange(num_midpoints) + 1) * np.pi / (2 * num_midpoints)
     return np.sin(s) * uss + 2.0 * np.cos(s) * us
+
+
+def sine_fold_direct(a, twiddles, num_midpoints: int) -> np.ndarray:
+    """The folded DST-III bins of the integrand's sine series, by rule.
+
+    B_m = ¼M(m²−1)(a_{m−1} − a_{m+1}), m = 1..N, with a_N = a_{N+1} = 0
+    and M = ``num_midpoints``; ``twiddles`` is the (r, N) table t_m of
+    :func:`fraclap.spectral.sine_twiddles`.  Row c of the returned (r, 2N)
+    spectra holds the bins-first products B_m·t_m at slot m and
+    B_m·conj(t_m) at slot 2N − m, both terms at slot N, B_N·t_N added
+    before B_N·conj(t_N), and zero at slot 0.  numpy's complex product is
+    not commutative to the bit, so this pins the operand order.
+    """
+    a = np.asarray(a)
+    t = np.asarray(twiddles)
+    n = len(a)
+    padded = np.zeros(n + 2, dtype=a.dtype)
+    padded[:n] = a
+    m = np.arange(1, n + 1)
+    b = (padded[:n] - padded[2:]) * (0.25 * num_midpoints * (m * m - 1.0))
+    spectra = np.zeros((len(t), 2 * n), dtype=complex)
+    spectra[:, 1:n] = b[:-1] * t[:, :-1]
+    spectra[:, 2 * n - m[:-1]] = b[:-1] * t[:, :-1].conj()
+    spectra[:, n] = b[-1] * t[:, -1] + b[-1] * t[:, -1].conj()
+    return spectra
 
 
 # π to long double precision (np.pi is only float64).

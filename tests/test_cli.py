@@ -406,6 +406,17 @@ class TestConfigErrors:
                      "--output", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_nls_t_end_between_steps_exits_2(self, tmp_path, capsys):
+        # Ran round(2.5) = 2 steps to t = 0.02 and exited 0.
+        out = tmp_path / "o.csv"
+        code = main(["--command", "nls", "--alpha", "1.3", "--N", "8",
+                     "--r", "1", "--dt", "0.01", "--t-end", "0.025",
+                     "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "t_end = 0.025" in err and "dt = 0.01" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, L", [("apply", "1e-250"),
                                             ("nls", "1e-250"),
                                             ("apply", "1e300")])

@@ -227,6 +227,27 @@ class TestSimulate:
             _simulate(state.psi, state.params, dt=dt, t_end=t_end,
                       snapshot_every=1)
 
+    @pytest.mark.parametrize("t_end", [0.025, 0.035, 0.0049])
+    def test_t_end_between_steps_rejected(self, t_end):
+        # round(t_end/dt) steps ended at 0.02, at 0.04 and at 0.
+        state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)
+        seen = []
+        with pytest.raises(ParameterError,
+                           match=rf"t_end = {t_end!r} .* dt = 0\.01"):
+            simulate(state.psi, state.params, dt=0.01, t_end=t_end,
+                     snapshot_every=1, sink=lambda *snap: seen.append(snap))
+        assert seen == []
+
+    @pytest.mark.parametrize("dt, t_end", [(0.01, np.float32(0.02)),
+                                           (np.float32(0.01), 0.03),
+                                           (0.01, 0.01 * 500)])
+    def test_t_end_a_rounded_whole_step_count_runs_to_it(self, dt, t_end):
+        # float32 times and dt·steps are whole step counts up to rounding.
+        state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)
+        res, _ = _simulate(state.psi, state.params, dt=dt, t_end=t_end,
+                           snapshot_every=1000)
+        assert res.times[-1] == pytest.approx(float(t_end), rel=1e-6)
+
     @pytest.mark.parametrize("every", [True, np.bool_(True), 0, 2.0])
     def test_snapshot_every_must_be_a_positive_integer(self, every):
         state = _gaussian_state(n=8, r=1, L=10.0, alpha=1.3)

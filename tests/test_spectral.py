@@ -15,7 +15,7 @@ from fraclap.spectral import (bin_twiddles, coefficients_from_samples,
                               f_from_samples, sine_pairs, sine_twiddles)
 
 from .oracles import (cosine_coefficients_direct, integrand_direct,
-                      sine_series_long)
+                      sine_fold_direct, sine_series_long)
 
 
 def _nodes(n: int) -> np.ndarray:
@@ -209,6 +209,30 @@ class TestSinePairs:
         full = bin_twiddles(g)
         half = bin_twiddles(g, 1, 3, out=np.empty((2, n + 1), dtype=complex))
         assert np.array_equal(half, full[1:3, :n + 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 1024])
+    @pytest.mark.parametrize("r", [1, 3, 32])
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("kept", [True, False])
+    def test_rows_are_the_inverse_of_the_reference_fold(self, n, r, real,
+                                                        kept):
+        # Bit for bit: kept and one-shot rows both multiply bins first.
+        g = GridSpec(N=n, r=r, L=1.0)
+        rng = np.random.default_rng(100 * n + r)
+        u = rng.standard_normal(n)
+        if not real:
+            u = u + 1j * rng.standard_normal(n)
+        a = coefficients_from_samples(u)
+        spectra = sine_fold_direct(a, sine_twiddles(g), g.num_midpoints)
+        rows = (np.fft.irfft(spectra[:, :n + 1], n=2 * n) if real
+                else np.fft.ifft(spectra))
+        work = (np.empty((2 * r, 2 * n + 2)) if real
+                else np.empty((2 * r, 2 * n), dtype=complex))
+        even, odd = sine_pairs(a, g, bin_twiddles(g) if kept else None)(
+            0, r, work)
+        assert even.dtype == rows.dtype
+        assert np.array_equal(even, rows[:, :n])
+        assert np.array_equal(odd, rows[:, :n - 1:-1])
 
     def test_index_guard_before_any_allocation(self):
         # 2M = 2^53 leaves float64's exact integers; no length-M array exists.
