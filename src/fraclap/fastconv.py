@@ -19,13 +19,15 @@ P = 2r·m, m ≥ 2N−1, does not alias; m is the smallest 5-smooth such
 integer, which keeps the FFTs fast.  Only every 2r-th entry of c is read,
 so c splits into 2r polyphase parts: with n = 2rq + ρ, a^ρ_q = a_{2rq+ρ}
 and κ_ρ[q] = κ[(2rq − ρ) mod P], A_j = Σ_ρ (a^ρ ⊛_m κ_ρ)[j], ρ = 0..2r−1.
-The rows go in pairs, residues 2c and 2r−1−2c, and the convolution takes
-every odd row as −f: :meth:`fraclap.quadrature.MidpointSamples.pairs`
-views f in pairs, and :func:`fraclap.spectral.sine_pairs` and
-:meth:`fraclap.spectral.AnalyticIntegrand.pairs` write them.  A batch of
-pairs, about 2^14 points, is weighted, transformed, multiplied by its
-kernel rows and summed into one row before the next batch, so only one
-batch of weighted rows is held at a time.  The row FFTs run batched, at
+The rows go in pairs, residues 2c and 2r−1−2c, and every producer writes
+pair c into one row the convolution lends: f at the midpoints 2rq + 2c
+in slots [0, N), −f at their mirrors in [N, 2N), so the odd row is the
+second half reversed.  :meth:`fraclap.quadrature.MidpointSamples.pairs`
+copies f there, :func:`fraclap.spectral.sine_pairs` and
+:meth:`fraclap.spectral.AnalyticIntegrand.pairs` compute it there.  A
+batch of pairs, about 2^14 points, is weighted, transformed, multiplied
+by its kernel rows and summed into one row before the next batch, so only
+one batch of weighted rows is held at a time.  The row FFTs run batched, at
 most 2^17 points per call: pocketfft's scratch grows with the points of
 a call, and batching keeps many short rows fast.  A longer row is
 transformed as its (m1, m2) grid, m1 the largest divisor of m at most
@@ -44,13 +46,16 @@ the two rows of a pair are conjugates, T_{2r−1−2c} = conj T_{2c}: the
 half spectra of T_{2c}, one row per pair, fix all 2r spectra.  A kept
 plan mirrors them once into the full spectra of all 2r rows, stored in
 the order a batch multiplies them, so each batch's even and odd rows take
-one contiguous product each.  A one-shot plan builds each batch's half
-rows when the batch needs them, multiplies the odd rows by their
-conjugate and the upper bins of complex rows by the mirrored rows, so it
-never holds the rows of all pairs.  Real samples stay real: their rows go
-through ``rfft``, the products with the half spectra are summed into one
-row, and one inverse of length m, ``irfft`` last, gives A.  Complex
-samples keep complex row FFTs against the same rows: T_ρ[m − k] =
+one contiguous product each; its weights, the signed multipliers of the
+lent rows' floats, weight a batch in one float product.  At N = 1024,
+r = 32 a kept plan is a 2 MiB table plus 1 MiB of weights, and the
+operator keeps 1 MiB of fold twiddles.  A one-shot plan builds each
+batch's half rows when the batch needs them, multiplies the odd rows by
+their conjugate and the upper bins of complex rows by the mirrored rows,
+so it never holds the rows of all pairs.  Real samples stay real: their
+rows go through ``rfft``, the products with the half spectra are summed
+into one row, and one inverse of length m, ``irfft`` last, gives A.
+Complex samples keep complex row FFTs against the same rows: T_ρ[m − k] =
 conj T_ρ[k], so a row's upper bins are its pair partner's lower bins
 reversed; in the grid, its rows k1 > m1/2 are the partner's rows m1 − k1
 with both axes reversed.  A real/imaginary split through the real path
@@ -213,15 +218,21 @@ class FastConvolver:
     2r rows, (2, r, m): row [0, c] = T_{2c}, row [1, c] = conj T_{2c}.  Four
     times the bytes of the half rows (2 MiB at N = 1024, r = 32) buy
     contiguous products, which numpy ran 2.7 and 3.6 times faster per
-    element than products on half rows and on their reversed mirror.  Each
-    call allocates one batch buffer of row pairs (``_BATCH_POINTS``, 256 KiB
-    of complex rows) and lends its rows, two of at least 2N+2 floats or 2N
-    complex per pair, to the producer of the pairs, so a warm call allocates
-    only arrays of length O(N).  With ``cache_kernels=False`` nothing is
-    retained: each batch builds the half rows of its pairs when it needs
-    them and drops them after it, which keeps the memory footprint flat for
-    very large one-shot evaluations (full rows would add about 48 MiB at
-    N = 2^20, r = 1).
+    element than products on half rows and on their reversed mirror.  Kept
+    weights are the signed multipliers of a lent row's floats, from those
+    rows W ``np.repeat(np.hstack((W, −W)), 2, axis=1)``, (r, 4N) (1 MiB at
+    N = 1024, r = 32; a real row reads the even columns): a batch weights
+    f and −f in one float product, its odd rows then carry f, and one
+    reduction sums its products.  Each call allocates one batch buffer of
+    row pairs (``_BATCH_POINTS``, 256 KiB of complex rows) and lends its
+    rows, two of at least 2N+2 floats or 2N complex per pair, to the
+    producer of the pairs, so a warm call allocates only arrays of length
+    O(N).  With ``cache_kernels=False`` nothing is retained: each batch
+    builds the half rows of its pairs when it needs them and drops them
+    after it, and weights its even and odd rows apart with the (r, N)
+    rows, which keeps the memory footprint flat for very large one-shot
+    evaluations (at N = 2^20, r = 1 full rows would add about 48 MiB, and
+    the kept weights 24 MiB).
     """
 
     def __init__(self, grid: GridSpec, params: SingularParams,
@@ -355,18 +366,20 @@ class FastConvolver:
         """The N quadrature values from the polyphase rows of f.
 
         Pair c is the rows of residues 2c and 2r−1−2c, whose kernel rows are
-        each other's conjugate.  ``pairs(c0, c1, work)`` returns (even, odd),
-        two (c1−c0, N) arrays holding f at the midpoints 2rq + 2c and −f at
-        the midpoints 2rq + 2r−1−2c, q = 0..N−1, for c0 ≤ c < c1 (from
-        :meth:`apply`, :func:`fraclap.spectral.sine_pairs` or
-        :meth:`fraclap.spectral.AnalyticIntegrand.pairs`); they may be
-        views of the first c1−c0 rows of ``work``, the 2(c1−c0) scratch rows
-        this call lends, each at least 2N+2 floats wide when ``real``, else
-        at least 2N complex, whose contents are used up by the call.  The
-        producer allocates nothing as long as its rows.  The pairs are
-        transformed, multiplied by the table and summed a batch at a time,
-        the odd products subtracted; the result never shares memory with
-        the plan.
+        each other's conjugate.  ``pairs(c0, c1, work)`` (from :meth:`apply`,
+        :func:`fraclap.spectral.sine_pairs` or
+        :meth:`fraclap.spectral.AnalyticIntegrand.pairs`) gets ``work``, the
+        2(c1−c0) scratch rows this call lends, each at least 2N+2 floats
+        wide when ``real``, else at least 2N complex.  It fills row c − c0,
+        c0 ≤ c < c1, with f at the midpoints 2rq + 2c in slots [0, N) and
+        −f at their mirrors in slots [N, 2N), q = 0..N−1: slot 2N−1−q holds
+        −f at 2rq + 2r−1−2c, the odd row.  The convolution reads
+        those rows, not the views ``pairs`` returns, and uses up every row
+        it lends, so the producer allocates nothing as long as its rows.
+        The pairs are weighted, transformed, multiplied by the table and
+        summed a batch at a time: a kept plan's signed weights leave f in
+        the odd rows, a one-shot plan's leave −f and subtract their
+        products.  The result never shares memory with the plan.
         """
         g = self.grid
         n, r = g.N, g.r
@@ -384,7 +397,8 @@ class FastConvolver:
             weights, table = self._plan
         else:
             weights, table = self._weights(), None
-            if self.cache_kernels:
+            if self.cache_kernels:  # the signed multipliers of a row's floats
+                weights = np.repeat(np.hstack((weights, -weights)), 2, axis=1)
                 table = self._kernel_table(grid)
                 self._plan = weights, table
         buf = np.zeros((2 * k, width), dtype=complex)
@@ -392,15 +406,23 @@ class FastConvolver:
         spectra = buf[:, :half] if real else buf[:, :m]
         grids = spectra.reshape(2 * k, -1, m2)
         row_grids = rows[:, :m].reshape(2 * k, m1, m2)
-        if table is not None:  # the bins a row multiplies
+        if table is not None:  # the bins a row multiplies, the floats of f
             table = table[:, :, :spectra.shape[1]]
+            lanes = rows[:, :2 * n] if real else buf[:, :2 * n].view(float)
+            weights = weights[:, ::2] if real else weights
         total = None
         for c0 in range(0, r, k):
             c1 = min(c0 + k, r)
             j = c1 - c0
-            even, odd = pairs(c0, c1, rows[:2 * j])
-            np.multiply(weights[c0:c1, ::-1], odd, out=rows[j:2 * j, :n])
-            np.multiply(weights[c0:c1], even, out=rows[:j, :n])
+            pairs(c0, c1, rows[:2 * j])
+            mirrors = rows[:j, 2 * n - 1:n - 1:-1]  # −f, the odd rows
+            if table is not None:  # f·W and (−f)·(−W): the odd rows carry f
+                lanes[:j] *= weights[c0:c1]
+                rows[j:2 * j, :n] = mirrors
+            else:
+                np.multiply(weights[c0:c1, ::-1], mirrors,
+                            out=rows[j:2 * j, :n])
+                np.multiply(weights[c0:c1], rows[:j, :n], out=rows[:j, :n])
             if c1 == r:  # a one-shot plan drops its weights
                 del weights
             rows[:2 * j, n:m] = 0.0
@@ -408,6 +430,10 @@ class FastConvolver:
             if table is not None:  # even rows take T, odd rows conj T
                 spectra[:j] *= table[0, c0:c1]
                 spectra[j:2 * j] *= table[1, c0:c1]
+                # Row by row in order: a complex reduce over 1-bin rows
+                # would sum pairwise.
+                batch = np.add.reduce(spectra[:2 * j].view(float),
+                                      axis=0).view(complex)
             else:
                 # A one-shot batch builds its half rows here, once the
                 # transform's scratch is freed.  At N = 2^20, r = 1 this
@@ -427,14 +453,15 @@ class FastConvolver:
                 if not real:
                     grids[:j, h1:] *= _mirrored(kernel, m1)
                 del kernel
-            for i in range(1, j):  # sum the batch's products in place
-                spectra[0] += spectra[i]
-            for i in range(j, 2 * j):  # the odd rows carry −f
-                spectra[0] -= spectra[i]
-            if total is None:
-                total = spectra[0] if c1 == r else spectra[0].copy()
+                for i in range(1, j):  # sum the batch's products in place
+                    spectra[0] += spectra[i]
+                for i in range(j, 2 * j):  # the odd rows carry −f
+                    spectra[0] -= spectra[i]
+                batch = spectra[0]
+            if total is None:  # the next batch reuses a one-shot row
+                total = batch.copy() if c1 < r and table is None else batch
             else:
-                total += spectra[0]
+                total += batch
         # A real row goes into row 1, which has room for m floats.
         return _grid_inverse(total, rows[1, :m], real, grid)[:n] * self.scale
 

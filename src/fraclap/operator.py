@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import ParameterError
+from .errors import ParameterError, SampleShapeError
 from .fastconv import FastConvolver
 from .grid import GridSpec, _finite_real, output_nodes
 from .quadrature import MidpointSamples, SingularParams
@@ -135,6 +135,9 @@ class FractionalLaplacian:
         convolution its row pairs as they are summed.
         """
         g = self.params.grid
+        if np.shape(u_nodes) != (g.N,):  # before any plan is built
+            raise SampleShapeError(
+                f"expected {g.N} node samples, got {np.shape(u_nodes)}")
         if self._twiddles is None and self._conv.cache_kernels:
             self._twiddles = bin_twiddles(g)
         # No name holds the coefficients: the row function keeps its bins.

@@ -108,11 +108,13 @@ class MidpointSamples:
 
     def pairs(self, c0: int, c1: int, work) -> tuple:
         """Row pairs c0..c1−1 for :meth:`fraclap.fastconv.FastConvolver.convolve`:
-        f of the even rows as views, −f of the odd rows in ``work``'s free
-        half."""
-        n = self.grid.N
+        row c of ``work`` takes f of the even row in its first N slots and
+        −f of the odd row, reversed, in the next N."""
+        n, w = self.grid.N, work[:c1 - c0]
         even, odd = _pair_rows(self.values, self.grid)
-        return even[c0:c1], np.negative(odd[c0:c1], out=work[:c1 - c0, n:2 * n])
+        w[:, :n] = even[c0:c1]
+        np.negative(odd[c0:c1, ::-1], out=w[:, n:2 * n])
+        return w[:, :n], w[:, 2 * n - 1:n - 1:-1]
 
 
 def modified_midpoint(f_mid, a: float, b: float, beta: float) -> complex:

@@ -5,6 +5,7 @@ the implementation it checks: transforms by direct O(M²) summation,
 convolutions by direct O(N²) summation, the pseudospectral integrand by
 direct summation of its cosine series (and its sine series in long double,
 and its folded bins by their defining products),
+the singular quadrature by its (N, 2rN) matrix in long double,
 the NLS standing wave by a fixed-point solve on the operator's dense
 matrix, and the fractional Laplacian by adaptive quadrature of its
 derivative-kernel form
@@ -144,6 +145,36 @@ def sine_series_long(a, num_midpoints: int) -> np.ndarray:
     up[1:n + 1] = b * phase
     down[1:n + 1] = b * phase.conj()
     return (2 * big_m * np.fft.ifft(up) - np.fft.fft(down))[:big_m] / 2j
+
+
+def singular_integral_long(f, n: int, r: int, beta: float,
+                           gamma: float) -> np.ndarray:
+    """The two-sided singular quadrature of midpoint samples f, in long double.
+
+    I_j = Σ_n f_n·w_n·v_{n,j} over the 2rN midpoints, with the sin^β weight
+    w_n = sinc^β(h·d)·(d_+^{β+1} − d_−^{β+1})/(β+1), d = n + ½ (or
+    2rN − n − ½ on the upper half) the index distance to the nearer end and
+    d_± = d ± ½, and the moving weight v_{n,j} = sinc^γ(h·t)·(sgn(a+1)|a+1|^{γ+1}
+    − sgn(a)|a|^{γ+1})/(γ+1), a = n − (2j+1)r, t = |a + ½|, whose sin is
+    taken at the complementary angle past π/2; everything times
+    h^{β+γ+1}, h = π/(2rN).  The (N, 2rN) matrix of w·v is formed and
+    applied directly, in long double from the float64 ``f``.  Returns
+    complex256.
+    """
+    f = np.asarray(f).astype(np.clongdouble)
+    two_rn = 2 * r * n
+    h = _PI_LONG / two_rn
+    k = np.arange(two_rn, dtype=np.longdouble)
+    d = np.minimum(k + 0.5, two_rn - k - 0.5)
+    w = (np.sin(h * d) / (h * d)) ** beta * (
+        (d + 0.5) ** (beta + 1) - (d - 0.5) ** (beta + 1)) / (beta + 1)
+    a = k - ((2 * np.arange(n) + 1) * r).astype(np.longdouble)[:, None]
+    t = np.abs(a + 0.5)
+    angle = h * np.minimum(t, two_rn - t)
+    power = np.sign(a + 1) * np.abs(a + 1) ** (gamma + 1) - np.sign(
+        a) * np.abs(a) ** (gamma + 1)
+    v = (np.sin(angle) / (h * t)) ** gamma * power / (gamma + 1)
+    return h ** (beta + gamma + 1) * ((w * v) @ f)
 
 
 def fraclap_quad(ux, alpha: float, x: float) -> float | complex:

@@ -433,6 +433,25 @@ class TestConvolverReuse:
         full = np.fft.fft(np.fft.irfft(rows[:, :h1], n=m, axis=1), axis=1)
         assert _rel(rows, full) < 1e-13
 
+    @pytest.mark.parametrize("n", [1, 2, 13, 1024])
+    @pytest.mark.parametrize("r", [1, 3, 32])
+    def test_kept_weights_are_signed_rows_of_float_multipliers(self, n, r):
+        # Row c of a batch holds f at the midpoints 2rq + 2c in slots
+        # [0, N) and −f at their mirrors in [N, 2N).  A kept plan holds the
+        # rows W of _weights() and −W, each weight twice: the multipliers
+        # of a complex row's real and imaginary floats.  A real row's floats
+        # are its slots, so its multipliers are the even columns.
+        g = GridSpec(N=n, r=r, L=1.0)
+        kept = FastConvolver(g, SingularParams(beta=0.6, gamma=0.1))
+        kept.apply(_random_samples(g, n + r, real=True).values)
+        w = kept._weights()
+        weights = kept._plan[0]
+        assert weights.shape == (r, 4 * n)
+        assert np.array_equal(weights, np.repeat(np.hstack((w, -w)), 2,
+                                                 axis=1))
+        assert np.array_equal(weights[:, 0::2], np.hstack((w, -w)))
+        assert np.array_equal(weights[:, 1::2], weights[:, 0::2])
+
     @pytest.mark.parametrize("n", [1, 2, 5, 13, 64, 101])
     @pytest.mark.parametrize("r", [1, 2, 3, 5, 32])
     def test_kept_and_one_shot_agree_in_any_call_order(self, n, r):

@@ -10,9 +10,10 @@ from fraclap.operator import FracLapParams, FractionalLaplacian, prefactors
 from fraclap.profiles import ERF, GAUSSIAN, RATIONAL, mapped_derivatives
 from fraclap.quadrature import MidpointSamples
 from fraclap.reference import exact_rational
-from fraclap.spectral import f_from_analytic, f_from_samples, sine_twiddles
+from fraclap.spectral import (coefficients_from_samples, f_from_analytic,
+                              f_from_samples, sine_twiddles)
 
-from .oracles import c_alpha
+from .oracles import c_alpha, sine_series_long, singular_integral_long
 
 
 def _long_form_prefactor(alpha, L, s):
@@ -284,13 +285,14 @@ class TestSampledRoute:
 
     @pytest.mark.parametrize("count", [5, 7])
     def test_wrong_sample_count_rejected_before_the_plan(self, count):
-        # sine_pairs checks the length of the coefficients, which is the
-        # number of samples, before the convolution builds its plan.
+        # The count is checked before the fold twiddles, the coefficients
+        # and the convolution's plan are built.
         op = FractionalLaplacian(
             FracLapParams(alpha=0.7, grid=GridSpec(N=6, r=2, L=1.0)))
         with pytest.raises(SampleShapeError, match="expected 6 node samples"):
             op.apply_to_samples(np.ones(count))
         assert op._conv._plan is None
+        assert op._twiddles is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 31, 41, 101, 1024, 4097])
     @pytest.mark.parametrize("r", [1, 2, 3, 7, 32])
@@ -328,10 +330,11 @@ class TestSampledRoute:
 
     @pytest.mark.parametrize("n, r", [(1024, 32), (65537, 1)])
     def test_kept_plan_bytes(self, n, r):
-        # A kept plan holds the (r, N) float weights, the (2, r, m) complex
+        # A kept plan holds the (r, 4N) float weights, the (2, r, m) complex
         # full spectra and the (r, 2N) complex twiddle rows, and nothing
         # else; N = 65537 has rows of m = 131220 points, split as grids.  A
-        # one-shot call keeps nothing.
+        # one-shot call keeps nothing.  The sizes pin the layout, not a
+        # bound.
         g = GridSpec(N=n, r=r, L=200.0)
         p = FracLapParams(alpha=1.99, grid=g)
         u = np.random.default_rng(n).standard_normal(n) + 0j
@@ -339,7 +342,8 @@ class TestSampledRoute:
         kept.apply_to_samples(u)
         m = kept._conv.fft_length // (2 * r)
         weights, table = kept._conv._plan
-        for array, nbytes in ((weights, r * n * 8), (table, 2 * r * m * 16),
+        for array, nbytes in ((weights, r * 4 * n * 8),
+                              (table, 2 * r * m * 16),
                               (kept._twiddles, r * 2 * n * 16)):
             assert array.nbytes == nbytes
             assert array.base is None or array.base.nbytes == nbytes
@@ -398,3 +402,42 @@ class TestSampledRoute:
     def test_one_shot_rise_on_complex_erf(self):
         # Complex u keeps one N-vector of bins per call.  Measured 7.50x.
         assert self._one_shot_rise(2**16, 1, 1 + 0.5j) <= 8.0
+
+
+class TestSampledRouteLongDouble:
+    """``apply_to_samples`` end to end against the same route in long double.
+
+    The oracle sums the sine series of the float64 a_k in long double
+    (:func:`tests.oracles.sine_series_long`), applies the quadrature as its
+    long-double matrix (:func:`tests.oracles.singular_integral_long`) and
+    multiplies by the float64 prefactor, so the deviation is the round-off
+    of the integrand, the convolution and the prefactor together.  f is
+    bounded by Σ|b_m| ≤ N²·‖a‖_1, and the quadrature weights are positive,
+    so the bound is C·eps·N²·‖a‖_1·|prefactor_j|·Q_j with Q_j the
+    quadrature of f ≡ 1.  Measured worst over these cases: C = 0.91 (white
+    noise, real, N = 64, r = 4, α = 1.9); erf stays below C = 0.55.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 64])
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_round_off_within_eps_n_squared(self, n, r):
+        g = GridSpec(N=n, r=r, L=1.3)
+        x = map_to_real(output_nodes(g), g.L)
+        noise = np.random.default_rng(10 * n + r).standard_normal((2, n))
+        for alpha in (0.3, 1.3, 1.9):
+            p = FracLapParams(alpha=alpha, grid=g)
+            beta, gamma = alpha, 1.0 - alpha
+            pref = prefactors(p).astype(np.longdouble)
+            ones = singular_integral_long(np.ones(g.num_midpoints), n, r,
+                                          beta, gamma)
+            scale = np.finfo(float).eps * n * n * np.abs(pref * ones.real)
+            for u in (ERF.u(x), ERF.u(x) + 1j * ERF.u(x - 0.5),
+                      noise[0], noise[0] + 1j * noise[1]):
+                a = coefficients_from_samples(u)
+                ref = pref * singular_integral_long(
+                    sine_series_long(a, g.num_midpoints), n, r, beta, gamma)
+                for kept in (True, False):
+                    op = FractionalLaplacian(p, cache_kernels=kept)
+                    for _ in range(2):  # cold, then warm
+                        err = np.abs(op.apply_to_samples(u) - ref)
+                        assert np.all(err <= 4 * scale * np.sum(np.abs(a)))
