@@ -356,32 +356,30 @@ class FastConvolver:
         ``values`` must hold f at all 2rN midpoints.  Returns the length-N
         vector of quadrature values, equal to the direct double summation
         to near machine precision: float64 for real samples, complex128 for
-        complex ones.  :meth:`convolve` gets the row pairs of
-        :meth:`fraclap.quadrature.MidpointSamples.pairs`.
+        complex ones, through :meth:`convolve`.
         """
-        F = MidpointSamples(values=values, grid=self.grid)
-        return self.convolve(F.pairs, real=F.real)
+        return self.convolve(MidpointSamples(values=values, grid=self.grid))
 
-    def convolve(self, pairs, real: bool) -> np.ndarray:
-        """The N quadrature values from the polyphase rows of f.
+    def convolve(self, F) -> np.ndarray:
+        """The N quadrature values from the polyphase rows of the integrand F.
 
+        F is :class:`fraclap.quadrature.MidpointSamples` or an integrand of
+        :mod:`fraclap.spectral`; ``F.real`` tells whether f is float64.
         Pair c is the rows of residues 2c and 2r−1−2c, whose kernel rows are
-        each other's conjugate.  ``pairs(c0, c1, work)`` (from :meth:`apply`,
-        :func:`fraclap.spectral.sine_pairs` or
-        :meth:`fraclap.spectral.AnalyticIntegrand.pairs`) gets ``work``, the
-        2(c1−c0) scratch rows this call lends, each at least 2N+2 floats
-        wide when ``real``, else at least 2N complex.  It fills row c − c0,
-        c0 ≤ c < c1, with f at the midpoints 2rq + 2c in slots [0, N) and
-        −f at their mirrors in slots [N, 2N), q = 0..N−1: slot 2N−1−q holds
-        −f at 2rq + 2r−1−2c, the odd row.  The convolution reads
-        those rows, not the views ``pairs`` returns, and uses up every row
-        it lends, so the producer allocates nothing as long as its rows.
+        each other's conjugate.  ``F.pairs(c0, c1, work)`` gets ``work``,
+        the 2(c1−c0) scratch rows this call lends, each at least 2N+2
+        floats wide when F is real, else at least 2N complex.  It fills row
+        c − c0, c0 ≤ c < c1, with f at the midpoints 2rq + 2c in slots
+        [0, N) and −f at their mirrors in slots [N, 2N), q = 0..N−1: slot
+        2N−1−q holds −f at 2rq + 2r−1−2c, the odd row.  It returns nothing.
+        The convolution uses up every row it lends, so the producer
+        allocates nothing as long as its rows.
         The pairs are weighted, transformed, multiplied by the table and
         summed a batch at a time: a kept plan's signed weights leave f in
         the odd rows, a one-shot plan's leave −f and subtract their
         products.  The result never shares memory with the plan.
         """
-        g = self.grid
+        g, real = self.grid, F.real
         n, r = g.N, g.r
         m = self.fft_length // (2 * r)
         m1, m2, _ = grid = _row_grid(m)
@@ -414,7 +412,7 @@ class FastConvolver:
         for c0 in range(0, r, k):
             c1 = min(c0 + k, r)
             j = c1 - c0
-            pairs(c0, c1, rows[:2 * j])
+            F.pairs(c0, c1, rows[:2 * j])
             mirrors = rows[:j, 2 * n - 1:n - 1:-1]  # −f, the odd rows
             if table is not None:  # f·W and (−f)·(−W): the odd rows carry f
                 lanes[:j] *= weights[c0:c1]

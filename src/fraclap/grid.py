@@ -77,6 +77,8 @@ class GridSpec:
         Refinement factor, ≥ 1; the quadrature uses 2rN midpoints.
     L : float
         Map scale of x = L·cot(s), > 0 and finite, stored as ``float``.
+
+    4rN ≤ 2^52 keeps the indices 2n+1 and m(4c+1), all below 4rN, exact.
     """
 
     N: int
@@ -87,6 +89,8 @@ class GridSpec:
         object.__setattr__(self, "N", _positive_int("N", self.N))
         object.__setattr__(self, "r", _positive_int("r", self.r))
         object.__setattr__(self, "L", _finite_real("L", self.L, 0.0))
+        if 4 * self.r * self.N > 2**52:
+            raise ParameterError("r*N too large for exact index arithmetic")
 
     @property
     def h(self) -> float:

@@ -25,15 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
 from .errors import ParameterError, SampleShapeError
 from .fastconv import FastConvolver
 from .grid import GridSpec, _finite_real, output_nodes
-from .quadrature import MidpointSamples, SingularParams
-# The benchmark's tracer wraps f_from_samples here, and
-# coefficients_from_samples in spectral (looked up at call time), by name.
-from .spectral import (AnalyticIntegrand, bin_twiddles, f_from_samples,
-                       sine_pairs)
+from .quadrature import SingularParams
+from .spectral import bin_twiddles, f_from_samples
 
 __all__ = [
     "FracLapParams",
@@ -108,41 +104,32 @@ class FractionalLaplacian:
         self._pref = prefactors(params)
         self._twiddles = None
 
-    def apply(self, F: MidpointSamples | AnalyticIntegrand) -> np.ndarray:
-        """Operator values at all x_j from the integrand F.
+    def apply(self, F) -> np.ndarray:
+        """Operator values at all x_j from the integrand F, the operator's
+        one path.
 
-        F is f(s) = sin(s)·u_ss + 2cos(s)·u_s, as midpoint samples or as the
-        :class:`fraclap.spectral.AnalyticIntegrand` of
-        :func:`fraclap.spectral.f_from_analytic`; either says whether it is
-        real and hands the convolution its row pairs, so an analytic f is
-        never put in midpoint order.  The result approximates
+        F is f(s) = sin(s)·u_ss + 2cos(s)·u_s: midpoint samples, or the
+        integrand of :func:`fraclap.spectral.f_from_analytic` or
+        :func:`fraclap.spectral.f_from_samples`, which is never put in
+        midpoint order.  Each says whether it is real and hands the
+        convolution its row pairs.  The result approximates
         (−Δ)^{α/2}u(x_j) with an error that is O(1/r²) uniformly in j.
         """
         if F.grid != self.params.grid:
             raise ParameterError("samples were built for a different grid")
-        values = self._conv.convolve(F.pairs, real=F.real)
+        values = self._conv.convolve(F)
         values *= self._pref  # in place: the result is a fresh array
         return values
 
     def apply_to_samples(self, u_nodes) -> np.ndarray:
-        """Operator values from u at the N output nodes alone.
-
-        Builds the integrand pseudospectrally and applies the operator;
-        this is the only possible route when u is known by samples, as
-        inside an evolution loop.  The value is that of
-        ``apply(f_from_samples(u_nodes, grid))``, but f is never put in
-        midpoint order: :func:`fraclap.spectral.sine_pairs` hands the
-        convolution its row pairs as they are summed.
-        """
+        """Operator values from u at the N output nodes alone, as inside an
+        evolution loop: ``apply(f_from_samples(u_nodes, grid))``, the count
+        checked before any plan is built, and a kept plan's fold twiddles
+        kept."""
         g = self.params.grid
         if np.shape(u_nodes) != (g.N,):  # before any plan is built
             raise SampleShapeError(
                 f"expected {g.N} node samples, got {np.shape(u_nodes)}")
         if self._twiddles is None and self._conv.cache_kernels:
             self._twiddles = bin_twiddles(g)
-        # No name holds the coefficients: the row function keeps its bins.
-        values = self._conv.convolve(
-            sine_pairs(spectral.coefficients_from_samples(u_nodes), g,
-                       self._twiddles), real=not np.iscomplexobj(u_nodes))
-        values *= self._pref
-        return values
+        return self.apply(f_from_samples(u_nodes, g, self._twiddles))

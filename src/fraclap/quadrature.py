@@ -85,7 +85,8 @@ class MidpointSamples:
 
     ``values`` is stored as float64 when it is real and as complex128 when
     it is complex, so real samples take the real-arithmetic path.  Like
-    :class:`fraclap.spectral.AnalyticIntegrand`, the samples say whether
+    :class:`fraclap.spectral.AnalyticIntegrand` and
+    :class:`fraclap.spectral.SampledIntegrand`, the samples say whether
     they are ``real`` and hand the fast convolution their row ``pairs``.
     """
 
@@ -106,7 +107,7 @@ class MidpointSamples:
         """Whether the samples are float64."""
         return not np.iscomplexobj(self.values)
 
-    def pairs(self, c0: int, c1: int, work) -> tuple:
+    def pairs(self, c0: int, c1: int, work) -> None:
         """Row pairs c0..c1−1 for :meth:`fraclap.fastconv.FastConvolver.convolve`:
         row c of ``work`` takes f of the even row in its first N slots and
         −f of the odd row, reversed, in the next N."""
@@ -114,7 +115,6 @@ class MidpointSamples:
         even, odd = _pair_rows(self.values, self.grid)
         w[:, :n] = even[c0:c1]
         np.negative(odd[c0:c1, ::-1], out=w[:, n:2 * n])
-        return w[:, :n], w[:, 2 * n - 1:n - 1:-1]
 
 
 def modified_midpoint(f_mid, a: float, b: float, beta: float) -> complex:
@@ -201,6 +201,7 @@ def singular_integral_direct(F: MidpointSamples, p: SingularParams) -> np.ndarra
     sinc_upper = _sinc(h * (two_rn - k - 0.5)) ** p.beta
 
     scale = h ** (p.beta + p.gamma + 1.0)
+    f = F.values  # read once: a lazy integrand evaluates f per read
     out = np.empty(N, dtype=complex)
     for j in range(N):
         ridx = (2 * j + 1) * r
@@ -215,11 +216,7 @@ def singular_integral_direct(F: MidpointSamples, p: SingularParams) -> np.ndarra
             index_sign(n + 1, j, r),
             index_sign(n, j, r),
         )
-        lower = np.sum(
-            sinc_lower * moving[:rn] * w_lower * w_moving[:rn] * F.values[:rn]
-        )
-        upper = np.sum(
-            sinc_upper * moving[rn:] * w_upper * w_moving[rn:] * F.values[rn:]
-        )
+        lower = np.sum(sinc_lower * moving[:rn] * w_lower * w_moving[:rn] * f[:rn])
+        upper = np.sum(sinc_upper * moving[rn:] * w_upper * w_moving[rn:] * f[rn:])
         out[j] = (lower + upper) * scale
     return out

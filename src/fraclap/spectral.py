@@ -10,7 +10,8 @@ f(s) = sin(s)·u_ss(s) + 2cos(s)·u_s(s).  This module produces f at the
   f is read: its row pairs go straight into the fast convolution, and f is
   put in midpoint order only when ``.values`` is asked for;
 * :func:`f_from_samples` — given only u at the N output nodes, expand u in
-  a cosine series and sum f, a sine series, at the midpoints.
+  a cosine series and sum f, a sine series, when it is read, as the row
+  pairs or the ``.values`` of a :class:`SampledIntegrand`.
 
 On the shifted nodes s_j = (2j+1)π/(2N) the even extension of u across
 s = π has no Nyquist part, so the N samples fix a cosine series
@@ -26,9 +27,9 @@ midpoint s_n = (2n+1)π/(4rN).  Only 2N of those bins are nonzero, so
 :func:`sine_pairs` folds them with stride r and sums f by r IFFTs of length
 2N instead of one of length 2rN.  Each of its rows is one row pair of the
 fast convolution (:mod:`fraclap.fastconv`), which
-:meth:`fraclap.operator.FractionalLaplacian.apply_to_samples` consumes as
-they come; :func:`derivatives_at_midpoints` puts them into midpoint
-order.  u_s and u_ss are never formed.
+:meth:`fraclap.operator.FractionalLaplacian.apply` consumes as they come;
+only :attr:`SampledIntegrand.values` puts f into midpoint order.  u_s and
+u_ss are never formed.
 
 Real u stays real throughout: its a_k come from the ``rfft`` of the
 mirrored samples, its sine-series bins are float64, the row spectra that
@@ -46,13 +47,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, SampleShapeError
+from .errors import SampleShapeError
 from .fastconv import _transform_rows
 from .grid import GridSpec
-from .quadrature import MidpointSamples, _float_or_complex, _pair_rows
+from .quadrature import _float_or_complex, _pair_rows
 
 __all__ = [
     "AnalyticIntegrand",
+    "SampledIntegrand",
     "bin_twiddles",
     "coefficients_from_samples",
     "derivatives_at_midpoints",
@@ -160,11 +162,11 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     bin m), so each row is one ``irfft`` from bins 0..N, and the rows are
     float64.
 
-    Returns ``pairs(c0, c1, work)``, the (even, odd) pair rows c0..c1−1
-    that :meth:`fraclap.fastconv.FastConvolver.convolve` takes, f and −f,
-    two (c1−c0, N) views of the first c1−c0 rows of ``work``, the caller's
-    2(c1−c0) scratch rows: at least 2N+2 floats wide for real ``a``, at
-    least 2N complex otherwise.  The bins of pair c are built in scratch
+    Returns ``pairs(c0, c1, work)``, which fills the first c1−c0 rows of
+    ``work``, the caller's 2(c1−c0) scratch rows (at least 2N+2 floats wide
+    for real ``a``, at least 2N complex otherwise), with the pair rows
+    c0..c1−1 that :meth:`fraclap.fastconv.FastConvolver.convolve` reads,
+    and returns nothing.  The bins of pair c are built in scratch
     row c1−c0+c (a real row's N+1 bins read as complex), and its IFFT
     writes f into row c, so no transform copies its input; the bins are
     used up, and the rows past c1−c0 are free again.  The B_m form one
@@ -180,8 +182,6 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
             f"expected {g.N} node samples or cosine coefficients, got {a.shape}"
         )
     n, n_mid = g.N, g.num_midpoints
-    if 2 * n_mid > 2**52:
-        raise ParameterError("r*N too large for exact index arithmetic")
     real = not np.iscomplexobj(a)
     row = np.empty(n + 1 if real or twiddles is None else 2 * n, a.dtype)
     bins = row[1:n + 1]
@@ -206,35 +206,47 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
             np.multiply(bins[-2::-1], tw[:, n + 1:], out=spectra[:, n + 1:])
         spectra[:, n] += spectra[:, 0]  # bin N takes both terms
         spectra[:, 0] = 0.0
-        w = _transform_rows(partial(np.fft.irfft, n=2 * n) if real
-                            else np.fft.ifft, spectra, work[:j, :2 * n])
-        return w[:, :n], w[:, :n - 1:-1]
+        _transform_rows(partial(np.fft.irfft, n=2 * n) if real
+                        else np.fft.ifft, spectra, work[:j, :2 * n])
 
     return pairs
 
 
-def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
-    """f = sin(s)·u_ss + 2cos(s)·u_s at all 2rN midpoints in (0, π).
-
-    ``a`` holds the N cosine coefficients of u.  The sine series is summed
-    by :func:`sine_pairs`, r IFFTs of length 2N in place of one of length
-    2rN, and its row pairs are put into midpoint order, the odd rows
-    negated back from the −f of :func:`sine_pairs`.  Real ``a`` gives
-    float64 f.  The name stays, though f is returned, because the
-    benchmark's tracer wraps the function by it.
+class SampledIntegrand:
+    """f from the N cosine coefficients ``a`` of u, built by
+    :func:`f_from_samples` and never stored: ``pairs`` is
+    ``sine_pairs(a, grid, twiddles)``, which holds its bins but not ``a``,
+    and :attr:`values` sums f anew.  ``real`` tells whether f is float64.
     """
-    real = not np.iscomplexobj(a)
-    pairs = sine_pairs(a, g)
-    work = np.empty((2, 2 * g.N + 2 if real else 2 * g.N),
-                    dtype=float if real else complex)
-    for c in range(g.r):  # one pair at a time, through one pair of rows
-        even, odd = pairs(c, c + 1, work)
-        if c == 0:  # f goes where the first transform's scratch was freed
-            f = np.empty(g.num_midpoints, dtype=work.dtype)
-            f_even, f_odd = _pair_rows(f, g)
-        f_even[c] = even[0]
-        np.negative(odd[0], out=f_odd[c])
-    return f
+
+    def __init__(self, a, grid: GridSpec, twiddles=None):
+        self.grid = grid
+        self.real = not np.iscomplexobj(a)
+        self.pairs = sine_pairs(a, grid, twiddles)
+
+    @property
+    def values(self) -> np.ndarray:
+        """f at all 2rN midpoints, in midpoint order, the odd rows negated
+        back from the −f of :func:`sine_pairs`."""
+        g, n = self.grid, self.grid.N
+        work = np.empty((2, 2 * n + 2 if self.real else 2 * n),
+                        dtype=float if self.real else complex)
+        for c in range(g.r):  # one pair at a time, through one pair of rows
+            self.pairs(c, c + 1, work)
+            if c == 0:  # f goes where the first transform's scratch was freed
+                f = np.empty(g.num_midpoints, dtype=work.dtype)
+                f_even, f_odd = _pair_rows(f, g)
+            f_even[c] = work[0, :n]
+            np.negative(work[0, 2 * n - 1:n - 1:-1], out=f_odd[c])
+        return f
+
+
+def derivatives_at_midpoints(a, g: GridSpec) -> np.ndarray:
+    """f at all 2rN midpoints from the N cosine coefficients ``a`` of u.
+
+    The name stays, though f is returned, because the benchmark's tracer
+    wraps the function by it."""
+    return SampledIntegrand(a, g).values
 
 
 class AnalyticIntegrand:
@@ -288,7 +300,7 @@ class AnalyticIntegrand:
                    (cos * np.asarray(self.us(t))).reshape(shape), out=block)
             np.negative(block, out=block)
 
-    def pairs(self, c0: int, c1: int, work) -> tuple:
+    def pairs(self, c0: int, c1: int, work) -> None:
         """Row pairs c0..c1−1 for :meth:`fraclap.fastconv.FastConvolver.convolve`.
 
         Row c of ``work`` takes f at the midpoints 2rq + 2c in its first N
@@ -296,9 +308,7 @@ class AnalyticIntegrand:
         2rq + 2r−1−2c is those slots reversed, as in :func:`sine_pairs`.
         """
         n = self.grid.N
-        w = work[:c1 - c0, :2 * n]
-        self._fill(c0, c1, w[:, :n], w[:, n:])
-        return w[:, :n], w[:, :n - 1:-1]
+        self._fill(c0, c1, work[:c1 - c0, :n], work[:c1 - c0, n:2 * n])
 
     @property
     def values(self) -> np.ndarray:
@@ -334,12 +344,13 @@ def f_from_analytic(us: Callable, uss: Callable, g: GridSpec) -> AnalyticIntegra
     return AnalyticIntegrand(us, uss, g)
 
 
-def f_from_samples(u_nodes, g: GridSpec) -> MidpointSamples:
-    """Build f at the midpoints from u sampled at the N output nodes only.
+def f_from_samples(u_nodes, g: GridSpec, twiddles=None) -> SampledIntegrand:
+    """f of u sampled at the N output nodes only, as a
+    :class:`SampledIntegrand` of :func:`coefficients_from_samples`.
 
-    Composition of :func:`coefficients_from_samples` and
-    :func:`derivatives_at_midpoints`, the CLI's route for sampled u; a time
-    stepper calls ``FractionalLaplacian.apply_to_samples`` instead.
+    ``twiddles``, a kept (r, 2N) :func:`bin_twiddles` table, gives the same
+    bits as twiddles computed in place.  f is summed per ``apply`` and per
+    read of ``.values``, so a caller that reads f more than once keeps
+    ``MidpointSamples(values=F.values, grid=g)``.
     """
-    a = coefficients_from_samples(u_nodes)
-    return MidpointSamples(values=derivatives_at_midpoints(a, g), grid=g)
+    return SampledIntegrand(coefficients_from_samples(u_nodes), g, twiddles)

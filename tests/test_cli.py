@@ -431,6 +431,19 @@ class TestConfigErrors:
         assert f"L = {float(L)!r}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("command", ["apply", "nls"])
+    def test_grid_past_exact_indices_exits_2(self, tmp_path, capsys, command):
+        # 4rN = 2^53: rational apply died in the weights' allocation and nls
+        # in the fold twiddles, after its first snapshot (both exit 1).
+        source = ["--input", "builtin:rational"] if command == "apply" else []
+        code = main(["--command", command, "--alpha", "1.3", "--N", "1",
+                     "--r", "2251799813685248", "--dt", "0.01",
+                     "--t-end", "0.02", "--output", str(tmp_path / "o.csv")]
+                    + source)
+        assert code == 2
+        assert "exact index" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_builtin(self, tmp_path):
         code = main(["--command", "apply", "--alpha", "1.3", "--N", "8",
                      "--r", "1", "--input", "builtin:nope",

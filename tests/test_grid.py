@@ -41,6 +41,13 @@ class TestGridSpec:
         with pytest.raises(ParameterError, match="bool"):
             GridSpec(N=4, r=1, L=L)
 
+    def test_exact_index_limit(self):
+        # 4rN ≤ 2^52 keeps every phase and midpoint index an exact float64
+        # integer.
+        assert GridSpec(N=1, r=2**50, L=1.0).r == 2**50
+        with pytest.raises(ParameterError, match="exact index"):
+            GridSpec(N=1, r=2**50 + 1, L=1.0)
+
     def test_numpy_integers_accepted_and_stored_as_int(self):
         g = GridSpec(N=np.int64(8), r=np.int32(3), L=1.0)
         assert type(g.N) is int and type(g.r) is int

@@ -260,11 +260,11 @@ class TestSampledRoute:
     @pytest.mark.parametrize("r", [1, 2, 3, 7, 32])
     def test_equals_apply_of_f_from_samples(self, n, r):
         # apply_to_samples sums the integrand's rows straight into the
-        # convolution; apply takes it in midpoint order.  Kept and one-shot
-        # plans, real and complex u; a later call leaves an earlier result
-        # untouched, so no output shares memory with the plan.  At N = 13
-        # and 41, m = 2N − 1 and the real scratch rows' 2N+2 floats set
-        # the batch width.
+        # convolution; the reference takes f in midpoint order, bit for bit
+        # the same.  Kept and one-shot plans, real and complex u; a later
+        # call leaves an earlier result untouched, so no output shares
+        # memory with the plan.  At N = 13 and 41, m = 2N − 1 and the real
+        # scratch rows' 2N+2 floats set the batch width.
         g = GridSpec(N=n, r=r, L=1.3)
         rng = np.random.default_rng(100 * n + r)
         for keep in (True, False):
@@ -276,9 +276,10 @@ class TestSampledRoute:
                 if not real:
                     u = u + 1j * rng.standard_normal(n)
                 got = op.apply_to_samples(u)
-                ref = op.apply(f_from_samples(u, g))
+                ref = op.apply(MidpointSamples(
+                    values=f_from_samples(u, g).values, grid=g))
                 assert got.dtype == ref.dtype
-                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+                assert np.array_equal(got, ref)
                 results.append((got, got.copy()))
             for got, copy in results:
                 assert np.array_equal(got, copy)
@@ -374,34 +375,45 @@ class TestSampledRoute:
         assert peak <= bound * g.num_midpoints * np.dtype(dtype).itemsize
 
     @staticmethod
-    def _one_shot_rise(n, r, scale=1.0):
+    def _one_shot_rise(n, r, scale=1.0, cli=False):
         """Peak rise of one one-shot call on scale·erf, in units of 16rN
-        bytes, the complex f a midpoint-order integrand would hold."""
+        bytes, the complex f a midpoint-order integrand would hold; with
+        ``cli``, of the CLI's call, ``apply(f_from_samples(u, g))``."""
         import tracemalloc
 
         g = GridSpec(N=n, r=r, L=2.1)
         op = FractionalLaplacian(FracLapParams(alpha=0.9, grid=g),
                                  cache_kernels=False)
         u = ERF.u(map_to_real(output_nodes(g), g.L)) * scale
-        op.apply_to_samples(u)
+
+        def call():
+            if cli:
+                return op.apply(f_from_samples(u, g))
+            return op.apply_to_samples(u)
+
+        call()
         tracemalloc.start()
         try:
-            op.apply_to_samples(u)
+            call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         return peak / (16 * g.r * g.N)
 
+    # Each rise is taken on apply_to_samples and on the CLI's call, one
+    # route: putting f in midpoint order first rose 5.50x, 2.27x and 8.50x.
     @pytest.mark.parametrize("n, r, bound", [(2**16, 1, 6.0), (2**18, 8, 2.0)])
     def test_one_shot_rise_on_erf(self, n, r, bound):
-        # Measured 5.00x at r = 1 and 1.56x at N = 2^18, r = 8, where each
+        # Measured 5.00x at r = 1 and 1.33x at N = 2^18, r = 8, where each
         # batch of pairs builds its own kernel rows (6.50x and 4.06x with
         # the whole two-row-per-pair table).
-        assert self._one_shot_rise(n, r) <= bound
+        for cli in (False, True):
+            assert self._one_shot_rise(n, r, cli=cli) <= bound
 
     def test_one_shot_rise_on_complex_erf(self):
         # Complex u keeps one N-vector of bins per call.  Measured 7.50x.
-        assert self._one_shot_rise(2**16, 1, 1 + 0.5j) <= 8.0
+        for cli in (False, True):
+            assert self._one_shot_rise(2**16, 1, 1 + 0.5j, cli) <= 8.0
 
 
 class TestSampledRouteLongDouble:
