@@ -15,51 +15,30 @@ evaluated for a ≥ 0 only, where no sign needs deciding.
 
 With κ[t] = M(t+r−1), A_j = c[2rj] for the convolution c = a ⊛ κ.  The
 shifts t span [−(2rN−1), 2r(N−1)], so a cyclic convolution of length
-P = 2r·m, m ≥ 2N−1, does not alias; m is the smallest 5-smooth such
-integer, which keeps the FFTs fast.  Only every 2r-th entry of c is read,
-so c splits into 2r polyphase parts: with n = 2rq + ρ, a^ρ_q = a_{2rq+ρ}
-and κ_ρ[q] = κ[(2rq − ρ) mod P], A_j = Σ_ρ (a^ρ ⊛_m κ_ρ)[j], ρ = 0..2r−1.
-The rows go in pairs, residues 2c and 2r−1−2c, and every producer writes
-pair c into one row the convolution lends: f at the midpoints 2rq + 2c
-in slots [0, N), −f at their mirrors in [N, 2N), so the odd row is the
-second half reversed.  :meth:`fraclap.quadrature.MidpointSamples.pairs`
-copies f there, :func:`fraclap.spectral.sine_pairs` and
-:meth:`fraclap.spectral.AnalyticIntegrand.pairs` compute it there.  A
-batch of pairs, about 2^14 points, is weighted, transformed, multiplied
-by its kernel rows and summed into one row before the next batch, so only
-one batch of weighted rows is held at a time.  The row FFTs run batched, at
-most 2^17 points per call: pocketfft's scratch grows with the points of
-a call, and batching keeps many short rows fast.  A longer row is
-transformed as its (m1, m2) grid, m1 the largest divisor of m at most
-√m, by the four-step FFT (Bailey, J. Supercomputing 4, 1990): FFTs down
-the columns, the twiddles w^{k1·j2}, FFTs along the rows.  Its spectrum
-stays in that order, bin k1 + m1·k2 at k1·m2 + k2, through the kernel
-product and back through the inverse steps, so no call is longer than a
-grid axis and nothing is transposed.  A whole row is the grid m1 = m,
-m2 = 1.
+P = 2r·m, m the smallest 5-smooth integer ≥ 2N−1, does not alias.  Only
+every 2r-th entry of c is read, so c splits into 2r polyphase parts: with
+n = 2rq + ρ, a^ρ_q = a_{2rq+ρ} and κ_ρ[q] = κ[(2rq − ρ) mod P],
+A_j = Σ_ρ (a^ρ ⊛_m κ_ρ)[j], ρ = 0..2r−1.
 
-M is real, so every κ_ρ is real and its spectrum T_ρ Hermitian: the
-``rfft`` bins of a row, its grid rows k1 ≤ m1/2, fix its whole spectrum
-(the real-input FFT of Sorensen, Jones, Heideman & Burrus, IEEE Trans.
-ASSP 35, 1987).  M(a) = M(−a−1) also gives κ_{2r−1−ρ}[q] = κ_ρ[−q], so
-the two rows of a pair are conjugates, T_{2r−1−2c} = conj T_{2c}: the
-half spectra of T_{2c}, one row per pair, fix all 2r spectra.  A kept
-plan mirrors them once into the full spectra of all 2r rows, stored in
-the order a batch multiplies them, so each batch's even and odd rows take
-one contiguous product each; its weights, the signed multipliers of the
-lent rows' floats, weight a batch in one float product.  At N = 1024,
-r = 32 a kept plan is a 2 MiB table plus 1 MiB of weights, and the
-operator keeps 1 MiB of fold twiddles.  A one-shot plan builds each
-batch's half rows when the batch needs them, multiplies the odd rows by
-their conjugate and the upper bins of complex rows by the mirrored rows,
-so it never holds the rows of all pairs.  Real samples stay real: their
-rows go through ``rfft``, the products with the half spectra are summed
-into one row, and one inverse of length m, ``irfft`` last, gives A.
-Complex samples keep complex row FFTs against the same rows: T_ρ[m − k] =
-conj T_ρ[k], so a row's upper bins are its pair partner's lower bins
-reversed; in the grid, its rows k1 > m1/2 are the partner's rows m1 − k1
-with both axes reversed.  A real/imaginary split through the real path
-measured slower.
+The rows go in pairs, residues 2c and 2r−1−2c, and every producer writes
+pair c into one row the convolution lends (:meth:`FastConvolver.convolve`
+states the layout).  M is real, so the spectrum T_ρ of κ_ρ is Hermitian
+(Sorensen, Jones, Heideman & Burrus, IEEE Trans. ASSP 35, 1987), and
+M(a) = M(−a−1) gives κ_{2r−1−ρ}[q] = κ_ρ[−q], so T_{2r−1−2c} =
+conj T_{2c}: the ``rfft`` bins of T_{2c}, one row per pair, fix all 2r
+spectra.  Pairs are weighted, transformed, multiplied by their kernel rows
+and summed into one row a batch at a time, so only one batch of weighted
+rows is held; one inverse of length m, ``irfft`` when f is real, gives A.
+
+A row of m points is an (m1, m2) grid: m1 = m, m2 = 1 up to
+``_CALL_POINTS``, else m1 the largest divisor of m at most √m.  It is
+transformed by the four-step FFT (Bailey, J. Supercomputing 4, 1990):
+FFTs down the columns, the twiddles w^{k1·j2}, FFTs along the rows.  Its
+spectrum stays in grid order, bin k1 + m1·k2 at k1·m2 + k2, through the
+kernel product and back, so no transform is longer than a grid axis and
+nothing is transposed.  A real row keeps the grid
+rows k1 ≤ m1/2.  By T_ρ[m − k] = conj T_ρ[k], a complex row's kernel grid
+rows k1 > m1/2 are its pair partner's rows m1 − k1, both axes reversed.
 """
 
 from __future__ import annotations
@@ -87,13 +66,10 @@ def _smooth5_at_least(n: int) -> int:
     return best
 
 
-# Points of one pocketfft call.  Its scratch grows with the points of a
-# call: shorter rows are batched up to this, and a longer row is
-# transformed as a grid of short ones (:func:`_row_grid`).
+# Points of one pocketfft call, whose scratch grows with its points.
 _CALL_POINTS = 1 << 17
-# Points of a grid's rows twiddled and transformed while in cache: two
-# complex rows of m = 2^21 took 120 ms with blocks of 2^14, 148 ms with
-# 2^12 and 125 ms with 2^16.
+# Points of a grid's rows twiddled and transformed while in cache; 2^14 beat
+# 2^12 and 2^16 on rows of 2^21.
 _TWIDDLE_POINTS = 1 << 14
 
 
@@ -145,14 +121,10 @@ def _twiddle_block(twiddles, k0: int, rows: int) -> np.ndarray:
 
 def _grid_forward(rows: np.ndarray, spectra: np.ndarray, real: bool,
                   grid) -> None:
-    """The spectra of ``rows`` into ``spectra``, both (rows, ·, m2) grids.
-
-    Row x of length m is read as its (m1, m2) grid, x[j1·m2 + j2]; bin
-    k1 + m1·k2 of its spectrum lands at [k1, k2] (four-step, Bailey 1990):
-    an FFT down every column, the twiddles w^{k1·j2}, an FFT along every
-    row.  A real row keeps the columns' ``rfft`` bins k1 ≤ m1/2, which hold
-    its whole spectrum, X[m − k] = conj X[k].
-    """
+    """The spectra of ``rows`` into ``spectra``, both (rows, ·, m2) grids
+    in the module's grid order: row x is read as x[j1·m2 + j2], and bin
+    k1 + m1·k2 of its spectrum lands at [k1, k2].  A real row keeps the
+    columns' ``rfft`` bins k1 ≤ m1/2."""
     m2, twiddles = grid[1:]
     _transform_rows(np.fft.rfft if real else np.fft.fft, rows, spectra)
     if twiddles is not None:  # blocks of grid rows, while they are cached
@@ -181,12 +153,9 @@ def _grid_inverse(spectrum: np.ndarray, out: np.ndarray, real: bool,
     return np.fft.ifft(spectra[0], axis=0, out=spectra[0]).reshape(-1)
 
 
-# Points of one batch of row pairs.  At N = 1024, r = 32 a warm sampled
-# apply measured the same for 2^14 to 2^17 points and a third slower at
-# 2^12; the smaller batch keeps each call's batch buffer at 256 KiB.  The
-# batch size also sets the order in which the products are summed into one
-# row, so changing it changes the low bits of every result: 2^15 moved a
-# 400-step NLS mass drift from 9.501821773838515e-09 to 9.50182243997233e-09.
+# Points of one batch of row pairs, the least that ran as fast as larger
+# batches.  The batch size sets the order in which the products are summed
+# into one row, so changing it changes the low bits of every result.
 _BATCH_POINTS = 1 << 14
 
 
@@ -200,39 +169,22 @@ def _mirrored(half: np.ndarray, m1: int) -> np.ndarray:
 class FastConvolver:
     """Fast-convolution plan for fixed (grid, β, γ).
 
-    The plan is the pair (sample weights, kernel table); it depends only on
-    the grid and the exponents.  The weights are kept per row pair, as the
-    (r, N) polyphase rows of the even residues (the weights are a
-    palindrome, so the row of residue 2r−1−2c is that of 2c reversed).  The
-    (m1//2+1)·m2 ``rfft`` bins of T_{2c}, the spectrum of the real κ_{2c},
-    fix both full spectra of pair c, as T_{2r−1−2c} = conj T_{2c}.  A row of
-    m points is an (m1, m2) grid: m1 = m, m2 = 1 up to 2^17 points, where a
-    row is in index order; a longer row has m1 ≈ √m, and its spectrum, bin
-    k1 + m1·k2 at k1·m2 + k2, is never put back into index order
-    (:func:`_grid_forward`).
-
-    With ``cache_kernels=True`` the plan is built on the first call and
-    reused by every later one, which is what makes repeated application
-    inside a time stepper affordable; it is all a kept convolver holds.  A
-    kept table is stored as a batch multiplies it, the full spectra of all
-    2r rows, (2, r, m): row [0, c] = T_{2c}, row [1, c] = conj T_{2c}.  Four
-    times the bytes of the half rows (2 MiB at N = 1024, r = 32) buy
-    contiguous products, which numpy ran 2.7 and 3.6 times faster per
-    element than products on half rows and on their reversed mirror.  Kept
-    weights are the signed multipliers of a lent row's floats, from those
-    rows W ``np.repeat(np.hstack((W, −W)), 2, axis=1)``, (r, 4N) (1 MiB at
-    N = 1024, r = 32; a real row reads the even columns): a batch weights
-    f and −f in one float product, its odd rows then carry f, and one
-    reduction sums its products.  Each call allocates one batch buffer of
-    row pairs (``_BATCH_POINTS``, 256 KiB of complex rows) and lends its
-    rows, two of at least 2N+2 floats or 2N complex per pair, to the
-    producer of the pairs, so a warm call allocates only arrays of length
-    O(N).  With ``cache_kernels=False`` nothing is retained: each batch
-    builds the half rows of its pairs when it needs them and drops them
-    after it, and weights its even and odd rows apart with the (r, N)
-    rows, which keeps the memory footprint flat for very large one-shot
-    evaluations (at N = 2^20, r = 1 full rows would add about 48 MiB, and
-    the kept weights 24 MiB).
+    The plan is the pair (sin^β weights, kernel table); it depends only on
+    the grid and the exponents.  With ``cache_kernels=True`` it is built on
+    the first call, kept for every later one, and is all the convolver
+    holds.  The kept table is stored as a batch multiplies it, the full
+    spectra of all 2r rows, (2, r, m): row [0, c] = T_{2c}, row [1, c] =
+    conj T_{2c}.  The kept weights are the signed multipliers of a lent
+    row's floats, ``np.repeat(np.hstack((W, −W)), 2, axis=1)`` of the (r, N)
+    rows W of :meth:`_weights` (a real row reads the even columns), so a
+    batch weights f and −f in one product, its odd rows then carry f, and
+    one reduction sums its products.  With ``cache_kernels=False`` nothing
+    is kept: each batch builds the half rows of its pairs and weights its
+    even and odd rows apart with W, so a one-shot call never holds the
+    rows of all pairs.  Kept and one-shot plans give the same bits.  Each
+    call allocates one batch buffer of row pairs (``_BATCH_POINTS``) and
+    lends its rows to the producer of the pairs, so a warm call allocates
+    only arrays of length O(N).
     """
 
     def __init__(self, grid: GridSpec, params: SingularParams,
@@ -322,9 +274,8 @@ class FastConvolver:
 
         Row c holds the weights of the midpoints 2rq + 2c.  The weight of
         midpoint n ≥ rN is that of 2rN−1−n, because sin(h(rN + k + ½)) =
-        sin(h(rN − k − ½)): only the lower half is evaluated, and evaluating
-        sin near π instead would lose up to 1.6e-10 relative accuracy at
-        N = 2^20.  The rows are that half permuted: midpoint 2rq + 2c with
+        sin(h(rN − k − ½)): only the lower half is evaluated, never sin near
+        π.  The rows are that half permuted: midpoint 2rq + 2c with
         q ≥ N/2 is the mirror of 2r(N−1−q) + 2r−1−2c.  The half is evaluated
         in blocks of whole rows q, about ``_BATCH_POINTS`` midpoints each,
         so no temporary is rN long.
@@ -365,19 +316,16 @@ class FastConvolver:
 
         F is :class:`fraclap.quadrature.MidpointSamples` or an integrand of
         :mod:`fraclap.spectral`; ``F.real`` tells whether f is float64.
-        Pair c is the rows of residues 2c and 2r−1−2c, whose kernel rows are
-        each other's conjugate.  ``F.pairs(c0, c1, work)`` gets ``work``,
-        the 2(c1−c0) scratch rows this call lends, each at least 2N+2
-        floats wide when F is real, else at least 2N complex.  It fills row
-        c − c0, c0 ≤ c < c1, with f at the midpoints 2rq + 2c in slots
-        [0, N) and −f at their mirrors in slots [N, 2N), q = 0..N−1: slot
-        2N−1−q holds −f at 2rq + 2r−1−2c, the odd row.  It returns nothing.
-        The convolution uses up every row it lends, so the producer
-        allocates nothing as long as its rows.
-        The pairs are weighted, transformed, multiplied by the table and
-        summed a batch at a time: a kept plan's signed weights leave f in
-        the odd rows, a one-shot plan's leave −f and subtract their
-        products.  The result never shares memory with the plan.
+        ``F.pairs(c0, c1, work)`` gets ``work``, the 2(c1−c0) scratch rows
+        this call lends, each at least 2N+2 floats wide when F is real, else
+        at least 2N complex: one pair, or pairs of at most
+        ``_BATCH_POINTS`` complex slots in all.  It fills row c − c0,
+        c0 ≤ c < c1, with f at the midpoints 2rq + 2c in slots [0, N) and
+        −f at their mirrors in slots [N, 2N), q = 0..N−1: slot 2N−1−q holds
+        −f at 2rq + 2r−1−2c, the odd row.  It returns nothing.  The
+        convolution uses up every row it lends, so the producer allocates
+        nothing as long as its rows.  The result never shares memory with
+        the plan.
         """
         g, real = self.grid, F.real
         n, r = g.N, g.r
@@ -433,16 +381,11 @@ class FastConvolver:
                 batch = np.add.reduce(spectra[:2 * j].view(float),
                                       axis=0).view(complex)
             else:
-                # A one-shot batch builds its half rows here, once the
-                # transform's scratch is freed.  At N = 2^20, r = 1 this
-                # order read 252 MiB peak RSS in 29 of 29 benchmark
-                # workers; building them before the batch buffer read 260
-                # or 268 MiB in 9 of 9, as glibc's heap kept other freed
-                # temporaries resident.
+                # Built once the transform's scratch is freed: built
+                # before the batch buffer, they raised the peak RSS.
                 kernel = self._kernel_rows(c0, c1, grid).reshape(j, h1, m2)
-                # T_ρ[m − k] = conj T_ρ[k] gives a complex row's grid rows
-                # k1 > m1/2: those of the other kernel at m1 − k1,
-                # m2 − 1 − k2, both grid axes reversed.
+                # A complex row's grid rows k1 > m1/2: the other kernel's
+                # at m1 − k1, m2 − 1 − k2.
                 grids[:j, :h1] *= kernel
                 if not real:
                     grids[j:2 * j, h1:] *= _mirrored(kernel, m1)

@@ -93,7 +93,8 @@ class FractionalLaplacian:
     sampled route also keeps its fold twiddles, built on its first call, as
     the (r, 2N) full rows of bin multipliers of
     :func:`fraclap.spectral.bin_twiddles`, so each batch of
-    :func:`fraclap.spectral.sine_pairs` folds its bins in one product.
+    :meth:`fraclap.spectral.SampledIntegrand.pairs` folds its bins in one
+    product.
     """
 
     def __init__(self, params: FracLapParams, cache_kernels: bool = True):

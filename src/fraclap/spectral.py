@@ -24,9 +24,9 @@ cos(s)·sin(ks) then make f a sine series on the modes 1..N,
 with a_N = a_{N+1} = 0.  A DST-III (Makhoul, IEEE Trans. ASSP 28, 1980;
 mode m in bins m and 2rN − m of a spectrum of length 2rN) sums it at every
 midpoint s_n = (2n+1)π/(4rN).  Only 2N of those bins are nonzero, so
-:func:`sine_pairs` folds them with stride r and sums f by r IFFTs of length
-2N instead of one of length 2rN.  Each of its rows is one row pair of the
-fast convolution (:mod:`fraclap.fastconv`), which
+:meth:`SampledIntegrand.pairs` folds them with stride r and sums f by r
+IFFTs of length 2N instead of one of length 2rN.  Each of its rows is one
+row pair of the fast convolution (:mod:`fraclap.fastconv`), which
 :meth:`fraclap.operator.FractionalLaplacian.apply` consumes as they come;
 only :attr:`SampledIntegrand.values` puts f into midpoint order.  u_s and
 u_ss are never formed.
@@ -42,13 +42,11 @@ clear of the map's poles.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import SampleShapeError
-from .fastconv import _transform_rows
 from .grid import GridSpec
 from .quadrature import _float_or_complex, _pair_rows
 
@@ -60,8 +58,6 @@ __all__ = [
     "derivatives_at_midpoints",
     "f_from_analytic",
     "f_from_samples",
-    "sine_pairs",
-    "sine_twiddles",
 ]
 
 # Members per block of AnalyticIntegrand, each evaluated with its mirror.
@@ -100,50 +96,42 @@ def coefficients_from_samples(u_nodes) -> np.ndarray:
     return a
 
 
-def sine_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None,
-                  out=None) -> np.ndarray:
-    """Fold twiddles i·e^{iπm(4c+1)/(2M)}/r of modes m = 1..N, rows c0..c1−1.
-
-    M = 2rN; ``c1`` defaults to r.  Returns a (c1−c0, N) table (in ``out``).
-    """
-    c = np.arange(c0, g.r if c1 is None else c1)[:, None]
-    m = np.arange(1, g.N + 1)
-    if out is None:
-        out = np.empty((len(c), g.N), dtype=complex)
-    # m(4c+1) < 2M is exact in float64: no integer phase table is needed.
-    np.multiply(m, 4 * c + 1, out=out.imag)
-    out.imag *= 0.5 * np.pi / g.num_midpoints
-    out.real = 0.0
-    np.exp(out, out=out)
-    out *= 1j / g.r
-    return out
-
-
 def bin_twiddles(g: GridSpec, c0: int = 0, c1: int | None = None,
                  out=None) -> np.ndarray:
     """The folded bins' multipliers of rows c0..c1−1, as full rows.
 
-    Slot k of a row multiplies slot k of the bin row of :func:`sine_pairs`:
-    t_k of :func:`sine_twiddles` for 1 ≤ k ≤ N, conj t_m at 2N − m for
-    m < N, and conj t_N at slot 0 for mode N's second term, added into
-    bin N.  Returns a (c1−c0, 2N) table (in ``out``); an ``out`` of N+1
-    columns gets slots 0..N only, all a real row reads.
+    Slot k of a row multiplies slot k of the bin row of
+    :class:`SampledIntegrand`: the fold twiddle t_m = i·e^{iπm(4c+1)/(2M)}/r
+    of row c and mode m at slot m, 1 ≤ m ≤ N, conj t_m at 2N − m for m < N,
+    and conj t_N at slot 0 for mode N's second term, added into bin N
+    (M = 2rN; ``c1`` defaults to r).  Returns a (c1−c0, 2N) table (in
+    ``out``); an ``out`` of N+1 columns gets slots 0..N only, all a real
+    row reads.
     """
     n, c1 = g.N, g.r if c1 is None else c1
     if out is None:
         out = np.empty((c1 - c0, 2 * n), dtype=complex)
-    t = sine_twiddles(g, c0, c1, out=out[:, 1:n + 1])
+    t = out[:, 1:n + 1]
+    c = np.arange(c0, c1)[:, None]
+    # m(4c+1) < 2M is exact in float64: no integer phase table is needed.
+    np.multiply(np.arange(1, n + 1), 4 * c + 1, out=t.imag)
+    t.imag *= 0.5 * np.pi / g.num_midpoints
+    t.real = 0.0
+    np.exp(t, out=t)
+    t *= 1j / g.r
     np.conjugate(t[:, -1], out=out[:, 0])
     if out.shape[1] > n + 1:
         np.conjugate(t[:, -2::-1], out=out[:, n + 1:])
     return out
 
 
-def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
-    """The convolution's row pairs of f, as a function that sums them.
+class SampledIntegrand:
+    """f = Σ_{m=1}^{N} b_m sin(ms) from the N cosine coefficients ``a`` of
+    u, built by :func:`f_from_samples` and never stored: :meth:`pairs` sums
+    the fast convolution's row pairs of f, and :attr:`values` puts f in
+    midpoint order.  ``real`` tells whether f is float64.
 
-    ``a`` holds the N cosine coefficients of u.  With M = 2rN, the DST-III
-    of Makhoul (1980) sums f = Σ_{m=1}^{N} b_m sin(m s_n) at the midpoints
+    With M = 2rN, the DST-III of Makhoul (1980) sums f at the midpoints
     s_n = (2n+1)π/(2M) as w = (M/2)·IFFT_M(W), where bin m of W is
     −i·b_m·e^{iπm/(2M)} and bin M − m adds i·b_m·e^{−iπm/(2M)}; then
     f_{2n} = w_n and f_{2n+1} = −w_{M−1−n}.  Only 2N of the M bins are
@@ -151,7 +139,7 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     pass (the four-step FFT of Bailey, J. Supercomputing 4, 1990): row c
     holds w_{rq+c}, q = 0..2N−1, and is the IFFT of length 2N of W folded
     with stride r, bin m going to bin m mod 2N with the twiddle t_m of
-    :func:`sine_twiddles` (which carries the i and the 1/r of the shorter
+    :func:`bin_twiddles` (which carries the i and the 1/r of the shorter
     IFFT).  Bins m and M − m land on bins m and 2N − m, as B_m·t_m and
     B_m·conj(t_m) with B_m = −(M/2)·b_m, which has the dtype of ``a``;
     bin N takes both.  Row c is the convolution's row pair c: its first
@@ -162,72 +150,71 @@ def sine_pairs(a, g: GridSpec, twiddles=None) -> Callable:
     bin m), so each row is one ``irfft`` from bins 0..N, and the rows are
     float64.
 
-    Returns ``pairs(c0, c1, work)``, which fills the first c1−c0 rows of
-    ``work``, the caller's 2(c1−c0) scratch rows (at least 2N+2 floats wide
-    for real ``a``, at least 2N complex otherwise), with the pair rows
-    c0..c1−1 that :meth:`fraclap.fastconv.FastConvolver.convolve` reads,
-    and returns nothing.  The bins of pair c are built in scratch
-    row c1−c0+c (a real row's N+1 bins read as complex), and its IFFT
-    writes f into row c, so no transform copies its input; the bins are
-    used up, and the rows past c1−c0 are free again.  The B_m form one
-    row in :func:`bin_twiddles`' slot order (B_N at 0, B_m at m, and at
-    2N − m if kept and complex), which a batch multiplies by its rows of
+    The instance keeps the B_m, not ``a``, as one row in
+    :func:`bin_twiddles`' slot order (B_N at 0, B_m at m, and at 2N − m if
+    kept and complex), which a batch multiplies by its rows of
     ``twiddles``, that (r, 2N) table, in one product.  Without it the
     twiddles are computed in place in the bins, and slots 0..N and their
     reversed view multiply them, bins first as kept calls do: same bits.
     """
-    a = _float_or_complex(a)
-    if a.shape != (g.N,):
-        raise SampleShapeError(
-            f"expected {g.N} node samples or cosine coefficients, got {a.shape}"
-        )
-    n, n_mid = g.N, g.num_midpoints
-    real = not np.iscomplexobj(a)
-    row = np.empty(n + 1 if real or twiddles is None else 2 * n, a.dtype)
-    bins = row[1:n + 1]
-    bins[:] = a
-    bins[:-2] -= a[2:]  # a_{m−1} − a_{m+1}
-    m = np.arange(1, n + 1)
-    bins *= 0.25 * n_mid * (m * m - 1.0)  # B_m = −(M/2)·b_m
-    row[0] = bins[-1]
-    if len(row) > n + 1:
-        row[n + 1:] = bins[-2::-1]
-
-    def pairs(c0: int, c1: int, work):
-        # The bins go in the odd rows, f in the even ones: an input that
-        # overlapped its output would be copied by the transform first.
-        j = c1 - c0
-        spectra = (work[j:2 * j, :2 * n + 2].view(complex) if real
-                   else work[j:2 * j, :2 * n])
-        tw = (bin_twiddles(g, c0, c1, out=spectra) if twiddles is None
-              else twiddles[c0:c1])
-        np.multiply(row, tw[:, :len(row)], out=spectra[:, :len(row)])
-        if len(row) < spectra.shape[1]:  # one-shot complex: bins 2N − m
-            np.multiply(bins[-2::-1], tw[:, n + 1:], out=spectra[:, n + 1:])
-        spectra[:, n] += spectra[:, 0]  # bin N takes both terms
-        spectra[:, 0] = 0.0
-        _transform_rows(partial(np.fft.irfft, n=2 * n) if real
-                        else np.fft.ifft, spectra, work[:j, :2 * n])
-
-    return pairs
-
-
-class SampledIntegrand:
-    """f from the N cosine coefficients ``a`` of u, built by
-    :func:`f_from_samples` and never stored: ``pairs`` is
-    ``sine_pairs(a, grid, twiddles)``, which holds its bins but not ``a``,
-    and :attr:`values` sums f anew.  ``real`` tells whether f is float64.
-    """
 
     def __init__(self, a, grid: GridSpec, twiddles=None):
-        self.grid = grid
+        a = _float_or_complex(a)
+        if a.shape != (grid.N,):
+            raise SampleShapeError(
+                f"expected {grid.N} node samples or cosine coefficients, "
+                f"got {a.shape}"
+            )
+        n = grid.N
+        self.grid, self._twiddles = grid, twiddles
         self.real = not np.iscomplexobj(a)
-        self.pairs = sine_pairs(a, grid, twiddles)
+        row = np.empty(n + 1 if self.real or twiddles is None else 2 * n,
+                       a.dtype)
+        bins = row[1:n + 1]
+        bins[:] = a
+        bins[:-2] -= a[2:]  # a_{m−1} − a_{m+1}
+        m = np.arange(1, n + 1)
+        bins *= 0.25 * grid.num_midpoints * (m * m - 1.0)  # B_m = −(M/2)·b_m
+        row[0] = bins[-1]
+        if len(row) > n + 1:
+            row[n + 1:] = bins[-2::-1]
+        self._row = row
+
+    def pairs(self, c0: int, c1: int, work) -> None:
+        """Row pairs c0..c1−1 for
+        :meth:`fraclap.fastconv.FastConvolver.convolve`.
+
+        Fills the first c1−c0 rows of ``work``, the caller's 2(c1−c0)
+        scratch rows (at least 2N+2 floats wide when real, at least 2N
+        complex otherwise), with the pair rows c0..c1−1.  The bins of pair c
+        are built in scratch row c1−c0+c (a real row's N+1 bins read as
+        complex), and its IFFT writes f into row c, so no transform copies
+        its input; the bins are used up, and the rows past c1−c0 are free
+        again.  All rows go through one pocketfft call, which ``convolve``
+        keeps within its call budget by the rows it lends.
+        """
+        n, row = self.grid.N, self._row
+        j = c1 - c0
+        # The bins go in the odd rows, f in the even ones: an input that
+        # overlapped its output would be copied by the transform first.
+        spectra = (work[j:2 * j, :2 * n + 2].view(complex) if self.real
+                   else work[j:2 * j, :2 * n])
+        tw = (bin_twiddles(self.grid, c0, c1, out=spectra)
+              if self._twiddles is None else self._twiddles[c0:c1])
+        np.multiply(row, tw[:, :len(row)], out=spectra[:, :len(row)])
+        if len(row) < spectra.shape[1]:  # one-shot complex: bins 2N − m
+            np.multiply(row[n - 1:0:-1], tw[:, n + 1:], out=spectra[:, n + 1:])
+        spectra[:, n] += spectra[:, 0]  # bin N takes both terms
+        spectra[:, 0] = 0.0
+        if self.real:
+            np.fft.irfft(spectra, n=2 * n, axis=1, out=work[:j, :2 * n])
+        else:
+            np.fft.ifft(spectra, axis=1, out=work[:j, :2 * n])
 
     @property
     def values(self) -> np.ndarray:
         """f at all 2rN midpoints, in midpoint order, the odd rows negated
-        back from the −f of :func:`sine_pairs`."""
+        back from the −f of :meth:`pairs`."""
         g, n = self.grid, self.grid.N
         work = np.empty((2, 2 * n + 2 if self.real else 2 * n),
                         dtype=float if self.real else complex)
@@ -305,7 +292,8 @@ class AnalyticIntegrand:
 
         Row c of ``work`` takes f at the midpoints 2rq + 2c in its first N
         slots and −f at their mirrors in the next N, so the odd row
-        2rq + 2r−1−2c is those slots reversed, as in :func:`sine_pairs`.
+        2rq + 2r−1−2c is those slots reversed, as in
+        :meth:`SampledIntegrand.pairs`.
         """
         n = self.grid.N
         self._fill(c0, c1, work[:c1 - c0, :n], work[:c1 - c0, n:2 * n])

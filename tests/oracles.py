@@ -96,9 +96,9 @@ def sine_fold_direct(a, twiddles, num_midpoints: int) -> np.ndarray:
     """The folded DST-III bins of the integrand's sine series, by rule.
 
     B_m = ¼M(m²−1)(a_{m−1} − a_{m+1}), m = 1..N, with a_N = a_{N+1} = 0
-    and M = ``num_midpoints``; ``twiddles`` is the (r, N) table t_m of
-    :func:`fraclap.spectral.sine_twiddles`.  Row c of the returned (r, 2N)
-    spectra holds the bins-first products B_m·t_m at slot m and
+    and M = ``num_midpoints``; ``twiddles`` is the (r, N) table t_m, slots
+    1..N of :func:`fraclap.spectral.bin_twiddles`.  Row c of the returned
+    (r, 2N) spectra holds the bins-first products B_m·t_m at slot m and
     B_m·conj(t_m) at slot 2N − m, both terms at slot N, B_N·t_N added
     before B_N·conj(t_N), and zero at slot 0.  numpy's complex product is
     not commutative to the bit, so this pins the operand order.

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from fraclap.errors import ParameterError, SampleShapeError
+from fraclap.fastconv import _CALL_POINTS
 from fraclap.grid import GridSpec, map_to_real, midpoint_nodes, output_nodes
 from fraclap.operator import FracLapParams, FractionalLaplacian, prefactors
 from fraclap.profiles import ERF, GAUSSIAN, RATIONAL, mapped_derivatives
 from fraclap.quadrature import MidpointSamples
 from fraclap.reference import exact_rational
-from fraclap.spectral import (coefficients_from_samples, f_from_analytic,
-                              f_from_samples, sine_twiddles)
+from fraclap.spectral import (SampledIntegrand, bin_twiddles,
+                              coefficients_from_samples, f_from_analytic,
+                              f_from_samples)
 
 from .oracles import c_alpha, sine_series_long, singular_integral_long
 
@@ -322,12 +324,41 @@ class TestSampledRoute:
         g = GridSpec(N=n, r=r, L=1.3)
         op = FractionalLaplacian(FracLapParams(alpha=0.7, grid=g))
         op.apply_to_samples(np.ones(n))
-        t = sine_twiddles(g)
+        t = bin_twiddles(g)[:, 1:n + 1]
         rows = op._twiddles
         assert rows.shape == (r, 2 * n)
         assert np.array_equal(rows[:, 1:n + 1], t)
         assert np.array_equal(rows[:, 0], t[:, -1].conj())
         assert np.array_equal(rows[:, n + 1:], t[:, :n - 1][:, ::-1].conj())
+
+    @pytest.mark.parametrize("n, r", [(n, r) for n in (1, 2, 13, 1024, 65537)
+                                      for r in (1, 3, 32) if r * n <= 2**17])
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_lent_pairs_fit_one_transform_call(self, n, r, cache, real,
+                                               monkeypatch):
+        # SampledIntegrand.pairs sums all the rows it is lent in one
+        # pocketfft call, so convolve lends one pair or at most
+        # _CALL_POINTS points of spectra: N+1 complex bins a real row, 2N
+        # a complex one.
+        lent = []
+        pairs = SampledIntegrand.pairs
+
+        def record(self, c0, c1, work):
+            lent.append((c0, c1))
+            return pairs(self, c0, c1, work)
+
+        monkeypatch.setattr(SampledIntegrand, "pairs", record)
+        g = GridSpec(N=n, r=r, L=1.3)
+        op = FractionalLaplacian(FracLapParams(alpha=0.7, grid=g),
+                                 cache_kernels=cache)
+        u = np.linspace(-1.0, 1.0, n)
+        op.apply_to_samples(u if real else u + 0.5j * u)
+        assert [c0 for c0, _ in lent] == [0] + [c1 for _, c1 in lent[:-1]]
+        assert lent[-1][1] == r
+        width = n + 1 if real else 2 * n
+        for c0, c1 in lent:
+            assert c1 - c0 == 1 or (c1 - c0) * width <= _CALL_POINTS
 
     @pytest.mark.parametrize("n, r", [(1024, 32), (65537, 1)])
     def test_kept_plan_bytes(self, n, r):

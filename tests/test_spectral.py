@@ -10,9 +10,10 @@ from fraclap.errors import ParameterError, SampleShapeError
 from fraclap.grid import GridSpec, map_to_real, midpoint_nodes, output_nodes
 from fraclap import spectral
 from fraclap.profiles import ERF, GAUSSIAN, RATIONAL, mapped_derivatives
-from fraclap.spectral import (bin_twiddles, coefficients_from_samples,
+from fraclap.spectral import (SampledIntegrand, bin_twiddles,
+                              coefficients_from_samples,
                               derivatives_at_midpoints, f_from_analytic,
-                              f_from_samples, sine_pairs, sine_twiddles)
+                              f_from_samples)
 
 from .oracles import (cosine_coefficients_direct, integrand_direct,
                       sine_fold_direct, sine_series_long)
@@ -197,9 +198,10 @@ class TestSinePairs:
         c, m = np.arange(g.r)[:, None], np.arange(1, g.N + 1)
         exact = 1j * np.exp(1j * np.pi * m * (4 * c + 1)
                             / (2 * g.num_midpoints)) / g.r
-        table = sine_twiddles(g)
+        table = bin_twiddles(g)[:, 1:g.N + 1]
         assert np.max(np.abs(table - exact)) <= 1e-15
-        assert np.array_equal(sine_twiddles(g, 1, 2), table[1:2])
+        assert np.array_equal(bin_twiddles(g, 1, 2)[:, 1:g.N + 1],
+                              table[1:2])
 
     @pytest.mark.parametrize("n", [1, 2, 13])
     def test_bin_twiddles_of_a_real_row(self, n):
@@ -223,12 +225,14 @@ class TestSinePairs:
         if not real:
             u = u + 1j * rng.standard_normal(n)
         a = coefficients_from_samples(u)
-        spectra = sine_fold_direct(a, sine_twiddles(g), g.num_midpoints)
+        spectra = sine_fold_direct(a, bin_twiddles(g)[:, 1:n + 1],
+                                   g.num_midpoints)
         rows = (np.fft.irfft(spectra[:, :n + 1], n=2 * n) if real
                 else np.fft.ifft(spectra))
         work = (np.empty((2 * r, 2 * n + 2)) if real
                 else np.empty((2 * r, 2 * n), dtype=complex))
-        sine_pairs(a, g, bin_twiddles(g) if kept else None)(0, r, work)
+        F = SampledIntegrand(a, g, bin_twiddles(g) if kept else None)
+        F.pairs(0, r, work)
         even, odd = work[:r, :n], work[:r, 2 * n - 1:n - 1:-1]
         assert even.dtype == rows.dtype
         assert np.array_equal(even, rows[:, :n])
@@ -237,7 +241,7 @@ class TestSinePairs:
     def test_index_guard_before_any_allocation(self):
         # 2M = 2^53 leaves float64's exact integers; no length-M array exists.
         with pytest.raises(ParameterError, match="exact index"):
-            sine_pairs(np.zeros(1), GridSpec(N=1, r=2**51, L=1.0))
+            SampledIntegrand(np.zeros(1), GridSpec(N=1, r=2**51, L=1.0))
 
 
 def _shared_bin_examples(test):
