@@ -1,15 +1,11 @@
 """Fractional Laplacian (−Δ)^{α/2} on the real line, α ∈ (0,1)∪(1,2).
 
-The real line is mapped onto (0, π) through x = L·cot(s), the resulting
-singular integral is discretized with a midpoint rule that integrates the
-singular kernel factors exactly, and the quadrature is evaluated either
-directly (O(rN²), the permanent correctness oracle) or as 2r polyphase
-cyclic convolutions of length m ≥ 2N−1, one per residue of the midpoint
-index mod 2r, against the kernel rows' spectra, which one half spectrum
-per pair of conjugate rows fixes (O(rN log N)).  A pseudospectral route
-builds the integrand when u is known only through node samples,
-closed-form reference solutions support validation, and a Runge-Kutta
-driver evolves the focusing fractional cubic Schrödinger equation.
+The map x = L·cot(s) carries the line onto (0, π), where a midpoint rule
+that integrates the kernel's singular factors exactly discretizes the
+integral.  The quadrature is evaluated directly (O(rN²), the permanent
+correctness oracle) or by FFT convolution (O(rN log N)), from analytic
+derivatives or from node samples of u.  Closed-form references and a
+fractional NLS driver come with it.
 
 Typical use::
 

@@ -6,23 +6,17 @@ Three commands, selected with ``--command``:
 * ``sweep`` — evaluate over lists of α, N, r and tabulate error norms and
   the measured doubling order in r;
 * ``nls`` — evolve the focusing fractional cubic Schrödinger equation and
-  write the energy log plus wavefunction snapshots (in CSV, each snapshot
-  file as soon as the snapshot is taken, and on a blow-up the energy log
-  of the steps before it).
+  write the energy log and wavefunction snapshots; CSV writes each
+  snapshot as it is taken and, on a blow-up, the log of the steps before.
 
-``apply`` and ``nls`` take any ``--input``; ``sweep`` takes only
-``builtin:rational`` and ``builtin:erf``, the inputs with a closed form.
-The default is ``builtin:gaussian`` for ``nls``, else ``builtin:rational``.
+``sweep`` takes only the inputs with a closed form.  Every check of the
+arguments, ``--output`` among them, runs before any computation.
 
 Exit codes: 0 success, 2 configuration error, 3 input-shape error,
 4 blow-up abort, 5 internal numeric failure.
 
-CSV numbers carry 17 significant digits and JSON numbers the shortest
-repr that round-trips, so both formats round-trip exactly; elapsed times
-live in their own column and are the only nondeterministic field.
-Per-node records are formatted from whole columns, a block of rows at a
-time, and streamed to the output file, so writing needs memory
-independent of N.
+Both formats round-trip every number exactly; elapsed times, in their own
+column, are the only nondeterministic field.
 """
 
 from __future__ import annotations
@@ -58,17 +52,15 @@ EXIT_BLOWUP = 4
 EXIT_NUMERIC = 5
 
 
-# Rows formatted per write: enough that the per-block overhead vanishes,
-# few enough that a block's Python floats and text stay far below the
-# memory of the computation at any N.
+# Rows formatted per write: the per-block overhead vanishes, and a block's
+# text stays far below the computation's memory at any N.
 _BLOCK_ROWS = 4096
 
 # Per-node CSV record: index, then four columns at 17 significant digits.
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
 
-# json.dumps(indent=1) puts every key on a line of its own and escapes
-# newlines inside strings, so a whole line matching this can only be the
-# placeholder, never text from a user-supplied string.
+# json.dumps(indent=1) puts each key on its own line and escapes newlines in
+# strings, so only the placeholder can match a whole line.
 _NODES = "<nodes>"
 _NODES_LINE = re.compile(rf'^( *)"nodes": "{re.escape(_NODES)}"', re.MULTILINE)
 
@@ -88,11 +80,8 @@ def _write_rows(fh, row: str, columns, sep: str = "",
                 json_numbers: bool = False) -> None:
     """Write ``row % (c[i] for c in columns)`` for every i, ``sep`` between rows.
 
-    ``row`` takes one value per column.  Rows are formatted ``_BLOCK_ROWS``
-    at a time with one ``%`` over a repeated template.  Values arrive as
-    Python ints and floats, so ``%s`` writes a float as its shortest
-    ``repr``; with ``json_numbers`` a block holding NaN or ±inf gets
-    json's ``NaN``/``Infinity``/``-Infinity`` in their place.
+    ``%s`` writes a float as its shortest ``repr``; with ``json_numbers``,
+    NaN and ±inf are written as json writes them.
     """
     n = len(columns[0])
     for start in range(0, n, _BLOCK_ROWS):
@@ -112,12 +101,9 @@ def _json_record(keys, depth: int) -> str:
 
 
 def _write_json(path: Path, doc: dict, keys, node_columns) -> None:
-    """Write ``json.dumps(doc, indent=1)`` and a newline to ``path``.
-
-    The k-th ``"nodes": _NODES`` entry of ``doc``, in document order, is
-    written as the list of node dicts whose ``keys`` take their values from
-    the k-th item of ``node_columns``; all other bytes come from json.dumps.
-    """
+    """Write ``json.dumps(doc, indent=1)`` and a newline to ``path``, with
+    the k-th ``"nodes": _NODES`` entry of ``doc`` written as the node dicts
+    of ``keys`` over the k-th item of ``node_columns``."""
     parts = _NODES_LINE.split(json.dumps(doc, indent=1))
     with open(path, "w") as fh:
         fh.write(parts[0])
@@ -166,8 +152,10 @@ def _validate(args: argparse.Namespace) -> list[FracLapParams]:
     """Check the whole run description before any computation starts.
 
     Applies the ``--input`` default and sets ``args.profile`` to the builtin
-    profile it names, or None for a samples file.  Returns the parameter
-    record of every evaluation in sweep order: α outermost, then N, then r.
+    profile it names, or None for a samples file.  ``--output`` must name a
+    file in an existing directory, which also holds the nls snapshots.
+    Returns the parameter record of every evaluation in sweep order: α
+    outermost, then N, then r.
     """
     alphas = _parse_list(args.alpha, float, "--alpha")
     ns = _parse_list(args.N, int, "--N")
@@ -180,6 +168,10 @@ def _validate(args: argparse.Namespace) -> list[FracLapParams]:
         )
     if args.command == "nls" and (args.dt is None or args.t_end is None):
         raise ParameterError("--command nls requires --dt and --t-end")
+    if args.output.is_dir():
+        raise ParameterError(f"--output is a directory: {args.output}")
+    if not args.output.parent.is_dir():
+        raise ParameterError(f"--output has no existing directory: {args.output}")
     params = [FracLapParams(alpha=alpha, grid=GridSpec(N=n, r=r, L=args.L))
               for alpha in alphas for n in ns for r in rs]
     args.input = args.input or (
@@ -199,10 +191,9 @@ def _validate(args: argparse.Namespace) -> list[FracLapParams]:
 def _load_samples(path: str, expected: int) -> np.ndarray:
     """Read 're im' per line; the line count must equal the node count.
 
-    A file whose imaginary column is exactly zero loads as float, so real
-    data takes the real-arithmetic path, as a real builtin profile does.
-    A NaN or infinite sample is a ParameterError naming its line: the
-    spectral route would spread it to every output node.
+    An imaginary column of exact zeros loads as float.  A NaN or infinite
+    sample is a ParameterError naming its line: the spectral route would
+    spread it to every output node.
     """
     rows = []
     with open(path) as fh:
@@ -234,12 +225,8 @@ def _load_samples(path: str, expected: int) -> np.ndarray:
 
 
 def _integrand(args: argparse.Namespace, p: FracLapParams):
-    """The integrand for one evaluation.
-
-    Builtin rational uses the analytic derivative route; the other builtins
-    and sample files use the pseudospectral route (erf mirrors the workflow
-    of knowing u only through its node values).
-    """
+    """The integrand for one evaluation: analytic for builtin rational,
+    from the node samples for every other input."""
     g = p.grid
     if args.profile is None:
         return f_from_samples(_load_samples(args.input, g.N), g)
@@ -279,8 +266,7 @@ def cmd_apply(args: argparse.Namespace, params: list[FracLapParams]) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, params: list[FracLapParams]) -> int:
-    # The integrand depends on the grid alone: build it once per grid, for
-    # every α on that grid, and keep the rows in sweep order.
+    # The integrand depends on the grid alone: one per grid, for every α.
     by_grid = {}
     for i, p in enumerate(params):
         by_grid.setdefault(p.grid, []).append(i)
@@ -342,9 +328,8 @@ def cmd_nls(args: argparse.Namespace, params: list[FracLapParams]) -> int:
         # np.hypot, not np.abs: it matches the scalar abs() bit for bit.
         return [j, x, psi.real, psi.imag, np.hypot(psi.real, psi.imag)]
 
-    # CSV writes each snapshot file as the snapshot arrives, so a blow-up
-    # keeps the earlier ones; JSON holds them, since its node records follow
-    # the complete energy log in one document.
+    # CSV writes each snapshot as it arrives, so a blow-up keeps the earlier
+    # ones; JSON holds them, since its nodes follow the whole energy log.
     snapshots = []
     if args.fmt == "json":
         def sink(*snap):

@@ -10,17 +10,9 @@ class SampleShapeError(ValueError):
 
 
 class BlowUpError(RuntimeError):
-    """The evolved wavefunction left the representable range.
-
-    Attributes
-    ----------
-    time : float
-        Simulation time at which the first non-finite sample appeared.
-    index : int
-        Index of the first non-finite sample.
-    times, energies : array or None
-        The energy log of the steps before the abort, when there is one.
-    """
+    """The evolved wavefunction left the representable range: ``index`` is
+    its first non-finite sample, ``time`` when it appeared, and ``times``
+    and ``energies`` the log of the steps before, when there is one."""
 
     def __init__(self, time: float, index: int, times=None, energies=None):
         self.time = time

@@ -5,40 +5,23 @@ at the end) the quadrature value at output node j is
 
     A_j = Σ_n  a_n · M(n − (2j+1)r),   n = 0..2rN−1,
 
-where a_n is f at midpoint n times its fixed sin^β weight (regularized at
-η = 0 on the lower half, at η = π on the upper half), and
+where a_n is f at midpoint n times its sin^β weight, and
 
     M(a) = sinc^γ(h(a+½)) · (sgn(a+1)|a+1|^{γ+1} − sgn(a)|a|^{γ+1})
 
-is the moving-singularity weight.  M(a) = M(−a−1) exactly, so it is
-evaluated for a ≥ 0 only, where no sign needs deciding.
+is the moving-singularity weight, evaluated for a ≥ 0 only by
+M(a) = M(−a−1).  With κ[t] = M(t+r−1), A_j = (a ⊛ κ)[2rj], and a cyclic
+convolution of length P = 2r·m, m the smallest 5-smooth integer ≥ 2N−1,
+does not alias.  Only every 2r-th entry is read, so it splits into 2r
+polyphase parts: with n = 2rq + ρ, a^ρ_q = a_{2rq+ρ} and
+κ_ρ[q] = κ[(2rq − ρ) mod P], A_j = Σ_ρ (a^ρ ⊛_m κ_ρ)[j].
 
-With κ[t] = M(t+r−1), A_j = c[2rj] for the convolution c = a ⊛ κ.  The
-shifts t span [−(2rN−1), 2r(N−1)], so a cyclic convolution of length
-P = 2r·m, m the smallest 5-smooth integer ≥ 2N−1, does not alias.  Only
-every 2r-th entry of c is read, so c splits into 2r polyphase parts: with
-n = 2rq + ρ, a^ρ_q = a_{2rq+ρ} and κ_ρ[q] = κ[(2rq − ρ) mod P],
-A_j = Σ_ρ (a^ρ ⊛_m κ_ρ)[j], ρ = 0..2r−1.
-
-The rows go in pairs, residues 2c and 2r−1−2c, and every producer writes
-pair c into one row the convolution lends (:meth:`FastConvolver.convolve`
-states the layout).  M is real, so the spectrum T_ρ of κ_ρ is Hermitian
-(Sorensen, Jones, Heideman & Burrus, IEEE Trans. ASSP 35, 1987), and
-M(a) = M(−a−1) gives κ_{2r−1−ρ}[q] = κ_ρ[−q], so T_{2r−1−2c} =
-conj T_{2c}: the ``rfft`` bins of T_{2c}, one row per pair, fix all 2r
-spectra.  Pairs are weighted, transformed, multiplied by their kernel rows
-and summed into one row a batch at a time, so only one batch of weighted
-rows is held; one inverse of length m, ``irfft`` when f is real, gives A.
-
-A row of m points is an (m1, m2) grid: m1 = m, m2 = 1 up to
-``_CALL_POINTS``, else m1 the largest divisor of m at most √m.  It is
-transformed by the four-step FFT (Bailey, J. Supercomputing 4, 1990):
-FFTs down the columns, the twiddles w^{k1·j2}, FFTs along the rows.  Its
-spectrum stays in grid order, bin k1 + m1·k2 at k1·m2 + k2, through the
-kernel product and back, so no transform is longer than a grid axis and
-nothing is transposed.  A real row keeps the grid
-rows k1 ≤ m1/2.  By T_ρ[m − k] = conj T_ρ[k], a complex row's kernel grid
-rows k1 > m1/2 are its pair partner's rows m1 − k1, both axes reversed.
+The parts go in pairs, residues 2c and 2r−1−2c, whose kernel spectra are
+T_{2c} and conj T_{2c}, since M is real and κ_{2r−1−ρ}[q] = κ_ρ[−q].  Pairs
+are transformed, multiplied and summed a batch at a time, and one inverse
+of length m gives A.  A row longer than ``_CALL_POINTS`` is an (m1, m2)
+grid, transformed by the four-step FFT (Bailey, J. Supercomputing 4, 1990)
+with its spectrum kept in grid order, so nothing is transposed.
 """
 
 from __future__ import annotations
@@ -68,8 +51,7 @@ def _smooth5_at_least(n: int) -> int:
 
 # Points of one pocketfft call, whose scratch grows with its points.
 _CALL_POINTS = 1 << 17
-# Points of a grid's rows twiddled and transformed while in cache; 2^14 beat
-# 2^12 and 2^16 on rows of 2^21.
+# Grid-row points twiddled and transformed while cached: 2^14 beat 2^12, 2^16.
 _TWIDDLE_POINTS = 1 << 14
 
 
@@ -167,24 +149,16 @@ def _mirrored(half: np.ndarray, m1: int) -> np.ndarray:
 
 
 class FastConvolver:
-    """Fast-convolution plan for fixed (grid, β, γ).
+    """Fast-convolution plan for fixed (grid, β, γ): the sin^β weights and
+    the kernel table.
 
-    The plan is the pair (sin^β weights, kernel table); it depends only on
-    the grid and the exponents.  With ``cache_kernels=True`` it is built on
-    the first call, kept for every later one, and is all the convolver
-    holds.  The kept table is stored as a batch multiplies it, the full
-    spectra of all 2r rows, (2, r, m): row [0, c] = T_{2c}, row [1, c] =
-    conj T_{2c}.  The kept weights are the signed multipliers of a lent
-    row's floats, ``np.repeat(np.hstack((W, −W)), 2, axis=1)`` of the (r, N)
-    rows W of :meth:`_weights` (a real row reads the even columns), so a
-    batch weights f and −f in one product, its odd rows then carry f, and
-    one reduction sums its products.  With ``cache_kernels=False`` nothing
-    is kept: each batch builds the half rows of its pairs and weights its
-    even and odd rows apart with W, so a one-shot call never holds the
-    rows of all pairs.  Kept and one-shot plans give the same bits.  Each
-    call allocates one batch buffer of row pairs (``_BATCH_POINTS``) and
-    lends its rows to the producer of the pairs, so a warm call allocates
-    only arrays of length O(N).
+    With ``cache_kernels=True`` the plan is built on the first call and
+    kept, its weights signed per float of a lent row so that one product
+    weights a batch.  With ``cache_kernels=False`` nothing is kept, and each
+    batch builds the kernel rows of its pairs, so a one-shot call never
+    holds the rows of all pairs.  Kept and one-shot plans give the same
+    bits.  A warm call allocates one batch buffer (``_BATCH_POINTS``), whose
+    rows it lends to the producer of the pairs, and arrays of length O(N).
     """
 
     def __init__(self, grid: GridSpec, params: SingularParams,
@@ -202,23 +176,20 @@ class FastConvolver:
         """Rows c0..c1−1 of the table: row c is T_{2c}, the rfft of κ_{2c},
         in the order of ``grid``, the row grid of :func:`_row_grid`.
 
-        κ_ρ[q] = κ[(2rq − ρ) mod P] with κ[t] = M(t+r−1).  Only residues
-        ρ = r + σ, σ = 0..r−1, are transformed: they read M(σ) at q = 0,
-        and by M(a) = M(−a−1) M(2r(q−1) + 2r−1−σ) for 1 ≤ q < N and
-        M(2r(m−q) + σ) for m−N < q < m, zero between.  Pair c's row is that
-        of ρ = 2c for c ≥ r/2 (σ = 2c − r), and for c < r/2 the conjugate of
-        that of ρ = 2r−1−2c (σ = r−1−2c), since κ_{2r−1−ρ}[q] = κ_ρ[−q].
+        Only residues ρ = r + σ, σ = 0..r−1, are transformed: by
+        M(a) = M(−a−1) they read M(σ) at q = 0, M(2r(q−1) + 2r−1−σ) for
+        1 ≤ q < N and M(2r(m−q) + σ) for m−N < q < m, zero between.  Pair c
+        takes ρ = 2c for c ≥ r/2, and for c < r/2 the conjugate of
+        ρ = 2r−1−2c, since κ_{2r−1−ρ}[q] = κ_ρ[−q].
         """
         g, gamma = self.grid, self.params.gamma
         n, r, two_rn = g.N, g.r, g.num_midpoints
         m = self.fft_length // (2 * r)
         c = np.arange(c0, c1)[:, None]
         sigma = np.where(2 * c < r, r - 1 - 2 * c, 2 * c - r)
-        # Pair c reads M at a = 2rq + σ and 2rq + 2r−1−σ, interleaved: the
-        # shifts a[2N−1−i] = 2rN−1−a[i] mirror the first N, which are below
-        # rN, so sin is evaluated on them only, never near π.  Their array
-        # has room for m floats a row, where the real rows go once M is
-        # formed: the rfft then reads them out of place, without a copy.
+        # Pair c reads M at a = 2rq + σ and 2rq + 2r−1−σ, interleaved; the
+        # last N mirror the first, so sin is taken below rN only.  A row has
+        # room for m floats, where the rfft input goes without a copy.
         width = max(2 * n, m)
         if r == 1:  # a = 0..2N−1: the powers at a + 1 are those at a, shifted
             power = np.arange(two_rn + 1, dtype=float)
@@ -270,15 +241,12 @@ class FastConvolver:
         return table.reshape(2, r, m1 * m2)
 
     def _weights(self) -> np.ndarray:
-        """The sin^β weights of the even residues, as (r, N) rows.
+        """The sin^β weights of the even residues, as (r, N) rows: row c
+        holds those of the midpoints 2rq + 2c.
 
-        Row c holds the weights of the midpoints 2rq + 2c.  The weight of
-        midpoint n ≥ rN is that of 2rN−1−n, because sin(h(rN + k + ½)) =
-        sin(h(rN − k − ½)): only the lower half is evaluated, never sin near
-        π.  The rows are that half permuted: midpoint 2rq + 2c with
-        q ≥ N/2 is the mirror of 2r(N−1−q) + 2r−1−2c.  The half is evaluated
-        in blocks of whole rows q, about ``_BATCH_POINTS`` midpoints each,
-        so no temporary is rN long.
+        The weight of midpoint n ≥ rN is that of 2rN−1−n, so only the lower
+        half is evaluated, never sin near π, in blocks of about
+        ``_BATCH_POINTS`` midpoints.
         """
         g, beta = self.grid, self.params.beta
         h, n, r = g.h, g.N, g.r
@@ -302,30 +270,22 @@ class FastConvolver:
         return even
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate the singular quadrature for midpoint samples ``values``.
-
-        ``values`` must hold f at all 2rN midpoints.  Returns the length-N
-        vector of quadrature values, equal to the direct double summation
-        to near machine precision: float64 for real samples, complex128 for
-        complex ones, through :meth:`convolve`.
-        """
+        """The N quadrature values of f at all 2rN midpoints ``values``,
+        float64 for real samples: :meth:`convolve` of the samples."""
         return self.convolve(MidpointSamples(values=values, grid=self.grid))
 
     def convolve(self, F) -> np.ndarray:
-        """The N quadrature values from the polyphase rows of the integrand F.
+        """The N quadrature values of the integrand F, equal to the direct
+        double sum to near machine precision; float64 when ``F.real``.
 
         F is :class:`fraclap.quadrature.MidpointSamples` or an integrand of
-        :mod:`fraclap.spectral`; ``F.real`` tells whether f is float64.
-        ``F.pairs(c0, c1, work)`` gets ``work``, the 2(c1−c0) scratch rows
-        this call lends, each at least 2N+2 floats wide when F is real, else
-        at least 2N complex: one pair, or pairs of at most
-        ``_BATCH_POINTS`` complex slots in all.  It fills row c − c0,
-        c0 ≤ c < c1, with f at the midpoints 2rq + 2c in slots [0, N) and
-        −f at their mirrors in slots [N, 2N), q = 0..N−1: slot 2N−1−q holds
-        −f at 2rq + 2r−1−2c, the odd row.  It returns nothing.  The
-        convolution uses up every row it lends, so the producer allocates
-        nothing as long as its rows.  The result never shares memory with
-        the plan.
+        :mod:`fraclap.spectral`.  ``F.pairs(c0, c1, work)`` gets the
+        2(c1−c0) scratch rows this call lends, each at least 2N+2 floats
+        wide when F is real, else 2N complex, and returns nothing.  It fills
+        row c − c0 with f at the midpoints 2rq + 2c in slots [0, N) and −f
+        at 2rq + 2r−1−2c in slot 2N−1−q, q = 0..N−1.  Every lent row is used
+        up, so the producer need allocate nothing as long as its rows.  The
+        result never shares memory with the plan.
         """
         g, real = self.grid, F.real
         n, r = g.N, g.r
@@ -333,10 +293,8 @@ class FastConvolver:
         m1, m2, _ = grid = _row_grid(m)
         h1 = m1 // 2 + 1
         half = h1 * m2
-        # Row pairs per batch.  A row has room for m transform points and
-        # for a scratch row, 2N+2 floats or 2N complex; real rows are the
-        # floats of their half-spectrum rows and are transformed in place
-        # (numpy copies the overlapping input).
+        # Row pairs per batch.  A row holds m transform points or a scratch
+        # row; real rows are the floats of their half-spectrum rows.
         width = max(half, n + 1) if real else max(m, 2 * n)
         k = max(1, min(r, _BATCH_POINTS // (2 * width)))
         if self._plan is not None:
@@ -381,11 +339,9 @@ class FastConvolver:
                 batch = np.add.reduce(spectra[:2 * j].view(float),
                                       axis=0).view(complex)
             else:
-                # Built once the transform's scratch is freed: built
-                # before the batch buffer, they raised the peak RSS.
+                # Built after the transform's scratch is freed, for the peak RSS.
                 kernel = self._kernel_rows(c0, c1, grid).reshape(j, h1, m2)
-                # A complex row's grid rows k1 > m1/2: the other kernel's
-                # at m1 − k1, m2 − 1 − k2.
+                # A complex row's grid rows k1 > m1/2 are the other kernel's.
                 grids[:j, :h1] *= kernel
                 if not real:
                     grids[j:2 * j, h1:] *= _mirrored(kernel, m1)
@@ -408,9 +364,7 @@ class FastConvolver:
 
 
 def fast_singular_integral(F: MidpointSamples, p: SingularParams) -> np.ndarray:
-    """One-shot fast evaluation of the singular quadrature at all s_j.
-
-    Equivalent to :func:`fraclap.quadrature.singular_integral_direct` to
-    near machine precision, at O(rN log N) cost.
-    """
+    """One-shot fast evaluation of the singular quadrature at all s_j,
+    equal to :func:`fraclap.quadrature.singular_integral_direct` to near
+    machine precision."""
     return FastConvolver(F.grid, p, cache_kernels=False).apply(F.values)

@@ -1,19 +1,14 @@
-"""Discretization of the real line through the algebraic map x = L·cot(s).
-
-The change of variables x = L·cot(s) carries the whole real line onto the
-open interval (0, π), so no domain truncation is ever performed.  Two node
-families live on (0, π):
+"""Discretization of the real line through the map x = L·cot(s), which
+carries it onto (0, π) without truncation.  Two node families live there:
 
 * output nodes ``s_j = (2j+1)π/(2N)``, j = 0..N-1, where results are
   reported, and
 * quadrature midpoints ``h·(n+1/2)``, n = 0..2rN-1, with ``h = π/(2rN)``,
   where integrand samples are taken (``r`` is the refinement factor).
 
-Every output node coincides with a subinterval endpoint: ``s_j`` equals the
-whole node of index ``(2j+1)·r``.  All node values are produced as
-(integer expression)·h with the integer product formed first, so the
-coincidence is bit-exact and signs of node differences can be decided in
-integer arithmetic (see :func:`index_sign`).
+Every node is formed as (integer product)·h, so ``s_j`` is bit-exactly the
+subinterval endpoint of index ``(2j+1)·r`` and the signs of node
+differences are decided in integer arithmetic (:func:`index_sign`).
 """
 
 from __future__ import annotations
@@ -52,10 +47,8 @@ def _positive_int(name: str, value) -> int:
 
 def _finite_real(name: str, value, low: float = -math.inf,
                  high: float = math.inf, low_closed: bool = False) -> float:
-    """A Python or numpy real, not a bool, as a finite ``float`` in (low, high).
-
-    ``low_closed`` admits ``low`` itself.
-    """
+    """A Python or numpy real, not a bool, as a finite ``float`` in (low, high),
+    or [low, high) with ``low_closed``."""
     _reject_bool(name, value)
     x = float(value) if isinstance(value, numbers.Real) else math.nan
     if not (math.isfinite(x) and (low <= x if low_closed else low < x) and x < high):
@@ -67,16 +60,9 @@ def _finite_real(name: str, value, low: float = -math.inf,
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization record: N output nodes, refinement r, map scale L.
-
-    Parameters
-    ----------
-    N : int
-        Number of output nodes, ≥ 1, stored as ``int`` (as is ``r``).
-    r : int
-        Refinement factor, ≥ 1; the quadrature uses 2rN midpoints.
-    L : float
-        Map scale of x = L·cot(s), > 0 and finite, stored as ``float``.
+    """Discretization record: N ≥ 1 output nodes and refinement r ≥ 1 (2rN
+    midpoints), stored as ``int``, and the finite map scale L > 0 of
+    x = L·cot(s), stored as ``float``.
 
     4rN ≤ 2^52 keeps the indices 2n+1 and m(4c+1), all below 4rN, exact.
     """
@@ -104,11 +90,8 @@ class GridSpec:
 
 
 def output_nodes(g: GridSpec) -> np.ndarray:
-    """Nodes s_j = (2j+1)π/(2N), j = 0..N-1, strictly increasing in (0, π).
-
-    Computed as ((2j+1)·r)·h so that s_j is bit-identical to the whole
-    fine node of index (2j+1)·r.
-    """
+    """Nodes s_j = (2j+1)π/(2N), j = 0..N-1, strictly increasing in (0, π),
+    each bit-identical to the fine node of index (2j+1)·r."""
     j = np.arange(g.N, dtype=np.int64)
     return ((2 * j + 1) * g.r) * g.h
 
@@ -120,10 +103,8 @@ def midpoint_nodes(g: GridSpec) -> np.ndarray:
 
 
 def map_to_real(s, L: float):
-    """Map s ∈ (0, π) to x = L·cot(s); monotone decreasing in s.
-
-    Accepts scalars or arrays.  Raises ParameterError outside (0, π).
-    """
+    """x = L·cot(s) of scalar or array s, decreasing in s; ParameterError
+    outside (0, π)."""
     L = _finite_real("L", L, 0.0)
     s = np.asarray(s, dtype=float)
     if not np.all((s > 0.0) & (s < np.pi)):  # NaN fails too
@@ -141,13 +122,9 @@ def map_from_real(x, L: float):
 
 
 def index_sign(n, j, r: int):
-    """Sign of the node difference s̃_n − s_j, decided in integer arithmetic.
-
-    Returns sgn(n − (2j+1)·r) as an int (or int array).  This is the only
-    supported way to evaluate the sign of a node difference: floating
-    subtraction of nearly equal nodes may miss the exact-zero case, which
-    the quadrature weights rely on.
-    """
+    """sgn(n − (2j+1)·r) as an int or int array: the sign of the node
+    difference s̃_n − s_j, whose exact zeros the quadrature weights rely on
+    and float subtraction may miss."""
     d = np.asarray(n, dtype=np.int64) - (2 * np.asarray(j, dtype=np.int64) + 1) * r
     s = np.sign(d)
     return s if s.ndim else int(s)

@@ -2,19 +2,13 @@
 
     i·ψ_t = ½·(−Δ)^{α/2}ψ − |ψ|²ψ,
 
-discretized in space on the mapped grid and advanced with the classical
-fourth-order Runge-Kutta scheme.  The nonlocal term is rebuilt
-pseudospectrally from the current node samples at every stage — the only
-possible route, since evolving data has no analytic derivatives — while
-the state carries one operator, whose sample-independent plan is built by
-the first stage and reused by every later stage and step of the run.
+on the mapped grid, by classical fourth-order Runge-Kutta.  Every stage
+rebuilds the nonlocal term from the node samples, on one operator whose
+plan the first stage builds for the whole run.
 
-The quantity M(t) = ∫|ψ|²dx is preserved by the flow; its discrete drift
-measures the quality of a run.  On the mapped grid M is approximated by
-the composite midpoint rule applied to |ψ(L·cot s)|²/sin²(s), which is a
-smooth periodic integrand, so the approximation itself is spectrally
-accurate and the observed drift isolates the operator and time-stepping
-errors.
+The flow preserves M(t) = ∫|ψ|²dx, so its drift measures a run.  The
+midpoint rule on the smooth periodic |ψ(L·cot s)|²/sin²(s) is spectrally
+accurate, so the drift isolates the operator and time-stepping errors.
 """
 
 from __future__ import annotations
@@ -42,9 +36,8 @@ __all__ = [
 class EvolutionState:
     """Wavefunction samples ψ(x_j, t) plus the stepping context.
 
-    ``operator`` is built from ``params`` when none (or one for other
-    parameters) is given; :func:`dataclasses.replace` passes it on, so every
-    state derived from this one shares its kernel-caching plan.
+    ``operator`` is built from ``params`` unless one for them is given;
+    every state :func:`dataclasses.replace` derives from this one shares it.
     """
 
     psi: np.ndarray
@@ -74,11 +67,8 @@ def rhs(state: EvolutionState) -> np.ndarray:
 def rk4_step(state: EvolutionState,
              rhs_fn: Callable[[EvolutionState], np.ndarray] = rhs
              ) -> EvolutionState:
-    """One classical Runge-Kutta step of size dt; t advances by exactly dt.
-
-    ``rhs_fn`` is injectable so surrogate right-hand sides (e.g. a linear
-    λ·ψ) can exercise the stepper in isolation.
-    """
+    """One classical Runge-Kutta step of size dt of ``rhs_fn``; t advances
+    by exactly dt."""
     psi, dt = state.psi, state.dt
     k1 = rhs_fn(state)
     k2 = rhs_fn(replace(state, psi=psi + 0.5 * dt * k1, t=state.t + 0.5 * dt))
@@ -111,16 +101,13 @@ def simulate(psi0, p: FracLapParams, dt: float, t_end: float,
              ) -> SimulationResult:
     """Advance ψ from t = 0 to t_end, logging energy every step.
 
-    Snapshots (t, ψ, M) are taken at t = 0, after every
-    ``snapshot_every``-th step, and at the final step, and each is passed
-    to ``sink`` at once, with a copy of ψ the sink may keep; the run holds
-    none of them.  A non-finite sample after a step aborts the run with
-    :class:`fraclap.errors.BlowUpError` carrying the first bad index, the
-    time it appeared and the energy log of the steps before it, after the
-    sink has seen every earlier snapshot.  A non-finite ψ0 (naming its
-    first bad index), a t_end that is not a whole number of steps dt (to a
-    relative 1e-6), or a step count t_end/dt that overflows or whose energy
-    log does not fit in memory, is a ParameterError.
+    Snapshots (t, ψ, M) at t = 0, after every ``snapshot_every``-th step
+    and at the final step go to ``sink`` at once, with a copy of ψ it may
+    keep.  A non-finite sample after a step raises
+    :class:`fraclap.errors.BlowUpError` with the first bad index, its time
+    and the energy log of the steps before.  A non-finite ψ0, a t_end that
+    is not a whole number of steps dt (to a relative 1e-6), or a step count
+    that overflows or whose log does not fit in memory is a ParameterError.
     """
     state = EvolutionState(psi=np.asarray(psi0, dtype=complex), t=0.0,
                            params=p, dt=dt)

@@ -4,18 +4,11 @@ With β = α and γ = 1 − α, the singular quadrature of
 :mod:`fraclap.fastconv` evaluates the integral part of the operator; one
 node-dependent prefactor turns it into (−Δ)^{α/2}u at x_j = L·cot(s_j):
 
-    prefactor(j) = sin^{α−1}(s_j) / (L^α · 2Γ(2−α) · cos(πα/2)).
+    prefactor(j) = sin^{α−1}(s_j) / (L^α · 2Γ(2−α) · cos(πα/2)),
 
-This compact form follows from the defining constant
-
-    c_α = α · 2^{α−1} Γ(1/2 + α/2) / (√π · Γ(1 − α/2))
-
-through the reflection and duplication identities of Γ; the tests keep the
-long form and check that both agree to machine precision.
-
-α = 1 is excluded: there the operator degenerates to a Hilbert transform
-of u_x with a different kernel entirely, and both prefactor forms become
-0·∞ expressions.
+the defining constant c_α = α · 2^{α−1} Γ(1/2 + α/2) / (√π · Γ(1 − α/2))
+simplified by the reflection and duplication identities of Γ.  α = 1, where
+the operator is a Hilbert transform of u_x, is excluded.
 """
 
 from __future__ import annotations
@@ -87,14 +80,10 @@ def prefactors(p: FracLapParams) -> np.ndarray:
 class FractionalLaplacian:
     """(−Δ)^{α/2} as a reusable operator on a fixed grid.
 
-    Holds the fast-convolution plan, so repeated applications (e.g. the
-    four stage evaluations of every time step) reuse the transformed
-    sample-independent kernel.  With ``cache_kernels`` (the default) the
-    sampled route also keeps its fold twiddles, built on its first call, as
-    the (r, 2N) full rows of bin multipliers of
-    :func:`fraclap.spectral.bin_twiddles`, so each batch of
-    :meth:`fraclap.spectral.SampledIntegrand.pairs` folds its bins in one
-    product.
+    With ``cache_kernels`` (the default) it keeps the fast-convolution plan
+    and the sampled route's :func:`fraclap.spectral.bin_twiddles`, both
+    built on first use, for every later application; either way the bits
+    are the same.
     """
 
     def __init__(self, params: FracLapParams, cache_kernels: bool = True):
@@ -106,15 +95,10 @@ class FractionalLaplacian:
         self._twiddles = None
 
     def apply(self, F) -> np.ndarray:
-        """Operator values at all x_j from the integrand F, the operator's
-        one path.
-
-        F is f(s) = sin(s)·u_ss + 2cos(s)·u_s: midpoint samples, or the
-        integrand of :func:`fraclap.spectral.f_from_analytic` or
-        :func:`fraclap.spectral.f_from_samples`, which is never put in
-        midpoint order.  Each says whether it is real and hands the
-        convolution its row pairs.  The result approximates
-        (−Δ)^{α/2}u(x_j) with an error that is O(1/r²) uniformly in j.
+        """Operator values at all x_j, approximating (−Δ)^{α/2}u(x_j) with an
+        error O(1/r²) uniformly in j, from the integrand F of
+        f(s) = sin(s)·u_ss + 2cos(s)·u_s: :class:`MidpointSamples` or an
+        integrand of :mod:`fraclap.spectral`.
         """
         if F.grid != self.params.grid:
             raise ParameterError("samples were built for a different grid")

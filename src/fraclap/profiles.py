@@ -1,11 +1,9 @@
 """Built-in test profiles and the chain rule for mapped derivatives.
 
 Each profile bundles u and its first two x-derivatives with the exact
-fractional Laplacian where one is known.  ``mapped_derivatives`` converts
-the x-space derivatives into the s-space ones the integrand needs, via
-x = L·cot(s).  Since 1/sin²(s) = 1 + cot²(s) = 1 + x²/L², both factors
-come from the x that each callable forms by one tan, and no sin is
-evaluated:
+fractional Laplacian where one is known.  ``mapped_derivatives`` gives the
+s-derivatives the integrand needs from x = L·cot(s) alone, by
+1/sin²(s) = 1 + x²/L²:
 
     u_s  = u_x · x_s,                  x_s  = −L/sin²(s) = −(L + x²/L),
     u_ss = u_xx · x_s² + u_x · x_ss,   x_ss = 2x/sin²(s) = 2x·(1 + x²/L²).

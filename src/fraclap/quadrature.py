@@ -1,20 +1,16 @@
 """Singularity-exact modified midpoint rule and the direct singular integral.
 
-The rule splits an integrand ``x^β f(x)`` into its singular factor, which is
-integrated exactly over each subinterval, and its smooth factor, which is
-frozen at the subinterval midpoint:
+The rule integrates the singular factor of ``x^β f(x)`` exactly over each
+subinterval and freezes the smooth factor at its midpoint:
 
     ∫ x^β f(x) dx  ≈  Σ_n f(x_{n+1/2}) · (x_{n+1}^{β+1} − x_n^{β+1})/(β+1).
 
-:func:`singular_integral_direct` applies this twice (once per singular
-factor) to
+:func:`singular_integral_direct` applies it to both singular factors of
 
     I(s_j) = ∫_0^π sin^β(η) |sin(η − s_j)|^γ f(η) dη
 
-at every output node s_j by plain double summation, costing O(rN²).  It is
-deliberately kept as the permanent correctness oracle for the O(rN log N)
-fast-convolution evaluation in :mod:`fraclap.fastconv`: the two paths
-organize the arithmetic differently and must agree to near machine
+by plain double summation, O(rN²).  It is the permanent correctness oracle
+for :mod:`fraclap.fastconv`, which must agree with it to near machine
 precision.
 """
 
@@ -35,8 +31,7 @@ __all__ = [
     "singular_integral_direct",
 ]
 
-# Below this magnitude sin(z)/z is replaced by 1 - z^2/6; the relative error
-# of the truncation is < 1e-32 there, far below double precision.
+# Below this |z|, sin(z)/z is 1 − z²/6 to a relative 1e-32.
 _SINC_SERIES_CUTOFF = 1e-8
 
 
@@ -65,11 +60,8 @@ def _sinc(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SingularParams:
-    """Exponent pair of the kernel sin^β(η)·|sin(η−s)|^γ.
-
-    Requires finite β > 0 and γ > −1, the range in which the two-sided
-    quadrature converges.
-    """
+    """Exponent pair of the kernel sin^β(η)·|sin(η−s)|^γ: finite β > 0 and
+    γ > −1, where the two-sided quadrature converges."""
 
     beta: float
     gamma: float
@@ -81,14 +73,9 @@ class SingularParams:
 
 @dataclass(frozen=True)
 class MidpointSamples:
-    """Integrand samples f at the 2rN fine midpoints of a grid.
-
-    ``values`` is stored as float64 when it is real and as complex128 when
-    it is complex, so real samples take the real-arithmetic path.  Like
-    :class:`fraclap.spectral.AnalyticIntegrand` and
-    :class:`fraclap.spectral.SampledIntegrand`, the samples say whether
-    they are ``real`` and hand the fast convolution their row ``pairs``.
-    """
+    """Integrand samples f at the 2rN fine midpoints of a grid, stored as
+    float64 when real and complex128 otherwise, with the ``real`` and
+    ``pairs`` of the integrands of :mod:`fraclap.spectral`."""
 
     values: np.ndarray
     grid: GridSpec
@@ -108,9 +95,8 @@ class MidpointSamples:
         return not np.iscomplexobj(self.values)
 
     def pairs(self, c0: int, c1: int, work) -> None:
-        """Row pairs c0..c1−1 for :meth:`fraclap.fastconv.FastConvolver.convolve`:
-        row c of ``work`` takes f of the even row in its first N slots and
-        −f of the odd row, reversed, in the next N."""
+        """Row pairs c0..c1−1 for :meth:`fraclap.fastconv.FastConvolver.convolve`,
+        in the layout of :meth:`fraclap.spectral.SampledIntegrand.pairs`."""
         n, w = self.grid.N, work[:c1 - c0]
         even, odd = _pair_rows(self.values, self.grid)
         w[:, :n] = even[c0:c1]
@@ -118,16 +104,11 @@ class MidpointSamples:
 
 
 def modified_midpoint(f_mid, a: float, b: float, beta: float) -> complex:
-    """Approximate ∫_a^b x^β f(x) dx with the singular factor exact.
+    """Approximate ∫_a^b x^β f(x) dx with the singular factor exact, from
+    ``f_mid[n]``, f at x_{n+1/2} = a + h(n+1/2), h = (b−a)/len(f_mid).
 
-    ``f_mid[n]`` must hold f at x_{n+1/2} = a + h(n+1/2) with
-    h = (b−a)/len(f_mid).  The x^β factor is integrated exactly on every
-    subinterval, so the rule reproduces ∫ x^β dx with zero quadrature error
-    whenever f is constant.
-
-    a, b and β must be finite.  β = −1 is rejected (the antiderivative
-    changes form), and β ≤ −1 is rejected when a = 0 (the integral itself
-    diverges).
+    Exact whenever f is constant.  a, b and β must be finite; β = −1 is
+    rejected, and β ≤ −1 when a = 0 (the integral diverges).
     """
     f_mid = np.asarray(f_mid)
     if f_mid.ndim != 1 or len(f_mid) == 0:
@@ -147,14 +128,12 @@ def modified_midpoint(f_mid, a: float, b: float, beta: float) -> complex:
 
 
 def signed_power_difference(x_next, x_prev, gamma: float, sign_next, sign_prev):
-    """Exact integral of |x|^γ over [x_prev, x_next] in signed-power form.
+    """[sgn_next·|x_next|^{γ+1} − sgn_prev·|x_prev|^{γ+1}]/(γ+1), the exact
+    integral of |x|^γ over [x_prev, x_next], for scalars or arrays.
 
-    Returns [sgn_next·|x_next|^{γ+1} − sgn_prev·|x_prev|^{γ+1}]/(γ+1).  The
-    signs are supplied by the caller (from :func:`fraclap.grid.index_sign`
-    when the arguments are node differences) rather than recomputed from
-    the floats, so an argument that is an exact zero in index arithmetic
-    contributes an exact zero here.  Finite for γ > −1 even when one
-    argument vanishes.  Accepts scalars or arrays.
+    The caller supplies the signs (from :func:`fraclap.grid.index_sign` for
+    node differences), so an argument that is zero in index arithmetic
+    contributes exactly zero.
     """
     gamma = _finite_real("gamma", gamma)
     if gamma == -1:
@@ -169,16 +148,12 @@ def signed_power_difference(x_next, x_prev, gamma: float, sign_next, sign_prev):
 
 
 def singular_integral_direct(F: MidpointSamples, p: SingularParams) -> np.ndarray:
-    """Evaluate I(s_j) = ∫_0^π sin^β(η)|sin(η−s_j)|^γ f(η) dη for all j.
+    """I(s_j) = ∫_0^π sin^β(η)|sin(η−s_j)|^γ f(η) dη for all j, by literal
+    double summation: the lower half of the midpoints resolves sin^β at
+    η = 0, the upper half at η = π, and the moving factor is integrated
+    exactly by signed power differences with signs from index arithmetic.
 
-    Literal double summation: for each output node, the lower half
-    n = 0..rN−1 resolves the sin^β singularity at η = 0 through
-    (sin η / η)^β · η^β, the upper half n = rN..2rN−1 resolves the one at
-    η = π through (sin η / (π−η))^β · (π−η)^β, and both halves integrate
-    the moving |sin(η−s_j)|^γ factor exactly via signed power differences
-    whose signs come from integer index arithmetic.
-
-    O(rN²) work; retained permanently as the oracle for
+    O(rN²); the permanent oracle for
     :func:`fraclap.fastconv.fast_singular_integral`.
     """
     g = F.grid
@@ -188,9 +163,8 @@ def singular_integral_direct(F: MidpointSamples, p: SingularParams) -> np.ndarra
 
     n = np.arange(two_rn, dtype=np.int64)
     mid = (2 * n + 1) * (0.5 * h)
-    # Both power weights are taken in integer index units, where node
-    # differences are exact, and scaled once at the end: h^{β+1}·h^{γ+1}/h.
-    # (pi - node) reuses the node-power table reversed because pi = h * 2rN.
+    # Power weights in index units, where node differences are exact, scaled
+    # once at the end; π − node reads the node powers reversed (π = h·2rN).
     node_pow = np.arange(two_rn + 1, dtype=float) ** (p.beta + 1.0)
     w_lower = (node_pow[1 : rn + 1] - node_pow[:rn]) / (p.beta + 1.0)
     k = np.arange(rn, two_rn, dtype=np.int64)
@@ -205,8 +179,7 @@ def singular_integral_direct(F: MidpointSamples, p: SingularParams) -> np.ndarra
     out = np.empty(N, dtype=complex)
     for j in range(N):
         ridx = (2 * j + 1) * r
-        # sinc is even and sin(h·t) = sin(π − h·t): the complementary angle
-        # keeps full accuracy at the far shifts, where h·t is close to π.
+        # sin(h·t) = sin(π − h·t): the complementary angle is accurate near π.
         t = np.abs(n + 0.5 - ridx)
         moving = (np.sin(h * np.minimum(t, two_rn - t)) / (h * t)) ** p.gamma
         w_moving = signed_power_difference(

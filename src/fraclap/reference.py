@@ -7,10 +7,8 @@ Two test profiles have known fractional Laplacians:
 * the error function u(x) = erf(x), whose image is
   (2^{1+α}/π)·Γ((1+α)/2)·x·₁F₁((1+α)/2; 3/2; −x²).
 
-Both are exercised over node sets whose |x| reaches into the hundreds of
-thousands, so the confluent hypergeometric evaluation must stay accurate
-at extremely large negative arguments; see :func:`kummer_1f1` for the
-two-regime strategy.
+Node sets reach |x| in the hundreds of thousands, so :func:`kummer_1f1`
+stays accurate at large negative arguments.
 """
 
 from __future__ import annotations
@@ -38,12 +36,8 @@ class ErrorReport:
 
 
 def exact_rational(alpha: float, s) -> np.ndarray | complex:
-    """(−Δ)^{α/2} of (ix−1)/(ix+1) at x = cot(s), i.e. −2Γ(1+α)/(i·cot(s)+1)^{1+α}.
-
-    Principal branch of the complex power.  Under the unit-scale map the
-    profile equals e^{2is}, so this doubles as the exact image of a single
-    trigonometric mode.
-    """
+    """(−Δ)^{α/2} of (ix−1)/(ix+1) at x = cot(s), i.e. −2Γ(1+α)/(i·cot(s)+1)^{1+α},
+    on the principal branch; the profile is e^{2is} under the unit map."""
     alpha = _finite_real("alpha", alpha, 0.0, 2.0)
     x = map_to_real(s, 1.0)  # cot(s); raises outside (0, π)
     out = np.asarray(-2.0 * math.gamma(1.0 + alpha) / (1j * x + 1.0) ** (1.0 + alpha))
@@ -60,11 +54,8 @@ def exact_erf(alpha: float, x) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-# Crossover between the two evaluation regimes of kummer_1f1.  The reflected
-# series is cancellation-free and stays accurate well past this point (its
-# partial sums reach ~e^{|z|}, safe in double until |z| ~ 700); by 120 the
-# divergent asymptotic tail turns at a term far below 1e-13, so both regimes
-# overlap with margin to spare.
+# Crossover of kummer_1f1's regimes: the reflected series holds until |z| ~ 700
+# (sums ~e^{|z|}), and by 120 the asymptotic tail turns far below 1e-13.
 _SERIES_LIMIT = 120.0
 _MAX_TERMS = 600
 
@@ -72,22 +63,16 @@ _MAX_TERMS = 600
 def kummer_1f1(a: float, b: float, z) -> np.ndarray | float:
     """Confluent hypergeometric ₁F₁(a; b; z) for z ≤ 0, b > a > 0.
 
-    Strategy — the ascending series cancels catastrophically in double
-    precision once z ≪ −30, so it is never used.  Instead:
+    The ascending series cancels once z ≪ −30, so it is never used:
 
-    * |z| ≤ 120 — the reflected series e^z·₁F₁(b−a; b; −z), whose terms
-      are all positive for b > a > 0, so no cancellation occurs; each
-      entry stops at its own convergence, with the bits it gets when
-      passed alone;
+    * |z| ≤ 120 — the reflected series e^z·₁F₁(b−a; b; −z), all terms
+      positive; each entry gets the bits it gets when passed alone;
     * |z| > 120 — the large-argument expansion
       Γ(b)/Γ(b−a) · |z|^{−a} · Σ_n (a)_n (a−b+1)_n / (n! |z|^n),
-      truncated where its divergent tail turns; at this crossover the
-      smallest term is far below double precision for the parameters of
-      interest.
+      truncated where its divergent tail turns.
 
     Raises ParameterError for z > 0, NaN z or parameters outside
-    b ≥ a > 0, and ArithmeticError if neither regime reaches the target
-    accuracy (~1e-12 relative) for some entry.
+    b ≥ a > 0, and ArithmeticError if an entry misses ~1e-12 relative.
     """
     a = _finite_real("a", a, 0.0)
     b = _finite_real("b", b, a, low_closed=True)  # b >= a
@@ -112,14 +97,10 @@ def kummer_1f1(a: float, b: float, z) -> np.ndarray | float:
 def _reflected_series(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """e^z · Σ_n (b−a)_n (−z)^n / ((b)_n n!), all terms positive.
 
-    Each entry stops at its own n, the first whose term is ≤ 1e-17 of its
-    sum.  Past the mean index of the terms, term/sum grows with |z|, so
-    entries sorted by |z| stop nearly in order: the recurrence runs in
-    place on the suffix of entries still summing, and the suffix sheds its
-    leading converged entries.  An entry kept on behind a slower one adds
-    only terms that keep falling and stay below 1e-17 < 2^−54 of its sum,
-    under half an ulp, so they round away.  Every sum is therefore
-    bit-identical to the entry summed alone.
+    Entries sorted by |z| stop nearly in order, each at its first term
+    ≤ 1e-17 of its sum, so the recurrence runs on the suffix still summing.
+    An entry kept on behind a slower one adds only terms below 2^−54 of its
+    sum, which round away: every sum is bit-identical to the entry alone.
     """
     order = np.argsort(z)[::-1]  # |z| ascending
     w = z[order]
@@ -145,12 +126,8 @@ def _reflected_series(a: float, b: float, z: np.ndarray) -> np.ndarray:
 
 
 def _asymptotic(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """Large-|z| expansion for z → −∞, truncated where the tail turns.
-
-    The expansion is divergent; each entry stops adding terms once they
-    start growing, and the magnitude of the first omitted term bounds the
-    truncation error.
-    """
+    """Large-|z| expansion for z → −∞, each entry truncated where its terms
+    start growing; the first omitted term bounds the error."""
     w = -z  # > _SERIES_LIMIT
     term = np.ones_like(w)
     total = np.ones_like(w)
@@ -179,9 +156,7 @@ def error_norms(approx, exact, r: int | None = None,
                 alpha: float | None = None) -> ErrorReport:
     """Normalized discrete L² and L∞ norms of approx − exact.
 
-    l2 = sqrt((1/N)·Σ|approx_j − exact_j|²), linf = max_j |approx_j − exact_j|.
-    The 1/N normalization makes vectors of different lengths comparable and
-    guarantees l2 ≤ linf.
+    l2 = sqrt((1/N)·Σ|approx_j − exact_j|²) ≤ linf = max_j |approx_j − exact_j|.
     """
     approx = np.atleast_1d(np.asarray(approx))
     exact = np.atleast_1d(np.asarray(exact))

@@ -444,6 +444,25 @@ class TestConfigErrors:
         assert "exact index" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["apply", "sweep", "nls"])
+    @pytest.mark.parametrize("target", ["missing parent", "directory"])
+    def test_unusable_output_exits_2_before_running(self, tmp_path, capsys,
+                                                    command, target):
+        # Ran the whole evaluation, then died with FileNotFoundError or
+        # IsADirectoryError (exit 1); nls wrote snapshots first.
+        out = tmp_path / "out"
+        if target == "directory":
+            out.mkdir()
+        else:
+            out = out / "o.csv"
+        code = main(["--command", command, "--alpha", "1.3", "--N", "8",
+                     "--r", "1", "--dt", "0.01", "--t-end", "0.02",
+                     "--snapshot-every", "1", "--output", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == (
+            [out] if target == "directory" else [])
+
     def test_unknown_builtin(self, tmp_path):
         code = main(["--command", "apply", "--alpha", "1.3", "--N", "8",
                      "--r", "1", "--input", "builtin:nope",

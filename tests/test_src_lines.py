@@ -34,3 +34,17 @@ def test_counts_each_kind_once():
     assert src_lines.count(_SOURCE) == dict(
         total=19, code=6, docstring=7, comment=1, blank=5)
 
+
+def test_digest_sees_code_and_not_prose():
+    reworded = (_SOURCE.replace("Class docstring.", "Reworded.")
+                .replace("# a comment-only line", "# another comment")
+                .replace("  # a trailing comment is code", ""))
+    no_docstring = _SOURCE.replace('    """Class docstring."""\n', "")
+    # With its only statement, a docstring, gone, a body becomes ``pass``.
+    no_body = 'def g():\n    """Only a docstring."""\n'
+    assert src_lines.digest(reworded) == src_lines.digest(_SOURCE)
+    assert src_lines.digest(no_docstring) == src_lines.digest(_SOURCE)
+    assert src_lines.digest(no_body) == src_lines.digest("def g():\n    pass\n")
+    constant = "X = 1  # one\n"
+    assert src_lines.digest(constant.replace("1", "2")) \
+        != src_lines.digest(constant)
