@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+from .errors import ParameterError
 from .grid import GridSpec
 from .quadrature import MidpointSamples, SingularParams, _sinc
 
@@ -285,8 +286,11 @@ class FastConvolver:
         row c − c0 with f at the midpoints 2rq + 2c in slots [0, N) and −f
         at 2rq + 2r−1−2c in slot 2N−1−q, q = 0..N−1.  Every lent row is used
         up, so the producer need allocate nothing as long as its rows.  The
-        result never shares memory with the plan.
+        result never shares memory with the plan.  An F built on another
+        grid is a ParameterError, raised before any plan or buffer exists.
         """
+        if F.grid != self.grid:
+            raise ParameterError("samples were built for a different grid")
         g, real = self.grid, F.real
         n, r = g.N, g.r
         m = self.fft_length // (2 * r)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SampleShapeError
+from .errors import ParameterError
 from .fastconv import FastConvolver
 from .grid import GridSpec, _finite_real, output_nodes
 from .quadrature import SingularParams
@@ -82,8 +82,8 @@ class FractionalLaplacian:
 
     With ``cache_kernels`` (the default) it keeps the fast-convolution plan
     and the sampled route's :func:`fraclap.spectral.bin_twiddles`, both
-    built on first use, for every later application; either way the bits
-    are the same.
+    built by the first call, for every later application; either way the
+    bits are the same.
     """
 
     def __init__(self, params: FracLapParams, cache_kernels: bool = True):
@@ -98,23 +98,18 @@ class FractionalLaplacian:
         """Operator values at all x_j, approximating (−Δ)^{α/2}u(x_j) with an
         error O(1/r²) uniformly in j, from the integrand F of
         f(s) = sin(s)·u_ss + 2cos(s)·u_s: :class:`MidpointSamples` or an
-        integrand of :mod:`fraclap.spectral`.
+        integrand of :mod:`fraclap.spectral`, built on this grid.
         """
-        if F.grid != self.params.grid:
-            raise ParameterError("samples were built for a different grid")
         values = self._conv.convolve(F)
         values *= self._pref  # in place: the result is a fresh array
         return values
 
     def apply_to_samples(self, u_nodes) -> np.ndarray:
         """Operator values from u at the N output nodes alone, as inside an
-        evolution loop: ``apply(f_from_samples(u_nodes, grid))``, the count
-        checked before any plan is built, and a kept plan's fold twiddles
-        kept."""
+        evolution loop: ``apply(f_from_samples(u_nodes, grid))``.  A kept
+        plan keeps the fold twiddles after its first successful call."""
         g = self.params.grid
-        if np.shape(u_nodes) != (g.N,):  # before any plan is built
-            raise SampleShapeError(
-                f"expected {g.N} node samples, got {np.shape(u_nodes)}")
+        values = self.apply(f_from_samples(u_nodes, g, self._twiddles))
         if self._twiddles is None and self._conv.cache_kernels:
             self._twiddles = bin_twiddles(g)
-        return self.apply(f_from_samples(u_nodes, g, self._twiddles))
+        return values

@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .grid import _finite_real, map_from_real
-from .reference import exact_erf, exact_rational
+from .grid import _finite_real
+from .reference import exact_erf, exact_rational_x
 
 __all__ = ["Profile", "RATIONAL", "ERF", "GAUSSIAN", "builtin_profile",
            "mapped_derivatives"]
@@ -51,8 +51,7 @@ RATIONAL = Profile(
     u=lambda x: (1j * np.asarray(x) - 1.0) / (1j * np.asarray(x) + 1.0),
     ux=lambda x: 2j / (1j * np.asarray(x) + 1.0) ** 2,
     uxx=lambda x: 4.0 / _cube(1j * np.asarray(x) + 1.0),
-    # The closed form lives in s-coordinates; cot(map_from_real(x)) == x.
-    exact=lambda alpha, x: exact_rational(alpha, map_from_real(x, 1.0)),
+    exact=exact_rational_x,
 )
 
 ERF = Profile(

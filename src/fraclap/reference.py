@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ParameterError, SampleShapeError
 from .grid import _finite_real, map_to_real
 
-__all__ = ["ErrorReport", "exact_rational", "exact_erf", "kummer_1f1", "error_norms"]
+__all__ = ["ErrorReport", "exact_rational", "exact_rational_x", "exact_erf",
+           "kummer_1f1", "error_norms"]
 
 
 @dataclass(frozen=True)
@@ -35,13 +36,20 @@ class ErrorReport:
     alpha: float | None = None
 
 
-def exact_rational(alpha: float, s) -> np.ndarray | complex:
-    """(−Δ)^{α/2} of (ix−1)/(ix+1) at x = cot(s), i.e. −2Γ(1+α)/(i·cot(s)+1)^{1+α},
-    on the principal branch; the profile is e^{2is} under the unit map."""
+def exact_rational_x(alpha: float, x) -> np.ndarray | complex:
+    """(−Δ)^{α/2} of (ix−1)/(ix+1) at x, i.e. −2Γ(1+α)/(ix+1)^{1+α}, on the
+    principal branch."""
     alpha = _finite_real("alpha", alpha, 0.0, 2.0)
-    x = map_to_real(s, 1.0)  # cot(s); raises outside (0, π)
+    x = np.asarray(x, dtype=float)
+    x = x if x.ndim else float(x)
     out = np.asarray(-2.0 * math.gamma(1.0 + alpha) / (1j * x + 1.0) ** (1.0 + alpha))
     return out if out.ndim else complex(out)
+
+
+def exact_rational(alpha: float, s) -> np.ndarray | complex:
+    """:func:`exact_rational_x` at x = cot(s); the profile is e^{2is} under
+    the unit map."""
+    return exact_rational_x(alpha, map_to_real(s, 1.0))  # raises outside (0, π)
 
 
 def exact_erf(alpha: float, x) -> np.ndarray | float:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SampleShapeError
+from .errors import ParameterError, SampleShapeError
 from .grid import GridSpec
 from .quadrature import _float_or_complex, _pair_rows
 
@@ -103,9 +103,9 @@ class SampledIntegrand:
     Hermitian rows, each one ``irfft``.
 
     The instance keeps one row of B_m = −(M/2)·b_m in :func:`bin_twiddles`'
-    slot order.  A kept ``twiddles`` table multiplies it in one product;
-    without one the twiddles are computed in place in the bins.  Both give
-    the same bits.
+    slot order.  A kept ``twiddles`` table, ``bin_twiddles(grid)`` and no
+    other, multiplies it in one product; without one the twiddles are
+    computed in place in the bins.  Both give the same bits.
     """
 
     def __init__(self, a, grid: GridSpec, twiddles=None):
@@ -116,6 +116,8 @@ class SampledIntegrand:
                 f"got {a.shape}"
             )
         n = grid.N
+        if twiddles is not None and np.shape(twiddles) != (grid.r, 2 * n):
+            raise ParameterError("twiddles are not bin_twiddles(grid)")
         self.grid, self._twiddles = grid, twiddles
         self.real = not np.iscomplexobj(a)
         row = np.empty(n + 1 if self.real or twiddles is None else 2 * n,
@@ -262,8 +264,8 @@ def f_from_samples(u_nodes, g: GridSpec, twiddles=None) -> SampledIntegrand:
     """f of u sampled at the N output nodes, as a :class:`SampledIntegrand`
     of :func:`coefficients_from_samples`.
 
-    A kept (r, 2N) :func:`bin_twiddles` table ``twiddles`` gives the same
-    bits as none.  A caller that reads f more than once keeps
-    ``MidpointSamples(values=F.values, grid=g)``.
+    A kept ``bin_twiddles(g)`` table ``twiddles`` gives the same bits as
+    none; a table of another shape is a ParameterError.  A caller that reads
+    f more than once keeps ``MidpointSamples(values=F.values, grid=g)``.
     """
     return SampledIntegrand(coefficients_from_samples(u_nodes), g, twiddles)

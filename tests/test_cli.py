@@ -101,6 +101,16 @@ class TestApply:
         got = np.array([complex(float(r[3]), float(r[4])) for r in rows])
         assert np.max(np.abs(got - oracle)) < 1e-11 * np.max(np.abs(oracle))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rational_at_large_L(self, tmp_path, fmt):
+        # The nodes reach x = −4.1e16: taken through s = arctan2(1, x), the
+        # closed form saw s round to π and the run exited 2, unwritten.
+        out = tmp_path / f"out.{fmt}"
+        argv = ["--command", "apply", "--N", "64", "--r", "1", "--L", "1e15",
+                "--format", fmt, "--output", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == _reference_apply(argv)
+
     def test_wrong_sample_count_exits_3(self, tmp_path):
         samples = tmp_path / "u.txt"
         samples.write_text("1 0\n2 0\n3 0\n")
@@ -553,6 +563,15 @@ class TestSweep:
                      "--output", str(out)]) == 0
         _, rows, _ = _read_csv_rows(out)
         assert len(rows) == 1 and rows[0][6] == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rational_at_large_L(self, tmp_path, fmt):
+        # As the apply test of the same name: x reaches −4.1e16.
+        out = tmp_path / f"sweep.{fmt}"
+        argv = ["--command", "sweep", "--N", "64", "--r", "1,2", "--L", "1e15",
+                "--format", fmt, "--output", str(out)]
+        assert main(argv) == 0
+        assert _mask_runtime(out) == _reference_sweep(argv)
 
     def test_analytic_integrand_evaluated_once_per_grid(self, tmp_path,
                                                          monkeypatch):

@@ -11,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraclap import fastconv
-from fraclap.errors import SampleShapeError
+from fraclap.errors import ParameterError, SampleShapeError
 from fraclap.fastconv import FastConvolver, fast_singular_integral
 from fraclap.grid import GridSpec
 from fraclap.quadrature import (MidpointSamples, SingularParams,
                                 singular_integral_direct)
+from fraclap.spectral import f_from_analytic, f_from_samples
 
 
 def _random_samples(g: GridSpec, seed: int, real: bool = False) -> MidpointSamples:
@@ -573,6 +574,30 @@ class TestConvolverReuse:
         plan = FastConvolver(g, SingularParams(beta=1.0, gamma=0.0))
         with pytest.raises(SampleShapeError):
             plan.apply(np.ones(7))
+
+
+class TestGridContract:
+    # Built on another grid, an integrand gave wrong numbers or N values for
+    # the wrong node count, without an error: convolve checks F.grid first.
+    @pytest.mark.parametrize("other", [GridSpec(N=16, r=2, L=1.0),
+                                       GridSpec(N=8, r=4, L=1.0),
+                                       GridSpec(N=16, r=4, L=2.0)])
+    @pytest.mark.parametrize("producer", ["midpoints", "sampled", "analytic"])
+    @pytest.mark.parametrize("cache_kernels", [True, False])
+    def test_integrand_of_another_grid_rejected(self, other, producer,
+                                                cache_kernels):
+        if producer == "midpoints":
+            F = MidpointSamples(values=np.ones(other.num_midpoints), grid=other)
+        elif producer == "sampled":
+            F = f_from_samples(np.linspace(-1.0, 1.0, other.N), other)
+        else:
+            F = f_from_analytic(np.sin, np.cos, other)
+        conv = FastConvolver(GridSpec(N=16, r=4, L=1.0),
+                             SingularParams(beta=1.3, gamma=-0.3),
+                             cache_kernels=cache_kernels)
+        with pytest.raises(ParameterError, match="different grid"):
+            conv.convolve(F)
+        assert conv._plan is None
 
 
 @pytest.mark.slow

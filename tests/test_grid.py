@@ -12,7 +12,8 @@ from fraclap.operator import FracLapParams, FractionalLaplacian
 from fraclap.profiles import ERF, mapped_derivatives
 from fraclap.quadrature import (MidpointSamples, SingularParams, modified_midpoint,
                                 signed_power_difference)
-from fraclap.reference import exact_erf, exact_rational, kummer_1f1
+from fraclap.reference import (exact_erf, exact_rational, exact_rational_x,
+                               kummer_1f1)
 
 
 class TestGridSpec:
@@ -202,6 +203,8 @@ _SITES = {
     "simulate.t_end": (0.02, lambda v: _simulate(t_end=v)),
     "simulate.snapshot_every": (2, lambda v: _simulate(snapshot_every=v)),
     "exact_rational.alpha": (0.9, lambda v: _function(exact_rational, v, _S)),
+    "exact_rational_x.alpha": (0.9, lambda v: _function(
+        exact_rational_x, v, _S - 1.5)),
     "exact_erf.alpha": (0.9, lambda v: _function(exact_erf, v, _S - 1.5)),
     "kummer_1f1.a": (0.95, lambda v: _function(kummer_1f1, v, 1.5, -_S**3)),
     "kummer_1f1.b": (1.5, lambda v: _function(kummer_1f1, 0.95, v, -_S**3)),

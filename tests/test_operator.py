@@ -288,8 +288,8 @@ class TestSampledRoute:
 
     @pytest.mark.parametrize("count", [5, 7])
     def test_wrong_sample_count_rejected_before_the_plan(self, count):
-        # The count is checked before the fold twiddles, the coefficients
-        # and the convolution's plan are built.
+        # The integrand rejects the count before the fold twiddles and the
+        # convolution's plan are built.
         op = FractionalLaplacian(
             FracLapParams(alpha=0.7, grid=GridSpec(N=6, r=2, L=1.0)))
         with pytest.raises(SampleShapeError, match="expected 6 node samples"):
@@ -313,6 +313,37 @@ class TestSampledRoute:
             ref = once.apply_to_samples(u)
             for _ in range(2):
                 got = kept.apply_to_samples(u)
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (13, 3), (1024, 32)])
+    def test_kept_twiddles_follow_the_first_call(self, n, r, monkeypatch):
+        # The first call computes its twiddles in its bins and only then
+        # keeps the table, which the second call folds with: both calls
+        # agree with a one-shot operator to the bit.
+        from fraclap import operator
+
+        passed = []
+        build = operator.f_from_samples
+
+        def record(u_nodes, g, twiddles=None):
+            passed.append(twiddles)
+            return build(u_nodes, g, twiddles)
+
+        monkeypatch.setattr(operator, "f_from_samples", record)
+        g = GridSpec(N=n, r=r, L=1.3)
+        p = FracLapParams(alpha=0.7, grid=g)
+        rng = np.random.default_rng(n + r)
+        for u in (rng.standard_normal(n),
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            kept = FractionalLaplacian(p)
+            first = kept.apply_to_samples(u)
+            second = kept.apply_to_samples(u)
+            once = FractionalLaplacian(p, cache_kernels=False)
+            ref = once.apply_to_samples(u)
+            assert passed[-3] is None and passed[-1] is None
+            assert np.array_equal(passed[-2], bin_twiddles(g))
+            for got in (first, second):
                 assert got.dtype == ref.dtype
                 assert np.array_equal(got, ref)
 

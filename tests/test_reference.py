@@ -7,10 +7,10 @@ import pytest
 
 from fraclap import reference
 from fraclap.errors import ParameterError, SampleShapeError
-from fraclap.grid import map_to_real
+from fraclap.grid import GridSpec, map_to_real, output_nodes
 from fraclap.profiles import ERF, RATIONAL
 from fraclap.reference import (error_norms, exact_erf, exact_rational,
-                               kummer_1f1)
+                               exact_rational_x, kummer_1f1)
 
 from .oracles import fraclap_quad
 
@@ -49,6 +49,28 @@ class TestExactRational:
         val = exact_rational(1.3, math.pi / 4)
         oracle = fraclap_quad(RATIONAL.ux, 1.3, 1.0)
         assert val == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.3, 1.99])
+    def test_s_form_is_the_x_form_at_cot_s(self, alpha):
+        s = output_nodes(GridSpec(N=37, r=3, L=1.0))
+        x = map_to_real(s, 1.0)
+        assert np.array_equal(exact_rational(alpha, s),
+                              exact_rational_x(alpha, x))
+        assert exact_rational(alpha, s[5]) == exact_rational_x(alpha, x[5])
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.3, 1.99])
+    def test_x_form_against_mpmath(self, alpha):
+        # Through s = arctan2(1, x) and back, the nodes of L = 1e6 lost up to
+        # 5.7e-8 relative, and x below about −4.5e15 rounded s to π.  The
+        # power (1+α)·log|ix+1| ≈ 120 at 3e17 spreads eps to about 1e-14.
+        x = np.array([-4e16, -4.6e15, -1e6, -2.1, 0.0, 0.3, 1e6, 3e17])
+        got = exact_rational_x(alpha, x)
+        assert RATIONAL.exact(alpha, x).tobytes() == got.tobytes()
+        for xi, value in zip(x, got):
+            ref = complex(-2 * mpmath.gamma(1 + alpha)
+                          / (1j * mpmath.mpf(float(xi)) + 1) ** (1 + alpha))
+            assert abs(value - ref) <= 1e-13 * abs(ref)
+            assert abs(exact_rational_x(alpha, float(xi)) - ref) <= 1e-13 * abs(ref)
 
 
 class TestExactErf:

@@ -360,6 +360,16 @@ class TestIntegrandConstruction:
         with pytest.raises(SampleShapeError):
             f_from_samples(np.ones(5), GridSpec(N=6, r=1, L=1.0))
 
+    def test_twiddles_of_another_grid_rejected(self):
+        # A table of another (N, r) folded a wrong f without an error.  Only
+        # the whole (r, 2N) table goes: rows 0..1 or slots 0..N are not it.
+        g = GridSpec(N=16, r=4, L=1.0)
+        for twiddles in (bin_twiddles(GridSpec(N=16, r=8, L=1.0)),
+                         bin_twiddles(GridSpec(N=32, r=4, L=1.0)),
+                         bin_twiddles(g, 0, 2), bin_twiddles(g)[:, :17]):
+            with pytest.raises(ParameterError, match="not bin_twiddles"):
+                f_from_samples(np.linspace(-1.0, 1.0, 16), g, twiddles)
+
     def test_real_input_stays_float(self):
         # Real u gives float64 at every stage; complex u stays complex128.
         # (Their values agree: TestDirectSumOracle draws both.)
