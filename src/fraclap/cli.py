@@ -58,6 +58,8 @@ _BLOCK_ROWS = 4096
 
 # Per-node CSV record: index, then four columns at 17 significant digits.
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g\n"
+# The same for a real result, whose im is +0.0 at every node.
+_CSV_ROW_REAL = "%d,%.17g,%.17g,%.17g,0\n"
 
 # json.dumps(indent=1) puts each key on its own line and escapes newlines in
 # strings, so only the placeholder can match a whole line.
@@ -93,24 +95,28 @@ def _write_rows(fh, row: str, columns, sep: str = "",
         fh.write(text if start + k < n else text[:len(text) - len(sep)])
 
 
-def _json_record(keys, depth: int) -> str:
-    """Template of one node dict as json.dumps(indent=1) lays it out at ``depth``."""
+def _json_record(keys, depth: int, fixed: dict) -> str:
+    """Template of one node dict as json.dumps(indent=1) lays it out at
+    ``depth``; a key in ``fixed`` takes that text instead of ``%s``."""
     outer, inner = " " * (depth + 1), " " * (depth + 2)
-    fields = ",\n".join(f'{inner}"{key}": %s' for key in keys)
+    fields = ",\n".join(f'{inner}"{key}": {fixed.get(key, "%s")}'
+                         for key in keys)
     return f"{outer}{{\n{fields}\n{outer}}}"
 
 
-def _write_json(path: Path, doc: dict, keys, node_columns) -> None:
+def _write_json(path: Path, doc: dict, keys, node_columns,
+                fixed: dict | None = None) -> None:
     """Write ``json.dumps(doc, indent=1)`` and a newline to ``path``, with
     the k-th ``"nodes": _NODES`` entry of ``doc`` written as the node dicts
-    of ``keys`` over the k-th item of ``node_columns``."""
+    of ``keys`` over the k-th item of ``node_columns``; ``fixed`` maps a key
+    to the JSON text it has in every node, and takes no column."""
     parts = _NODES_LINE.split(json.dumps(doc, indent=1))
     with open(path, "w") as fh:
         fh.write(parts[0])
         for indent, rest, columns in zip(parts[1::2], parts[2::2], node_columns):
             fh.write(f'{indent}"nodes": [\n')
-            _write_rows(fh, _json_record(keys, len(indent)), columns,
-                        sep=",\n", json_numbers=True)
+            row = _json_record(keys, len(indent), fixed or {})
+            _write_rows(fh, row, columns, sep=",\n", json_numbers=True)
             fh.write(f"\n{indent}]{rest}")
         fh.write("\n")
 
@@ -224,30 +230,35 @@ def _load_samples(path: str, expected: int) -> np.ndarray:
     return samples if samples.imag.any() else samples.real.copy()
 
 
-def _integrand(args: argparse.Namespace, p: FracLapParams):
-    """The integrand for one evaluation: analytic for builtin rational,
-    from the node samples for every other input."""
-    g = p.grid
+def _integrand(args: argparse.Namespace, g: GridSpec, x: np.ndarray):
+    """The integrand for one evaluation on ``g``, whose real nodes are
+    ``x``: analytic for builtin rational, from the node samples for every
+    other input."""
     if args.profile is None:
         return f_from_samples(_load_samples(args.input, g.N), g)
     if args.profile.name == "rational":
         us, uss = mapped_derivatives(args.profile, g.L)
         return f_from_analytic(us, uss, g)
-    return f_from_samples(args.profile.u(map_to_real(output_nodes(g), g.L)), g)
+    return f_from_samples(args.profile.u(x), g)
 
 
 def cmd_apply(args: argparse.Namespace, params: list[FracLapParams]) -> int:
     (p,) = params
     alpha, g = p.alpha, p.grid
-    F = _integrand(args, p)
-    values = FractionalLaplacian(p, cache_kernels=False).apply(F)
+    x = map_to_real(output_nodes(g), g.L)
+    values = FractionalLaplacian(p, cache_kernels=False).apply(
+        _integrand(args, g, x))
+    # Rebuilt, not held through the apply: 8 MiB more peak at N = 2^20.
     s = output_nodes(g)
-    x = map_to_real(s, g.L)
     exact = getattr(args.profile, "exact", None)
     report = None if exact is None else error_norms(
         values, exact(alpha, x), r=g.r, alpha=alpha)
 
-    columns = [np.arange(g.N), s, x, values.real, values.imag]
+    # A real result's im is +0.0 at every node: fixed text, not a column.
+    real = not np.iscomplexobj(values)
+    columns = [np.arange(g.N), s, x, values.real]
+    if not real:
+        columns.append(values.imag)
     if args.fmt == "json":
         doc = {
             "command": "apply",
@@ -255,11 +266,12 @@ def cmd_apply(args: argparse.Namespace, params: list[FracLapParams]) -> int:
             "nodes": _NODES,
             "error": None if report is None else asdict(report),
         }
-        _write_json(args.output, doc, ("j", "s", "x", "re", "im"), [columns])
+        _write_json(args.output, doc, ("j", "s", "x", "re", "im"), [columns],
+                    fixed={"im": "0.0"} if real else None)
     else:
         with open(args.output, "w") as fh:
             fh.write("j,s_j,x_j,re,im\n")
-            _write_rows(fh, _CSV_ROW, columns)
+            _write_rows(fh, _CSV_ROW_REAL if real else _CSV_ROW, columns)
             if report is not None:
                 fh.write(f"# l2 = {_fmt(report.l2)}\n# linf = {_fmt(report.linf)}\n")
     return EXIT_OK
@@ -271,8 +283,9 @@ def cmd_sweep(args: argparse.Namespace, params: list[FracLapParams]) -> int:
     for i, p in enumerate(params):
         by_grid.setdefault(p.grid, []).append(i)
     rows = [None] * len(params)
-    for indices in by_grid.values():
-        F = _integrand(args, params[indices[0]])
+    for g, indices in by_grid.items():
+        x = map_to_real(output_nodes(g), g.L)
+        F = _integrand(args, g, x)
         # Evaluated once here: an analytic f would run its callables per α.
         F = MidpointSamples(values=F.values, grid=F.grid)
         for i in indices:
@@ -281,7 +294,6 @@ def cmd_sweep(args: argparse.Namespace, params: list[FracLapParams]) -> int:
             t0 = time.perf_counter()
             values = FractionalLaplacian(p, cache_kernels=False).apply(F)
             runtime_ms = (time.perf_counter() - t0) * 1e3
-            x = map_to_real(output_nodes(p.grid), p.grid.L)
             rep = error_norms(values, args.profile.exact(alpha, x), r=r,
                               alpha=alpha)
             rows[i] = {"alpha": alpha, "N": n, "r": r, "l2": rep.l2,

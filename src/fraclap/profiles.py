@@ -38,7 +38,9 @@ class Profile:
 
 def _erf_vec(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.erf, x.flat), float, x.size).reshape(x.shape)
+    # Python floats: math.erf takes them without a numpy-scalar conversion.
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
 
 
 def _cube(z: np.ndarray) -> np.ndarray:

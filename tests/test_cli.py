@@ -181,11 +181,13 @@ def _reference_apply(argv):
     args = cli.build_parser().parse_args(argv)
     (params,) = cli._validate(args)
     alpha, n, r = params.alpha, params.grid.N, params.grid.r
-    F = cli._integrand(args, params)
-    values = FractionalLaplacian(params, cache_kernels=False).apply(F)
     s = output_nodes(params.grid)
     x = map_to_real(s, args.L)
-    report = error_norms(values, args.profile.exact(alpha, x), r=r, alpha=alpha)
+    F = cli._integrand(args, params.grid, x)
+    values = FractionalLaplacian(params, cache_kernels=False).apply(F)
+    exact = getattr(args.profile, "exact", None)
+    report = None if exact is None else error_norms(
+        values, exact(alpha, x), r=r, alpha=alpha)
     if args.fmt == "json":
         doc = {
             "command": "apply",
@@ -195,8 +197,9 @@ def _reference_apply(argv):
                  "re": values[j].real, "im": values[j].imag}
                 for j in range(n)
             ],
-            "error": {"l2": report.l2, "linf": report.linf, "N": report.N,
-                      "r": report.r, "alpha": report.alpha},
+            "error": None if report is None else {
+                "l2": report.l2, "linf": report.linf, "N": report.N,
+                "r": report.r, "alpha": report.alpha},
         }
         return (json.dumps(doc, indent=1) + "\n").encode()
     lines = ["j,s_j,x_j,re,im"]
@@ -205,8 +208,9 @@ def _reference_apply(argv):
             f"{j},{_ref_fmt(s[j])},{_ref_fmt(x[j])},"
             f"{_ref_fmt(values[j].real)},{_ref_fmt(values[j].imag)}"
         )
-    lines.append(f"# l2 = {_ref_fmt(report.l2)}")
-    lines.append(f"# linf = {_ref_fmt(report.linf)}")
+    if report is not None:
+        lines.append(f"# l2 = {_ref_fmt(report.l2)}")
+        lines.append(f"# linf = {_ref_fmt(report.linf)}")
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -270,9 +274,9 @@ def _reference_sweep(argv):
             for r in map(int, args.r.split(",")):
                 params = FracLapParams(alpha=alpha,
                                        grid=GridSpec(N=n, r=r, L=args.L))
-                F = cli._integrand(args, params)
-                values = FractionalLaplacian(params, cache_kernels=False).apply(F)
                 x = map_to_real(output_nodes(params.grid), args.L)
+                F = cli._integrand(args, params.grid, x)
+                values = FractionalLaplacian(params, cache_kernels=False).apply(F)
                 exact = builtin_profile(args.input.split(":")[1]).exact
                 report = error_norms(values, exact(alpha, x), r=r, alpha=alpha)
                 rows.append({"alpha": alpha, "N": n, "r": r, "l2": report.l2,
@@ -307,19 +311,53 @@ def _mask_runtime(path):
     return ("\n".join(masked) + "\n").encode()
 
 
+def _samples_input(tmp_path, kind, n, L):
+    """``--input`` for ``kind``: a builtin name, or ``real-file`` (gaussian
+    samples, ``im`` all zeros) or ``complex-file`` (rational samples)."""
+    if not kind.endswith("-file"):
+        return f"builtin:{kind}"
+    x = map_to_real(output_nodes(GridSpec(N=n, r=1, L=L)), L)
+    u = (np.exp(-x**2) + 0j if kind == "real-file"
+         else builtin_profile("rational").u(x))
+    path = tmp_path / f"{kind}.txt"
+    path.write_text("".join(f"{v.real:.17g} {v.imag:.17g}\n" for v in u))
+    return str(path)
+
+
 class TestGoldenWriters:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("profile,alpha,L", [("erf", "0.7", "2.1"),
-                                                 ("rational", "1.3", "1.0")])
+    @pytest.mark.parametrize("profile,alpha,L", [
+        ("erf", "0.7", "2.1"), ("rational", "1.3", "1.0"),
+        ("gaussian", "1.3", "3.0"), ("real-file", "0.7", "3.0"),
+        ("complex-file", "1.3", "1.0")])
     @pytest.mark.parametrize("n", [1, 37, cli._BLOCK_ROWS + 1])
     def test_apply_bytes_match_reference(self, tmp_path, n, profile, alpha, L,
                                          fmt):
         out = tmp_path / f"out.{fmt}"
         argv = ["--command", "apply", "--alpha", alpha, "--N", str(n),
-                "--r", "2", "--L", L, "--input", f"builtin:{profile}",
+                "--r", "2", "--L", L,
+                "--input", _samples_input(tmp_path, profile, n, float(L)),
                 "--format", fmt, "--output", str(out)]
         assert main(argv) == 0
         assert out.read_bytes() == _reference_apply(argv)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("profile,width", [
+        ("erf", 4), ("gaussian", 4), ("real-file", 4), ("rational", 5),
+        ("complex-file", 5)])
+    def test_real_apply_formats_no_im_column(self, tmp_path, monkeypatch,
+                                             profile, width, fmt):
+        # A real result writes im as fixed text; a complex one formats it.
+        widths = []
+        write_rows = cli._write_rows
+        monkeypatch.setattr(cli, "_write_rows", lambda fh, row, columns, **kw:
+                            widths.append(len(columns))
+                            or write_rows(fh, row, columns, **kw))
+        out = tmp_path / f"out.{fmt}"
+        assert main(["--command", "apply", "--N", "37", "--r", "2",
+                     "--input", _samples_input(tmp_path, profile, 37, 1.0),
+                     "--format", fmt, "--output", str(out)]) == 0
+        assert widths == [width]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_nls_bytes_match_reference(self, tmp_path, monkeypatch, fmt):

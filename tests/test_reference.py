@@ -206,6 +206,10 @@ class TestErfProfile:
         np.array(-0.0),
         np.array([-np.inf, np.inf, np.nan, -0.0, 0.0, 5e-324, 0.5, -3.0, 30.0]),
         np.linspace(-6.0, 6.0, 12).reshape(3, 4).T,  # 2-D, not contiguous
+        # The cli-erf benchmark's nodes (N = 2^16, L = 2.1) and special values.
+        np.concatenate([map_to_real(output_nodes(GridSpec(N=2**16, r=1, L=2.1)),
+                                    2.1),
+                        [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan]]),
     ])
     def test_u_is_math_erf_bit_for_bit(self, x):
         u = ERF.u(x)
