@@ -25,10 +25,15 @@ import argparse
 import cmath
 import json
 import math
+import os
 import re
+import shutil
 import sys
+import tempfile
+import threading
 import time
 from dataclasses import asdict
+from functools import partial
 from itertools import chain, count
 from pathlib import Path
 
@@ -78,21 +83,99 @@ def _json_floats(column: np.ndarray) -> list:
             for v in column.tolist()]
 
 
+def _block_text(row: str, columns, start: int, sep: str,
+                json_numbers: bool) -> str:
+    """The rows of the block at ``start``, each followed by ``sep`` but the
+    last row of all."""
+    n = len(columns[0])
+    block = [c[start:start + _BLOCK_ROWS] for c in columns]
+    values = [_json_floats(b) if json_numbers and not np.isfinite(b).all()
+              else b.tolist() for b in block]
+    k = len(block[0])
+    text = ((row + sep) * k) % tuple(chain.from_iterable(zip(*values)))
+    return text if start + k < n else text[:len(text) - len(sep)]
+
+
+def _can_fork(fh) -> bool:
+    """A forked child can format rows beside this process: the platform
+    forks, a second CPU is ours, no other thread can hold a lock across the
+    fork, and ``fh`` is a named file with a descriptor."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    try:
+        fh.fileno()
+    except (AttributeError, OSError):
+        return False
+    return cpus >= 2 and isinstance(getattr(fh, "name", None), str)
+
+
+def _write_and_exit(out, texts) -> None:
+    """Write the bytes of ``texts`` to the binary file ``out`` and flush it,
+    then end the process with exit status 0, the errno of an OSError, or
+    255."""
+    status = 255
+    try:
+        out.writelines(texts)
+        out.flush()
+        status = 0
+    except OSError as exc:
+        status = exc.errno or 255
+    finally:
+        os._exit(status)
+
+
+def _write_halves(fh, text, lower, upper) -> bool:
+    """Write the blocks at ``lower`` to ``fh`` while a forked child formats
+    those at ``upper`` into a spill file beside ``fh``, then append the
+    child's bytes; False, with nothing written, when no spill file or child
+    can be made."""
+    try:
+        spill = tempfile.TemporaryFile(
+            dir=os.path.dirname(os.path.abspath(fh.name)))
+    except OSError:
+        return False
+    with spill:
+        try:
+            pid = os.fork()
+        except OSError:
+            return False
+        if pid == 0:
+            _write_and_exit(spill, (text(start).encode(fh.encoding)
+                                    for start in upper))
+        try:
+            for start in lower:
+                fh.write(text(start))
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status:
+            raise OSError(status, os.strerror(status) if 0 < status < 255
+                          else f"the row-formatting child exited with {status}")
+        fh.flush()
+        spill.seek(0)
+        shutil.copyfileobj(spill, fh.buffer)
+    return True
+
+
 def _write_rows(fh, row: str, columns, sep: str = "",
                 json_numbers: bool = False) -> None:
     """Write ``row % (c[i] for c in columns)`` for every i, ``sep`` between rows.
 
     ``%s`` writes a float as its shortest ``repr``; with ``json_numbers``,
-    NaN and ±inf are written as json writes them.
+    NaN and ±inf are written as json writes them.  With two blocks or more
+    and :func:`_can_fork`, :func:`_write_halves` writes the lower half of
+    the blocks here and the upper half from a forked child; the bytes are
+    the same either way.
     """
-    n = len(columns[0])
-    for start in range(0, n, _BLOCK_ROWS):
-        block = [c[start:start + _BLOCK_ROWS] for c in columns]
-        values = [_json_floats(b) if json_numbers and not np.isfinite(b).all()
-                  else b.tolist() for b in block]
-        k = len(block[0])
-        text = ((row + sep) * k) % tuple(chain.from_iterable(zip(*values)))
-        fh.write(text if start + k < n else text[:len(text) - len(sep)])
+    text = partial(_block_text, row, columns, sep=sep,
+                   json_numbers=json_numbers)
+    starts = range(0, len(columns[0]), _BLOCK_ROWS)
+    half = len(starts) // 2
+    if not (half and _can_fork(fh)
+            and _write_halves(fh, text, starts[:half], starts[half:])):
+        for start in starts:
+            fh.write(text(start))
 
 
 def _json_record(keys, depth: int, fixed: dict) -> str:

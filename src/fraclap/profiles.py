@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -36,11 +37,19 @@ class Profile:
     exact: Callable | None  # (alpha, x) -> exact operator values, if known
 
 
+# Nodes per list of Python floats in _erf_vec: a whole N-node list raised
+# a standalone CLI run's peak RSS by 0.5 to 2.1 MiB at N = 2^16.
+_ERF_BLOCK = 4096
+
+
 def _erf_vec(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
+    flat = x.ravel()
     # Python floats: math.erf takes them without a numpy-scalar conversion.
-    return np.fromiter(map(math.erf, x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
+    return np.fromiter(chain.from_iterable(
+        map(math.erf, flat[i:i + _ERF_BLOCK].tolist())
+        for i in range(0, flat.size, _ERF_BLOCK)),
+        float, x.size).reshape(x.shape)
 
 
 def _cube(z: np.ndarray) -> np.ndarray:

@@ -1,8 +1,13 @@
+import errno
+import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -330,7 +335,10 @@ class TestGoldenWriters:
         ("erf", "0.7", "2.1"), ("rational", "1.3", "1.0"),
         ("gaussian", "1.3", "3.0"), ("real-file", "0.7", "3.0"),
         ("complex-file", "1.3", "1.0")])
-    @pytest.mark.parametrize("n", [1, 37, cli._BLOCK_ROWS + 1])
+    # From two blocks on, a child process may format the upper half.
+    @pytest.mark.parametrize("n", [1, 37, cli._BLOCK_ROWS + 1,
+                                   2 * cli._BLOCK_ROWS,
+                                   3 * cli._BLOCK_ROWS + 1])
     def test_apply_bytes_match_reference(self, tmp_path, n, profile, alpha, L,
                                          fmt):
         out = tmp_path / f"out.{fmt}"
@@ -431,6 +439,110 @@ class TestGoldenWriters:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def _erf_argv(path, fmt):
+    # Four blocks of rows: the parent formats two, a child the other two.
+    return ["--command", "apply", "--alpha", "0.9", "--N",
+            str(3 * cli._BLOCK_ROWS + 1), "--r", "1", "--L", "2.1",
+            "--input", "builtin:erf", "--format", fmt, "--output", str(path)]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The fork calls of the test, with two CPUs in the affinity mask so the
+    forked path runs on any host."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+class TestTwoProcessWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_forked_path_matches_reference(self, tmp_path, forks, fmt):
+        argv = _erf_argv(tmp_path / f"out.{fmt}", fmt)
+        assert main(argv) == 0
+        assert len(forks) == 1
+        _assert_no_child()
+        assert (tmp_path / f"out.{fmt}").read_bytes() == _reference_apply(argv)
+        assert [p.name for p in tmp_path.iterdir()] == [f"out.{fmt}"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fallback", ["fork-fails", "no-spill-file",
+                                          "second-thread", "one-cpu"])
+    def test_fallbacks_write_the_same_bytes(self, tmp_path, monkeypatch,
+                                            forks, fallback, fmt):
+        if fallback == "no-spill-file":
+            # As in an output directory that takes no new file, /dev for
+            # --output /dev/null without root.
+            def refuse(**kwargs):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+        elif fallback == "fork-fails":
+            def fork():
+                forks.append(1)
+                raise OSError(errno.EAGAIN, "fork refused")
+            monkeypatch.setattr(os, "fork", fork)
+        elif fallback == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if fallback == "second-thread":
+            thread.start()
+        try:
+            argv = _erf_argv(tmp_path / f"out.{fmt}", fmt)
+            assert main(argv) == 0
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(forks) == (fallback == "fork-fails")
+        _assert_no_child()
+        assert (tmp_path / f"out.{fmt}").read_bytes() == _reference_apply(argv)
+
+    @pytest.mark.parametrize("json_numbers", [False, True])
+    def test_no_descriptor_writes_the_same_text(self, tmp_path, forks,
+                                                json_numbers):
+        n = 3 * cli._BLOCK_ROWS + 1
+        columns = [np.arange(n), np.linspace(-1.0, 1.0, n) * np.pi]
+        columns[1][[5, n - 1]] = np.nan, np.inf
+        row, sep = ("%d:%s", ",\n") if json_numbers else ("%d,%.17g\n", "")
+        with open(tmp_path / "rows.txt", "w") as fh:
+            cli._write_rows(fh, row, columns, sep, json_numbers)
+        assert len(forks) == 1
+        text = io.StringIO()
+        cli._write_rows(text, row, columns, sep, json_numbers)
+        assert len(forks) == 1
+        assert text.getvalue() == (tmp_path / "rows.txt").read_text()
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failure_raises_and_leaves_no_child(self, tmp_path, monkeypatch,
+                                                forks, failing):
+        parent = os.getpid()
+        code = errno.ENOSPC if failing == "child" else errno.EIO
+        block_text = cli._block_text
+
+        def fail_in_one(*args, **kwargs):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise OSError(code, os.strerror(code))
+            return block_text(*args, **kwargs)
+        monkeypatch.setattr(cli, "_block_text", fail_in_one)
+        with pytest.raises(OSError) as info:
+            main(_erf_argv(tmp_path / "out.csv", "csv"))
+        monkeypatch.undo()
+        assert len(forks) == 1
+        assert info.value.errno == code
+        _assert_no_child()
 
 
 class TestConfigErrors:

@@ -470,3 +470,15 @@ class TestMappedDerivatives:
         expected = L**2 * profile.uxx(L / np.tan(s)) / np.sin(s) ** 3
         scale = np.abs(first) + np.abs(second)
         assert np.all(np.abs(first + second - expected) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("L", [0.7, 1.0, 2.1])
+    @pytest.mark.parametrize("profile", [RATIONAL, ERF, GAUSSIAN],
+                             ids=lambda p: p.name)
+    def test_analytic_integrand_is_uxx_over_sin_cubed(self, profile, L):
+        # The same identity on the midpoints, through the analytic route's
+        # mirrored sin and cos: f needs u_xx alone.
+        g = GridSpec(N=257, r=3, L=L)
+        s = midpoint_nodes(g)
+        f = f_from_analytic(*mapped_derivatives(profile, L), g).values
+        expected = L**2 * profile.uxx(L / np.tan(s)) / np.sin(s) ** 3
+        assert np.max(np.abs(f - expected)) <= 1e-13 * np.max(np.abs(f))
